@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import config
 from .compositions import mask_to_set
@@ -251,12 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             rows.append(row)
     else:
         runner = PER_DEGREE_CHECKS[args.check]
-        if len(degrees) > 1:
-            with ThreadPoolExecutor(max_workers=min(4, len(degrees))) as pool:
-                chunks = list(pool.map(runner, degrees))
-        else:
-            chunks = [runner(n) for n in degrees]
-        rows = [row for chunk in chunks for row in chunk]
+        rows = [row for n in degrees for row in runner(n)]
     _emit(_report_json(args.check, rows), args.out)
     return 0 if all(row["pass"] for row in rows) else 1
 
@@ -353,16 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    previous = None
-    if args.max_degree is not None:
-        previous = config.set_max_degree(args.max_degree)
+    restore = False
     try:
+        if args.max_degree is not None:
+            previous, restore = config.set_max_degree(args.max_degree), True
         return args.func(args)
     except (QsymkError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2  # unreachable; parser.exit raises SystemExit
     finally:
-        if args.max_degree is not None:
+        if restore:
             config.set_max_degree(previous)
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .compositions import (
@@ -279,13 +279,24 @@ def is_forest(graph: RelationGraph) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class KernelSpace:
+    """K^st_n, the kernel of the projection F_a -> [st-class of a], held as
+    its classes of composition indices (ascending, ordered by least member).
+    The reduced echelon basis is written down, not eliminated for: one row
+    F_c - F_top per non-top member c of each class, top its greatest index."""
+
     stat: DescentStatistic
     n: int
-    basis: RowBasis
+    classes: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return self.basis.rank
+        return (1 << max(self.n - 1, 0)) - len(self.classes)
+
+    @cached_property
+    def basis(self) -> RowBasis:
+        rows = {c: {c: 1, block[-1]: -1} for block in self.classes for c in block[:-1]}
+        pivots = sorted(rows)
+        return RowBasis(self.n, [SparseVector(self.n, rows[c]) for c in pivots], pivots)
 
 
 def _difference_vector(n: int, j: Composition, k: Composition) -> SparseVector:
@@ -296,25 +307,20 @@ def _difference_vector(n: int, j: Composition, k: Composition) -> SparseVector:
 
 
 def kernel_space(stat: DescentStatistic, n: int) -> KernelSpace:
-    """Row-reduced basis of K^st_n, generated per equivalence class as
-    differences against the least-index class representative."""
+    """K^st_n as the st-classes of the compositions of n."""
     check_degree(n)
     return _kernel_space(stat, n)
 
 
 @lru_cache(maxsize=None)
 def _kernel_space(stat: DescentStatistic, n: int) -> KernelSpace:
-    generators: list[SparseVector] = []
-    for block in equivalence_classes(stat, n):
-        rep = block[0]
-        for other in block[1:]:
-            generators.append(_difference_vector(n, rep, other))
-    return KernelSpace(stat, n, reduce(generators, n))
+    classes = equivalence_classes(stat, n)
+    return KernelSpace(stat, n, tuple(tuple(map(index_of, block)) for block in classes))
 
 
 def quotient_dimension(stat: DescentStatistic, n: int) -> int:
     """Number of equivalence classes = dim of the degree-n quotient."""
-    return len(equivalence_classes(stat, n))
+    return len(kernel_space(stat, n).classes)
 
 
 def _partition_key(blocks: Iterable[Iterable[Composition]]) -> frozenset[frozenset[int]]:
@@ -345,7 +351,7 @@ def check_spanning_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId])
     _check_sound(stat, graph)
     graph_verdict = (
         _partition_key(connected_components(graph))
-        == _partition_key(equivalence_classes(stat, n))
+        == frozenset(map(frozenset, kernel_space(stat, n).classes))
     )
     rank_verdict = spans_equal(edge_vectors(graph), kernel_space(stat, n).basis.rows, n)
     if graph_verdict != rank_verdict:
@@ -411,8 +417,10 @@ def monomial_span_vectors(stat: StatisticId, n: int) -> list[SparseVector]:
 
 
 def check_spanning_M(stat: StatisticId, n: int) -> bool:
-    """Exact span equality of the monomial combinations with K^st_n."""
-    return spans_equal(monomial_span_vectors(stat, n), kernel_space(stat, n).basis.rows, n)
+    """The monomial combinations X span K^st_n iff X lies in K^st_n and
+    rank X = dim K^st_n."""
+    vectors, space = monomial_span_vectors(stat, n), kernel_space(stat, n)
+    return all(in_span(v, space.basis) for v in vectors) and reduce(vectors, n).rank == space.dim
 
 
 # -- the indexed families over subsets ---------------------------------------
@@ -637,7 +645,7 @@ def check_symmetry_bridges(n: int) -> dict:
 
     1. the complement of every arrow1/arrow2 edge is a val1 or val2
        edge, and the complement of every arrow3 edge is a val3 edge;
-    2. the epk and val kernels coincide as row spaces;
+    2. the epk and val kernels coincide: the two have the same classes;
     3. psi carries K^Pk_n onto K^Val_n and K^pk_n onto K^val_n;
     4. rho carries K^Lpk_n onto K^Rpk_n and K^lpk_n onto K^rpk_n.
     """
@@ -656,9 +664,8 @@ def check_symmetry_bridges(n: int) -> dict:
         for j, k, _ in relation_edges({RelationId.Arrow3}, n).edges
     )
 
-    epk_rows = kernel_space(StatisticId.epk, n).basis.rows
-    val_rows = kernel_space(StatisticId.val, n).basis.rows
-    epk_equals_val = list(epk_rows) == list(val_rows)
+    epk, val = kernel_space(StatisticId.epk, n), kernel_space(StatisticId.val, n)
+    epk_equals_val = epk.classes == val.classes
 
     def maps_onto(src: StatisticId, dst: StatisticId, transform) -> bool:
         image = [transform(row) for row in kernel_space(src, n).basis.rows]

@@ -27,6 +27,7 @@ from itertools import combinations
 from typing import Callable, Hashable, Union
 
 from .compositions import Composition, compositions_of, index_of
+from .config import check_degree
 from .errors import DisjointnessError
 
 StatValue = Union[int, frozenset]
@@ -391,6 +392,7 @@ def check_shuffle_compatible(
     must agree between representative choices, and across all
     composition pairs with the same (a, b, value, value) signature.
     """
+    check_degree(max_total_len)
     rng = random.Random(seed)
     evaluate = _perm_evaluator(stat)
     name = stat.value if isinstance(stat, StatisticId) else getattr(stat, "__name__", str(stat))

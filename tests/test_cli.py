@@ -6,6 +6,7 @@ import re
 import pytest
 
 import figure_data
+from qsymk import config
 from qsymk.cli import main
 
 
@@ -90,6 +91,19 @@ def test_degree_above_limit_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--max-degree", "4", "verify", "thm2a", "--deg", "1..6"])
     assert info.value.code == 2
+
+
+def test_negative_max_degree_is_usage_error(capsys):
+    previous = config.set_max_degree(12)
+    try:
+        with pytest.raises(SystemExit) as info:
+            main(["--max-degree", "-1", "dims"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        # the rejected value leaves the caller's limit in place
+        assert config.max_degree() == 12
+    finally:
+        config.set_max_degree(previous)
 
 
 def test_dims_table(capsys):
@@ -197,6 +211,16 @@ def test_shufflecheck(capsys):
     with pytest.raises(SystemExit) as info:
         main(["shufflecheck", "NotAStat", "4"])
     assert info.value.code == 2
+
+
+def test_shufflecheck_length_is_validated(capsys):
+    for argv in (["shufflecheck", "Pk", "-1"], ["--max-degree", "4", "shufflecheck", "Pk", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def test_console_script_subprocess():

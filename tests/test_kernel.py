@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qsymk import kernel
 from qsymk.compositions import Composition, index_of
 from qsymk.errors import RelationUnsoundError
 from qsymk.kernel import (
@@ -25,7 +26,7 @@ from qsymk.kernel import (
     quotient_dimension,
     relation_edges,
 )
-from qsymk.linalg import SparseVector, in_span, reduce
+from qsymk.linalg import SparseVector, in_span, reduce, spans_equal
 from qsymk.qsym import QSymElement, f_sparse, m_to_f
 from qsymk.statistics import StatisticId, equivalence_classes
 
@@ -61,18 +62,31 @@ def test_quotient_dimension_examples():
 
 
 def test_kernel_rref_matches_per_class_construction():
-    # the reduced rows of a class-difference span are e_c - e_max per class
-    for stat in (S.Pk, S.pk, S.val, S.maj):
-        for n in range(0, 7):
-            expected = []
-            for block in equivalence_classes(stat, n):
-                idx = [index_of(c) for c in block]
-                top = max(idx)
-                expected.extend(
-                    SparseVector(n, {i: 1, top: -1}) for i in sorted(idx) if i != top
-                )
-            expected.sort(key=lambda v: min(v.entries))
-            assert list(kernel_space(stat, n).basis.rows) == expected
+    # the written-down basis equals the elimination of the class-difference
+    # generators, row for row, for every statistic and a planted one
+    for stat in [*StatisticId, max_part]:
+        for n in range(0, 10):
+            generators = [
+                SparseVector(n, {index_of(block[0]): 1, index_of(other): -1})
+                for block in equivalence_classes(stat, n)
+                for other in block[1:]
+            ]
+            expected = reduce(generators, n)
+            basis = kernel_space(stat, n).basis
+            assert basis.rows == expected.rows, (stat, n)
+            assert basis.pivots == expected.pivots, (stat, n)
+            assert basis._int_rows == expected._int_rows, (stat, n)
+
+
+def test_dimension_queries_do_not_build_the_basis():
+    def parts_parity(comp: Composition) -> int:
+        return len(comp.parts) % 2
+
+    space = kernel_space(parts_parity, 7)
+    assert space.dim == 64 - 2
+    assert quotient_dimension(parts_parity, 7) == 2
+    assert "basis" not in vars(space)
+    assert space.basis.rank == space.dim
 
 
 def test_in_span_matches_class_sum_oracle():
@@ -166,6 +180,29 @@ def test_check_spanning_M():
         assert check_spanning_M(S.Pk, n)
         assert check_spanning_M(S.pk, n)
         assert check_spanning_M(S.Epk, n)
+
+
+def test_check_spanning_M_matches_span_equality(monkeypatch):
+    # membership plus rank against the old route, exact span equality
+    for stat in (S.Pk, S.pk, S.Epk):
+        for n in range(0, 9):
+            rows = kernel_space(stat, n).basis.rows
+            assert spans_equal(monomial_span_vectors(stat, n), rows, n)
+            assert check_spanning_M(stat, n)
+    # planted negatives: a spanning vector dropped, a non-kernel vector
+    # added, and both at once (full rank, so only membership rejects it)
+    n = 6
+    pk_set = monomial_span_vectors(S.Pk, n)
+    ctilde = f_sparse(QSymElement(n, "M", {index_of(C((1, 1, 1, 1, 2))): 1}))
+    outside = SparseVector(n, {0: 1})
+    dropped = [v for v in pk_set if v != ctilde]
+    assert len(dropped) == len(pk_set) - 1
+    planted = (dropped, pk_set + [outside], dropped + [outside])
+    rows = kernel_space(S.Pk, n).basis.rows
+    for vectors in planted:
+        monkeypatch.setattr(kernel, "monomial_span_vectors", lambda stat, n, vs=vectors: vs)
+        assert not spans_equal(vectors, rows, n)
+        assert not check_spanning_M(S.Pk, n)
 
 
 # -- the subset-indexed regions ----------------------------------------------

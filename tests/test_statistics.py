@@ -8,7 +8,8 @@ import pytest
 
 from conftest import complement_permutation, reverse_permutation
 from qsymk.compositions import Composition, compositions_of
-from qsymk.errors import DisjointnessError
+from qsymk.config import set_max_degree
+from qsymk.errors import DegreeLimitError, DisjointnessError
 from qsymk.statistics import (
     Permutation,
     StatisticId,
@@ -230,6 +231,18 @@ def test_shuffle_compatibility_rejects_letter_dependent_statistic():
     assert not report.compatible
     assert report.witness is not None
     assert report.witness["kind"] == "representative-dependence"
+
+
+def test_shuffle_compatibility_validates_length():
+    # an empty length range would otherwise report "compatible"
+    with pytest.raises(ValueError):
+        check_shuffle_compatible(S.Pk, -1)
+    set_max_degree(4)
+    try:
+        with pytest.raises(DegreeLimitError):
+            check_shuffle_compatible(S.Pk, 5)
+    finally:
+        set_max_degree(None)
 
 
 def test_parse_statistic_is_case_sensitive():
