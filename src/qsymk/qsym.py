@@ -256,12 +256,14 @@ def psi(elem: QSymElement) -> QSymElement:
 
 def rho(elem: QSymElement) -> QSymElement:
     """The reverse involution: relabels F indices by the reverse
-    composition.  M-basis input is routed through the F basis and
-    converted back, so the basis tag is preserved."""
+    composition.  It is psi after the position reversal C -> n - C, which
+    keeps the superset order and so sends M_C to M_{n-C}; M-basis input is
+    relabelled that way and passed to psi, staying in the M basis."""
     n = elem.n
     if elem.basis == "F":
         return QSymElement(n, "F", {reverse_mask(n, m): v for m, v in elem.coeffs.items()})
-    return f_to_m(rho(m_to_f(elem)))
+    flipped = {complement_mask(n, reverse_mask(n, m)): v for m, v in elem.coeffs.items()}
+    return psi(QSymElement(n, "M", flipped))
 
 
 def _validate_ck(n: int, c_mask: int, k: int) -> None:

@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from qsymk import kernel
-from qsymk.compositions import Composition, index_of
+from qsymk.compositions import (
+    Composition,
+    complement_mask,
+    compositions_of,
+    from_index,
+    index_of,
+    reverse_mask,
+)
 from qsymk.errors import RelationUnsoundError
 from qsymk.kernel import (
     RelationId,
@@ -23,12 +30,14 @@ from qsymk.kernel import (
     m_family,
     monomial_span_vectors,
     omega_sets,
+    psi_vector,
     quotient_dimension,
     relation_edges,
+    rho_vector,
 )
 from qsymk.linalg import SparseVector, in_span, reduce, spans_equal
-from qsymk.qsym import QSymElement, f_sparse, m_to_f
-from qsymk.statistics import StatisticId, equivalence_classes
+from qsymk.qsym import QSymElement, _f_basis_product, f_sparse, m_to_f
+from qsymk.statistics import StatisticId, equivalence_classes, stat_name
 
 C = Composition
 R = RelationId
@@ -315,6 +324,75 @@ def test_section4_props():
     assert deg2["results"]["lemma_om4_matches_arrow3"]
 
 
+def _row_times_basis(row: SparseVector, a: int, b: int, k_mask: int) -> SparseVector:
+    out: dict[int, Fraction] = {}
+    for mask, coeff in row.entries.items():
+        for prod_mask, mult in _f_basis_product(a, mask, b, k_mask):
+            out[prod_mask] = out.get(prod_mask, Fraction(0)) + coeff * mult
+    return SparseVector(a + b, out)
+
+
+def _ideal_report_via_in_span(stat, total_degree: int, max_witnesses: int = 3) -> dict:
+    """The elimination route: multiply every kernel basis row by every
+    fundamental in Fractions and test membership with in_span."""
+    violations = []
+    for s in range(2, total_degree + 1):
+        target = kernel_space(stat, s)
+        for a in range(1, s):
+            b = s - a
+            for row in kernel_space(stat, a).basis.rows:
+                for k_comp in compositions_of(b):
+                    product = _row_times_basis(row, a, b, index_of(k_comp))
+                    if not in_span(product, target.basis) and len(violations) < max_witnesses:
+                        violations.append(
+                            {
+                                "row_degree": a,
+                                "factor": str(k_comp),
+                                "row": {str(from_index(a, m)): str(v)
+                                        for m, v in sorted(row.entries.items())},
+                            }
+                        )
+    return {
+        "stat": stat_name(stat),
+        "total_degree": total_degree,
+        "ideal": not violations,
+        "violations": violations,
+    }
+
+
+def parts_mod_3(comp: Composition) -> int:
+    return len(comp.parts) % 3
+
+
+def first_part(comp: Composition) -> int:
+    return comp.parts[0] if comp.parts else 0
+
+
+def test_is_ideal_matches_in_span_route():
+    for stat in StatisticId:
+        for total in range(0, 8):
+            expected = _ideal_report_via_in_span(stat, total)
+            assert is_ideal_upto(stat, total) == expected, (stat, total)
+    for stat in (max_part, parts_mod_3, first_part):
+        for total in range(0, 8):
+            for cap in (0, 1, 3, 10**6):
+                expected = _ideal_report_via_in_span(stat, total, cap)
+                assert is_ideal_upto(stat, total, cap) == expected, (stat, total, cap)
+    # planted controls: two are not ideals, first_part is
+    assert not is_ideal_upto(max_part, 7)["ideal"]
+    assert not is_ideal_upto(parts_mod_3, 7)["ideal"]
+    assert is_ideal_upto(first_part, 7)["ideal"]
+
+
+def test_is_ideal_never_eliminates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ideal check must not eliminate")
+
+    monkeypatch.setattr(kernel, "in_span", refuse)
+    monkeypatch.setattr(kernel, "reduce", refuse)
+    assert is_ideal_upto(S.Pk, 7)["ideal"]
+
+
 def test_is_ideal_for_real_statistics():
     for stat in (S.Pk, S.val, S.maj):
         report = is_ideal_upto(stat, 6)
@@ -333,6 +411,27 @@ def test_symmetry_bridges():
     for n in range(0, 8):
         report = check_symmetry_bridges(n)
         assert report["pass"], report
+
+
+def test_kernel_transport_matches_span_equality():
+    # relabelling the classes against the elimination route: the four
+    # bridges of the report, and two planted pairs that are not bridges
+    pairs = [
+        (S.Pk, S.Val, complement_mask, psi_vector, True),
+        (S.pk, S.val, complement_mask, psi_vector, True),
+        (S.Lpk, S.Rpk, reverse_mask, rho_vector, True),
+        (S.lpk, S.rpk, reverse_mask, rho_vector, True),
+        (S.Pk, S.val, complement_mask, psi_vector, False),
+        (S.Lpk, S.Rpk, complement_mask, psi_vector, False),
+    ]
+    for src, dst, relabel, transform, bridge in pairs:
+        verdicts = []
+        for n in range(0, 10):
+            image = [transform(row) for row in kernel_space(src, n).basis.rows]
+            expected = spans_equal(image, kernel_space(dst, n).basis.rows, n)
+            assert kernel._maps_onto(src, dst, relabel, n) == expected, (src, dst, n)
+            verdicts.append(expected)
+        assert all(verdicts) == bridge, (src, dst, verdicts)
 
 
 def test_theorem1_criteria_agree_on_mixed_suite():

@@ -157,6 +157,27 @@ def test_rho_examples():
     assert rho(multiply_f(left, right)) == multiply_f(rho(left), rho(right))
 
 
+def test_rho_on_m_basis_matches_f_round_trip():
+    # the M branch (position reversal, then psi) against converting
+    # through the F basis and back
+    def via_f(e):
+        return f_to_m(rho(m_to_f(e)))
+
+    for n in range(0, 10):
+        for comp in compositions_of(n):
+            image = rho(monomial(comp))
+            assert image.basis == "M"
+            assert image == via_f(monomial(comp)), comp
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        size = 1 << max(n - 1, 0)
+        coeffs = {rng.randrange(size): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 6))}
+        e = QSymElement(n, "M", coeffs)
+        assert rho(e) == via_f(e), e
+
+
 def test_involutions_are_algebra_maps_sampled():
     comps = [comp for n in range(0, 4) for comp in compositions_of(n)]
     for left, right in itertools.product(comps, repeat=2):
