@@ -1,12 +1,12 @@
 """Rewrite relations on compositions, kernel subspaces, and their checks.
 
-For a descent statistic st, the degree-n kernel K^st_n is the span of
-all differences F_J - F_K over st-equivalent pairs of compositions of
-n.  A set S of equivalent pairs spans K^st_n exactly when the connected
-components of the directed graph with edge set S are the equivalence
-classes, and the difference set is linearly independent exactly when
-the graph is a forest; both criteria are checked here against direct
-exact rank computations in every verification routine.
+For a descent statistic st, the degree-n kernel K^st_n is the kernel of
+the projection F_J -> [st-class of J]: a vector lies in it exactly when
+its coefficients sum to zero on every class.  A sound set S of
+equivalent pairs spans K^st_n exactly when the components of the graph
+with edge set S are the classes, and its differences are independent
+exactly when the graph is a forest; each spanning check eliminates the
+edge differences once and cross-checks both criteria against that rank.
 
 Binary relation families (parts written 1-based; all preserve degree):
 
@@ -49,15 +49,9 @@ from .compositions import (
 )
 from .config import check_degree
 from .errors import RelationUnsoundError
-from .linalg import RowBasis, SparseVector, in_span, is_independent, reduce, spans_equal
+from .linalg import RowBasis, SparseVector, reduce, spans_equal
 from .qsym import QSymElement, f_sparse, _f_basis_product
-from .statistics import (
-    DescentStatistic,
-    StatisticId,
-    comp_stat_value,
-    equivalence_classes,
-    stat_name,
-)
+from .statistics import DescentStatistic, StatisticId, equivalence_classes, stat_name
 
 
 class RelationId(enum.Enum):
@@ -126,17 +120,12 @@ def labeled_successors(rel: RelationId, comp: Composition) -> list[tuple[Composi
                     out.append(
                         (Composition(parts[:i] + (1, 1) + parts[i + 1:m - 1] + (2,)), "2")
                     )
-    elif rel is RelationId.PkBasisArrow:
+    elif rel in (RelationId.PkBasisArrow, RelationId.PkNumBasisArrow):
         i = _pk_basis_position(parts)
         if i is not None:
             label = "1" if parts[i] > 2 else "2"
             out.append((_split(parts, i, 1), label))
-    elif rel is RelationId.PkNumBasisArrow:
-        i = _pk_basis_position(parts)
-        if i is not None:
-            label = "1" if parts[i] > 2 else "2"
-            out.append((_split(parts, i, 1), label))
-        else:
+        elif rel is RelationId.PkNumBasisArrow:
             for i in range(m - 1):
                 if parts[i] == 1 and parts[i + 1] == 2:
                     out.append((_swap(parts, i), "3"))
@@ -297,12 +286,28 @@ class KernelSpace:
         pivots = sorted(rows)
         return RowBasis(self.n, [SparseVector(self.n, rows[c]) for c in pivots], pivots)
 
+    @cached_property
+    def labels(self) -> list[int]:
+        """The class number of each composition index: the quotient map."""
+        labels = [0] * (1 << max(self.n - 1, 0))
+        for label, block in enumerate(self.classes):
+            for c in block:
+                labels[c] = label
+        return labels
 
-def _difference_vector(n: int, j: Composition, k: Composition) -> SparseVector:
-    a, b = index_of(j), index_of(k)
-    if a == b:
-        return SparseVector(n, {})
-    return SparseVector(n, {a: 1, b: -1})
+
+def _class_sums(labels: Sequence[int], terms: Iterable[tuple[int, object]]) -> dict:
+    """Project (index, coefficient) pairs through the labels into class sums."""
+    sums: dict = {}
+    for index, coeff in terms:
+        label = labels[index]
+        sums[label] = sums.get(label, 0) + coeff
+    return sums
+
+
+def _in_kernel(space: KernelSpace, v: SparseVector) -> bool:
+    """v lies in K exactly when every class sum of v vanishes."""
+    return not any(_class_sums(space.labels, v.entries.items()).values())
 
 
 def kernel_space(stat: DescentStatistic, n: int) -> KernelSpace:
@@ -322,60 +327,61 @@ def quotient_dimension(stat: DescentStatistic, n: int) -> int:
     return len(kernel_space(stat, n).classes)
 
 
-def _partition_key(blocks: Iterable[Iterable[Composition]]) -> frozenset[frozenset[int]]:
-    return frozenset(frozenset(index_of(c) for c in block) for block in blocks)
-
-
-def _check_sound(stat: DescentStatistic, graph: RelationGraph) -> None:
+def _check_sound(space: KernelSpace, graph: RelationGraph) -> None:
     for j, k, _ in graph.edges:
-        if comp_stat_value(stat, j) != comp_stat_value(stat, k):
+        if space.labels[index_of(j)] != space.labels[index_of(k)]:
             raise RelationUnsoundError(
-                f"edge {j} -> {k} joins non-{stat_name(stat)}-equivalent compositions"
+                f"edge {j} -> {k} joins non-{stat_name(space.stat)}-equivalent compositions"
             )
 
 
 def edge_vectors(graph: RelationGraph) -> list[SparseVector]:
-    return [_difference_vector(graph.n, j, k) for j, k, _ in graph.edges]
+    """The differences F_J - F_K along the edges (zero for a loop)."""
+    pairs = ((index_of(j), index_of(k)) for j, k, _ in graph.edges)
+    return [SparseVector(graph.n, {a: 1, b: -1} if a != b else {}) for a, b in pairs]
 
 
-def check_spanning_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) -> bool:
-    """Do the F-differences along the relation edges span K^st_n?
-
-    Verdict is computed two independent ways: connected components of
-    the relation graph versus the equivalence classes, and a direct
-    exact rank comparison against the kernel basis.  The two must agree
-    (that equivalence is itself a theorem); disagreement raises.
-    """
-    graph = relation_edges(rels, n)
-    _check_sound(stat, graph)
-    graph_verdict = (
-        _partition_key(connected_components(graph))
-        == frozenset(map(frozenset, kernel_space(stat, n).classes))
-    )
-    rank_verdict = spans_equal(edge_vectors(graph), kernel_space(stat, n).basis.rows, n)
+def _spanning_edges(stat: DescentStatistic, n: int, rels: Iterable[RelationId]):
+    """(spans, graph, K^st_n, rank of the edge differences) from one graph
+    build and one elimination.  Sound edges lie in K^st_n, so they span it
+    exactly when their rank is its dimension; disagreement with the graph
+    criterion raises."""
+    graph, space = relation_edges(rels, n), kernel_space(stat, n)
+    _check_sound(space, graph)
+    graph_verdict = space.classes == tuple(
+        tuple(map(index_of, block)) for block in connected_components(graph))
+    rank = reduce(edge_vectors(graph), n).rank
+    rank_verdict = rank == space.dim
     if graph_verdict != rank_verdict:
         raise AssertionError(
             f"graph criterion ({graph_verdict}) and rank comparison ({rank_verdict}) "
             f"disagree for {stat_name(stat)} at degree {n}"
         )
-    return graph_verdict
+    return graph_verdict, graph, space, rank
+
+
+def check_spanning_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) -> bool:
+    """Do the F-differences along the relation edges span K^st_n?  The
+    components of the relation graph are compared with the st-classes and
+    cross-checked against the rank of the edge differences, one
+    elimination; the two must agree (a theorem), disagreement raises."""
+    return _spanning_edges(stat, n, rels)[0]
 
 
 def check_basis_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) -> bool:
     """Do the F-differences along the relation edges form a basis of
     K^st_n?  Requires spanning, the forest property, and edge count
-    equal to the kernel dimension; the forest verdict is cross-checked
-    against a direct linear-independence computation."""
-    graph = relation_edges(rels, n)
-    spanning = check_spanning_F(stat, n, rels)
-    forest = is_forest(graph)
-    independent = is_independent(edge_vectors(graph), n)
+    equal to the kernel dimension; the elimination that cross-checks
+    spanning also cross-checks the forest verdict (independent exactly
+    when the rank is the number of edges)."""
+    spanning, graph, space, rank = _spanning_edges(stat, n, rels)
+    forest, independent = is_forest(graph), rank == len(graph.edges)
     if forest != independent:
         raise AssertionError(
             f"forest criterion ({forest}) and independence ({independent}) disagree "
             f"for {stat_name(stat)} at degree {n}"
         )
-    return spanning and forest and len(graph.edges) == kernel_space(stat, n).dim
+    return spanning and forest and len(graph.edges) == space.dim
 
 
 # -- monomial spanning sets ---------------------------------------------------
@@ -416,10 +422,10 @@ def monomial_span_vectors(stat: StatisticId, n: int) -> list[SparseVector]:
 
 
 def check_spanning_M(stat: StatisticId, n: int) -> bool:
-    """The monomial combinations X span K^st_n iff X lies in K^st_n and
-    rank X = dim K^st_n."""
+    """The monomial combinations X span K^st_n iff every class sum of each
+    vector of X vanishes (X lies in K^st_n) and rank X = dim K^st_n."""
     vectors, space = monomial_span_vectors(stat, n), kernel_space(stat, n)
-    return all(in_span(v, space.basis) for v in vectors) and reduce(vectors, n).rank == space.dim
+    return all(_in_kernel(space, v) for v in vectors) and reduce(vectors, n).rank == space.dim
 
 
 # -- the indexed families over subsets ---------------------------------------
@@ -586,37 +592,31 @@ def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int 
     coefficients sum to zero on every st-class, so (F_c - F_top) F_b lies
     in the kernel exactly when F_c F_b and F_top F_b project to the same
     class counts; the check compares those integer counts and never
-    eliminates.  Rows go in pivot order, factors in index order."""
+    eliminates.  Rows go in pivot order, factors in index order; at most
+    `max_witnesses` violations are listed, and projecting stops once the
+    verdict is known and the list is full."""
     check_degree(total_degree)
-    violations: list[dict] = []
+    ideal, violations = True, []
     for s in range(2, total_degree + 1):
-        labels = [0] * (1 << (s - 1))
-        for label, block in enumerate(kernel_space(stat, s).classes):
-            for mask in block:
-                labels[mask] = label
-
-        def projected(a: int, mask: int, b: int, k_mask: int) -> dict[int, int]:
-            counts: dict[int, int] = {}
-            for prod_mask, mult in _f_basis_product(a, mask, b, k_mask):
-                label = labels[prod_mask]
-                counts[label] = counts.get(label, 0) + mult
-            return counts
-
+        labels = kernel_space(stat, s).labels
         for a in range(1, s):
             b = s - a
             tops = {c: block[-1] for block in kernel_space(stat, a).classes for c in block[:-1]}
             for c in sorted(tops):
                 for k_comp in compositions_of(b):
                     k_mask = index_of(k_comp)
-                    if len(violations) < max_witnesses and (
-                        projected(a, c, b, k_mask) != projected(a, tops[c], b, k_mask)
+                    if (ideal or len(violations) < max_witnesses) and (
+                        _class_sums(labels, _f_basis_product(a, c, b, k_mask))
+                        != _class_sums(labels, _f_basis_product(a, tops[c], b, k_mask))
                     ):
-                        row = {str(from_index(a, c)): "1", str(from_index(a, tops[c])): "-1"}
-                        violations.append({"row_degree": a, "factor": str(k_comp), "row": row})
+                        ideal = False
+                        if len(violations) < max_witnesses:
+                            row = {str(from_index(a, c)): "1", str(from_index(a, tops[c])): "-1"}
+                            violations.append({"row_degree": a, "factor": str(k_comp), "row": row})
     return {
         "stat": stat_name(stat),
         "total_degree": total_degree,
-        "ideal": not violations,
+        "ideal": ideal,
         "violations": violations,
     }
 

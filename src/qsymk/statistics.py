@@ -395,7 +395,7 @@ def check_shuffle_compatible(
     check_degree(max_total_len)
     rng = random.Random(seed)
     evaluate = _perm_evaluator(stat)
-    name = stat.value if isinstance(stat, StatisticId) else getattr(stat, "__name__", str(stat))
+    name = stat_name(stat)
     for total in range(1, max_total_len + 1):
         for a in range(0, total + 1):
             b = total - a

@@ -1,13 +1,27 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import re
 
 import pytest
 
 import figure_data
 from qsymk import config
-from qsymk.cli import main
+from qsymk.cli import CHECK_NAMES, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# CLI reports recorded before the spanning checks moved to the quotient
+# map, each the stdout of `PYTHONPATH=src python -m qsymk.cli ARGV...`.
+# A change to how the checks are computed must reproduce them byte for
+# byte.
+GOLDEN_REPORTS = [
+    *((f"verify_{check}_deg1-6.json", ("verify", check, "--deg", "1..6")) for check in CHECK_NAMES),
+    ("dims_deg1-8.csv", ("dims", "--deg", "1..8")),
+    ("graph_pknumbasis_deg1-7.json",
+     ("graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json")),
+]
 
 
 def run_cli(capsys, *argv):
@@ -176,11 +190,15 @@ def test_graph_json_and_csv(capsys):
 
 
 def test_graph_dot_golden_file(capsys):
-    import pathlib
-
     code, out = run_cli(capsys, "graph", "--rels", "arrow123", "--deg", "3")
-    golden = pathlib.Path(__file__).parent / "golden" / "arrow123_deg3.dot"
-    assert out == golden.read_text()
+    assert out == (GOLDEN / "arrow123_deg3.dot").read_text()
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_REPORTS, ids=[name for name, _ in GOLDEN_REPORTS])
+def test_reports_match_golden_files(capsys, name, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_graph_single_vertex_degree_one(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsymk import kernel
+from qsymk import cli, kernel, linalg
 from qsymk.compositions import (
     Composition,
     complement_mask,
@@ -35,7 +35,7 @@ from qsymk.kernel import (
     relation_edges,
     rho_vector,
 )
-from qsymk.linalg import SparseVector, in_span, reduce, spans_equal
+from qsymk.linalg import SparseVector, in_span, is_independent, reduce, spans_equal
 from qsymk.qsym import QSymElement, _f_basis_product, f_sparse, m_to_f
 from qsymk.statistics import StatisticId, equivalence_classes, stat_name
 
@@ -95,6 +95,7 @@ def test_dimension_queries_do_not_build_the_basis():
     assert space.dim == 64 - 2
     assert quotient_dimension(parts_parity, 7) == 2
     assert "basis" not in vars(space)
+    assert "labels" not in vars(space)
     assert space.basis.rank == space.dim
 
 
@@ -112,6 +113,7 @@ def test_in_span_matches_class_sum_oracle():
                 for block in classes
             )
             assert in_span(v, ks.basis) == class_sums_vanish
+            assert kernel._in_kernel(ks, v) == class_sums_vanish
 
 
 def test_membership_example_from_spanning_set():
@@ -335,7 +337,7 @@ def _row_times_basis(row: SparseVector, a: int, b: int, k_mask: int) -> SparseVe
 def _ideal_report_via_in_span(stat, total_degree: int, max_witnesses: int = 3) -> dict:
     """The elimination route: multiply every kernel basis row by every
     fundamental in Fractions and test membership with in_span."""
-    violations = []
+    ideal, violations = True, []
     for s in range(2, total_degree + 1):
         target = kernel_space(stat, s)
         for a in range(1, s):
@@ -343,7 +345,10 @@ def _ideal_report_via_in_span(stat, total_degree: int, max_witnesses: int = 3) -
             for row in kernel_space(stat, a).basis.rows:
                 for k_comp in compositions_of(b):
                     product = _row_times_basis(row, a, b, index_of(k_comp))
-                    if not in_span(product, target.basis) and len(violations) < max_witnesses:
+                    if in_span(product, target.basis):
+                        continue
+                    ideal = False
+                    if len(violations) < max_witnesses:
                         violations.append(
                             {
                                 "row_degree": a,
@@ -355,7 +360,7 @@ def _ideal_report_via_in_span(stat, total_degree: int, max_witnesses: int = 3) -
     return {
         "stat": stat_name(stat),
         "total_degree": total_degree,
-        "ideal": not violations,
+        "ideal": ideal,
         "violations": violations,
     }
 
@@ -382,15 +387,23 @@ def test_is_ideal_matches_in_span_route():
     assert not is_ideal_upto(max_part, 7)["ideal"]
     assert not is_ideal_upto(parts_mod_3, 7)["ideal"]
     assert is_ideal_upto(first_part, 7)["ideal"]
+    # the verdict does not depend on the witness cap
+    assert not is_ideal_upto(max_part, 7, 0)["ideal"]
+    assert not is_ideal_upto(parts_mod_3, 7, 0)["ideal"]
+    assert is_ideal_upto(max_part, 7, 0)["violations"] == []
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
 
 
 def test_is_ideal_never_eliminates(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the ideal check must not eliminate")
-
-    monkeypatch.setattr(kernel, "in_span", refuse)
-    monkeypatch.setattr(kernel, "reduce", refuse)
+    # every elimination (reduce, in_span, spans_equal, is_independent)
+    # goes through one of these two
+    monkeypatch.setattr(linalg._Echelon, "add", _refuse)
+    monkeypatch.setattr(linalg._Echelon, "reduces_to_zero", _refuse)
     assert is_ideal_upto(S.Pk, 7)["ideal"]
+    assert not is_ideal_upto(max_part, 7)["ideal"]
 
 
 def test_is_ideal_for_real_statistics():
@@ -432,6 +445,81 @@ def test_kernel_transport_matches_span_equality():
             assert kernel._maps_onto(src, dst, relabel, n) == expected, (src, dst, n)
             verdicts.append(expected)
         assert all(verdicts) == bridge, (src, dst, verdicts)
+
+
+def test_edge_checks_match_elimination_routes():
+    # the one-elimination routes against span equality with the written-down
+    # kernel rows and a separate independence test, on the suite behind
+    # thm1a/thm1b (spanning and non-spanning, forest and non-forest cases)
+    for stat, relname in cli.THM1_SUITE:
+        rels = cli.RELATION_SETS[relname]
+        for n in range(0, 10):
+            vectors = edge_vectors(relation_edges(rels, n))
+            space = kernel_space(stat, n)
+            spanning = spans_equal(vectors, space.basis.rows, n)
+            assert check_spanning_F(stat, n, rels) == spanning, (stat, relname, n)
+            basis = spanning and is_independent(vectors, n) and len(vectors) == space.dim
+            assert check_basis_F(stat, n, rels) == basis, (stat, relname, n)
+
+
+def test_edge_and_monomial_checks_eliminate_once(monkeypatch):
+    calls = []
+    echelon_of = linalg._echelon_of
+
+    def counted(vectors, n):
+        calls.append(n)
+        return echelon_of(vectors, n)
+
+    monkeypatch.setattr(linalg, "_echelon_of", counted)
+    monkeypatch.setattr(linalg._Echelon, "copy", _refuse)  # only spans_equal copies
+    monkeypatch.setattr(linalg._Echelon, "reduces_to_zero", _refuse)  # only in_span
+    checks = [
+        lambda n: check_spanning_F(S.pk, n, {R.Arrow1, R.Arrow2, R.Arrow3}),
+        lambda n: check_spanning_F(S.pk, n, {R.Arrow1, R.Arrow2}),
+        lambda n: check_basis_F(S.Pk, n, {R.PkBasisArrow}),
+        lambda n: check_basis_F(S.Pk, n, {R.Arrow1, R.Arrow2}),
+        lambda n: check_spanning_M(S.pk, n),
+        lambda n: check_spanning_M(S.Epk, n),
+    ]
+    for check in checks:
+        for n in range(0, 8):
+            calls.clear()
+            check(n)
+            assert calls == [n]
+
+
+def test_edge_cross_checks_are_live(monkeypatch):
+    # a wrong rank or a flipped forest verdict must raise, and thm1a/thm1b
+    # turn that into failing rows
+    real_reduce, real_forest = kernel.reduce, kernel.is_forest
+    spanning = {(stat, relname) for stat, relname in cli.THM1_SUITE
+                if check_spanning_F(stat, 5, cli.RELATION_SETS[relname])}
+    assert (S.Pk, "arrow12") in spanning and (S.Pk, "arrow2") not in spanning
+
+    class OffByOne:
+        def __init__(self, rank):
+            self.rank = rank + 1
+
+    monkeypatch.setattr(kernel, "reduce", lambda vs, n=None: OffByOne(real_reduce(vs, n).rank))
+    with pytest.raises(AssertionError, match="rank comparison"):
+        check_spanning_F(S.Pk, 5, {R.Arrow1, R.Arrow2})
+    with pytest.raises(AssertionError, match="rank comparison"):
+        check_basis_F(S.Pk, 5, {R.PkBasisArrow})
+    for which in ("thm1a", "thm1b"):
+        failed = {(S(row["stat"]), row["rels"]) for row in cli._thm1_rows(which, 5)
+                  if not row["pass"] and "rank comparison" in row["witness"]}
+        assert spanning <= failed
+
+    monkeypatch.setattr(kernel, "reduce", real_reduce)
+    monkeypatch.setattr(kernel, "is_forest", lambda graph: not real_forest(graph))
+    assert check_spanning_F(S.Pk, 5, {R.PkBasisArrow})
+    with pytest.raises(AssertionError, match="forest criterion"):
+        check_basis_F(S.Pk, 5, {R.PkBasisArrow})
+    with pytest.raises(AssertionError, match="forest criterion"):
+        check_basis_F(S.Pk, 5, {R.Arrow1, R.Arrow2})
+    rows = cli._thm1_rows("thm1b", 5)
+    assert not any(row["pass"] for row in rows)
+    assert all("forest criterion" in row["witness"] for row in rows)
 
 
 def test_theorem1_criteria_agree_on_mixed_suite():
