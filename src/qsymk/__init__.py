@@ -57,7 +57,6 @@ from .kernel import (
     successors,
 )
 from .linalg import (
-    Rational,
     RowBasis,
     SparseVector,
     in_span,

@@ -2,8 +2,8 @@
 
 Vectors live in the F-coordinate space of a fixed degree n: entries are
 keyed by composition index in [0, 2^(n-1)) and every stored coefficient
-is a nonzero `fractions.Fraction`.  All checks are exact equalities of
-rationals; there is no tolerance anywhere in this module.
+is nonzero: an `int` when integral, else a `fractions.Fraction`.  All
+checks are exact equalities of rationals; there is no tolerance anywhere.
 
 Internally, elimination is fraction-free: rows are primitive integer
 vectors (content 1) combined by cross-multiplication, and divisions by
@@ -14,21 +14,42 @@ of a `RowBasis`.  Pivots are chosen as the smallest column index.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import from_index
 from .errors import DegreeMismatchError
-
-Rational = Fraction
 
 # Trigger a content reduction when coefficients pass this size; purely a
 # performance guard, exactness does not depend on it.
 _GROWTH_LIMIT = 1 << 256
 
 
+def exact_coefficients(n: int, coeffs: Mapping[int, object]) -> dict[int, int | Fraction]:
+    """The coefficient rule of `SparseVector` and `qsym.QSymElement`:
+    indices must lie in [0, 2^(n-1)) and zeros are dropped; an `int` is
+    kept, and any other value becomes an exact `Fraction`, which is an
+    `int` again when its denominator is 1.
+
+    >>> exact_coefficients(3, {0: Fraction(6, 3), 1: "1/2", 2: 0.0, 3: True})
+    {0: 2, 1: Fraction(1, 2), 3: 1}
+    """
+    limit = 1 << max(n - 1, 0)
+    clean: dict[int, int | Fraction] = {}
+    for index, value in coeffs.items():
+        if not 0 <= index < limit:
+            raise ValueError(f"index {index} out of range for degree {n}")
+        if type(value) is not int:
+            value = Fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
+        if value:
+            clean[index] = value
+    return clean
+
+
 class SparseVector:
-    """A sparse vector of Fractions keyed by composition index.
+    """A sparse vector of exact coefficients keyed by composition index.
 
     Immutable by convention: nothing in this package mutates `entries`
     after construction.
@@ -38,15 +59,7 @@ class SparseVector:
 
     def __init__(self, n: int, entries: Mapping[int, Fraction | int]):
         self.n = n
-        limit = 1 << max(n - 1, 0)
-        clean: dict[int, Fraction] = {}
-        for col, value in entries.items():
-            if not 0 <= col < limit:
-                raise ValueError(f"column {col} out of range for degree {n}")
-            value = Fraction(value)
-            if value:
-                clean[col] = value
-        self.entries = clean
+        self.entries = exact_coefficients(n, entries)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -93,11 +106,10 @@ class RowBasis:
 
 
 def _to_int_vec(v: SparseVector) -> dict[int, int]:
-    denom = 1
-    for value in v.entries.values():
-        denom = denom * value.denominator // gcd(denom, value.denominator)
-    vec = {col: int(value * denom) for col, value in v.entries.items()}
-    return _normalized(vec)
+    denom = lcm(*(value.denominator for value in v.entries.values()))
+    if denom == 1:
+        return _normalized(dict(v.entries))
+    return _normalized({c: value.numerator * (denom // value.denominator) for c, value in v.entries.items()})
 
 
 def _normalized(vec: dict[int, int]) -> dict[int, int]:
@@ -144,11 +156,6 @@ class _Echelon:
     def __init__(self, n: int):
         self.n = n
         self.rows: dict[int, dict[int, int]] = {}
-
-    def copy(self) -> "_Echelon":
-        other = _Echelon(self.n)
-        other.rows = dict(self.rows)  # row dicts are never mutated once stored
-        return other
 
     @property
     def rank(self) -> int:
@@ -246,11 +253,8 @@ def spans_equal(
     ech_b = _echelon_of(bvecs, n)
     if ech_a.rank != ech_b.rank:
         return False
-    joint = ech_a.copy()
-    for v in bvecs:
-        if joint.add(_to_int_vec(v)):
-            return False
-    return True
+    # ech_a is not read again, so it can take the rows of B itself
+    return not any(ech_a.add(_to_int_vec(v)) for v in bvecs)
 
 
 def is_independent(vectors: Iterable[SparseVector], n: int | None = None) -> bool:

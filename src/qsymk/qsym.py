@@ -2,7 +2,8 @@
 
 An element is a sparse rational combination of basis elements indexed
 by compositions of a fixed degree n, tagged with the basis it is
-written in ("M" or "F").  The change of basis uses
+written in ("M" or "F"); integral coefficients are held as `int` (see
+`linalg.exact_coefficients`).  The change of basis uses
 
     F_{n,C} = sum over B with C <= B <= [n-1] of M_{n,B}
     M_{n,C} = sum over B with C <= B <= [n-1] of (-1)^{|B \\ C|} F_{n,B}
@@ -31,16 +32,19 @@ from .compositions import (
     from_index,
     full_mask,
     index_of,
+    parse_composition,
     reverse_mask,
+    set_to_mask,
 )
 from .config import check_degree
 from .errors import BasisTagError, DegreeMismatchError
-from .linalg import SparseVector
+from .linalg import SparseVector, exact_coefficients
 from .statistics import realize_permutation
 
 
 class QSymElement:
-    """A sparse element of the degree-n component, in basis "M" or "F"."""
+    """A sparse element of the degree-n component, in basis "M" or "F";
+    coefficients are stored by the rule of `linalg.exact_coefficients`."""
 
     __slots__ = ("n", "basis", "coeffs")
 
@@ -49,17 +53,9 @@ class QSymElement:
             raise BasisTagError(f"basis must be 'M' or 'F', got {basis!r}")
         self.n = n
         self.basis = basis
-        limit = 1 << max(n - 1, 0)
-        clean: dict[int, Fraction] = {}
-        for mask, value in coeffs.items():
-            if not 0 <= mask < limit:
-                raise ValueError(f"index {mask} out of range for degree {n}")
-            value = Fraction(value)
-            if value:
-                clean[mask] = value
-        self.coeffs = clean
+        self.coeffs = exact_coefficients(n, coeffs)
 
-    def terms(self) -> Iterator[tuple[Composition, Fraction]]:
+    def terms(self) -> Iterator[tuple[Composition, Fraction | int]]:
         """(composition, coefficient) pairs in ascending index order."""
         for mask in sorted(self.coeffs):
             yield from_index(self.n, mask), self.coeffs[mask]
@@ -89,7 +85,7 @@ class QSymElement:
             a, b = to_f(a), to_f(b)
         out = dict(a.coeffs)
         for mask, value in b.coeffs.items():
-            out[mask] = out.get(mask, Fraction(0)) + value
+            out[mask] = out.get(mask, 0) + value
         return QSymElement(a.n, a.basis, out)
 
     def __neg__(self) -> "QSymElement":
@@ -134,7 +130,7 @@ def f_to_m(elem: QSymElement) -> QSymElement:
     if elem.basis != "F":
         raise BasisTagError(f"f_to_m needs an F-basis element, got {elem.basis}")
     full = full_mask(elem.n)
-    out: dict[int, Fraction] = defaultdict(Fraction)
+    out: dict[int, Fraction | int] = defaultdict(int)
     for mask, value in elem.coeffs.items():
         free = full & ~mask
         for extra in _submasks(free):
@@ -147,7 +143,7 @@ def m_to_f(elem: QSymElement) -> QSymElement:
     if elem.basis != "M":
         raise BasisTagError(f"m_to_f needs an M-basis element, got {elem.basis}")
     full = full_mask(elem.n)
-    out: dict[int, Fraction] = defaultdict(Fraction)
+    out: dict[int, Fraction | int] = defaultdict(int)
     for mask, value in elem.coeffs.items():
         free = full & ~mask
         for extra in _submasks(free):
@@ -201,7 +197,7 @@ def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:
         raise BasisTagError("multiply_f needs both factors in the F basis")
     n = a.n + b.n
     check_degree(n)
-    out: dict[int, Fraction] = defaultdict(Fraction)
+    out: dict[int, Fraction | int] = defaultdict(int)
     for mask_a, ca in a.coeffs.items():
         for mask_b, cb in b.coeffs.items():
             c = ca * cb
@@ -223,7 +219,7 @@ def multiply_f_via_shuffles(
         offset_b = offset_a + a_comp.n
     p = realize_permutation(a_comp, offset_a)
     q = realize_permutation(b_comp, offset_b)
-    out: dict[int, Fraction] = defaultdict(Fraction)
+    out: dict[int, int] = defaultdict(int)
     for t in shuffles(p, q):
         out[index_of(perm_descent_composition(t))] += 1
     return QSymElement(a_comp.n + b_comp.n, "F", out)
@@ -246,7 +242,7 @@ def psi(elem: QSymElement) -> QSymElement:
     n = elem.n
     if elem.basis == "F":
         return QSymElement(n, "F", {complement_mask(n, m): v for m, v in elem.coeffs.items()})
-    out: dict[int, Fraction] = defaultdict(Fraction)
+    out: dict[int, Fraction | int] = defaultdict(int)
     for mask, value in elem.coeffs.items():
         image = ehrenborg_psi_m(from_index(n, mask))
         for sub, sign in image.coeffs.items():
@@ -276,14 +272,10 @@ def _validate_ck(n: int, c_mask: int, k: int) -> None:
 def lemma22b_combination(n: int, c: frozenset[int] | set[int], k: int) -> QSymElement:
     """The F-combination equal to M_{n,C} + M_{n,C u {k}} for k not in C:
     sum over B with C <= B <= [n-1], k not in B, of (-1)^{|B \\ C|} F_{n,B}."""
-    from .compositions import set_to_mask
-
     c_mask = set_to_mask(c)
     _validate_ck(n, c_mask, k)
     free = full_mask(n) & ~c_mask & ~(1 << (k - 1))
-    out: dict[int, Fraction] = {}
-    for extra in _submasks(free):
-        out[c_mask | extra] = Fraction(-1 if extra.bit_count() & 1 else 1)
+    out = {c_mask | extra: -1 if extra.bit_count() & 1 else 1 for extra in _submasks(free)}
     return QSymElement(n, "F", out)
 
 
@@ -292,8 +284,6 @@ def lemma22c_combination(n: int, c: frozenset[int] | set[int], k: int) -> QSymEl
     k >= 2 and k-1 is not in C:
     sum over B with C <= B, k and k-1 not in B, of
     (-1)^{|B \\ C|} (F_{n,B} - F_{n,B u {k-1}})."""
-    from .compositions import set_to_mask
-
     c_mask = set_to_mask(c)
     _validate_ck(n, c_mask, k)
     if k - 1 < 1:
@@ -301,9 +291,9 @@ def lemma22c_combination(n: int, c: frozenset[int] | set[int], k: int) -> QSymEl
     if (c_mask >> (k - 2)) & 1:
         raise ValueError(f"k - 1 = {k - 1} must not be in C")
     free = full_mask(n) & ~c_mask & ~(1 << (k - 1)) & ~(1 << (k - 2))
-    out: dict[int, Fraction] = defaultdict(Fraction)
+    out: dict[int, Fraction | int] = defaultdict(int)
     for extra in _submasks(free):
-        sign = Fraction(-1 if extra.bit_count() & 1 else 1)
+        sign = -1 if extra.bit_count() & 1 else 1
         b = c_mask | extra
         out[b] += sign
         out[b | (1 << (k - 2))] -= sign
@@ -324,10 +314,16 @@ def element_to_json_dict(elem: QSymElement) -> dict:
 
 
 def element_from_json_dict(data: dict) -> QSymElement:
-    from .compositions import parse_composition
-
-    coeffs = {
-        index_of(parse_composition(term["composition"])): Fraction(term["coeff"])
-        for term in data["terms"]
-    }
-    return QSymElement(data["degree"], data["basis"], coeffs)
+    """Inverse of `element_to_json_dict`; each composition must have the
+    stated degree and appear once."""
+    n = data["degree"]
+    coeffs = {}
+    for term in data["terms"]:
+        comp = parse_composition(term["composition"])
+        if comp.n != n:
+            raise DegreeMismatchError(f"composition {comp} has degree {comp.n}, not {n}")
+        mask = index_of(comp)
+        if mask in coeffs:
+            raise ValueError(f"composition {comp} appears more than once")
+        coeffs[mask] = term["coeff"]
+    return QSymElement(n, data["basis"], coeffs)

@@ -471,7 +471,6 @@ def test_edge_and_monomial_checks_eliminate_once(monkeypatch):
         return echelon_of(vectors, n)
 
     monkeypatch.setattr(linalg, "_echelon_of", counted)
-    monkeypatch.setattr(linalg._Echelon, "copy", _refuse)  # only spans_equal copies
     monkeypatch.setattr(linalg._Echelon, "reduces_to_zero", _refuse)  # only in_span
     checks = [
         lambda n: check_spanning_F(S.pk, n, {R.Arrow1, R.Arrow2, R.Arrow3}),

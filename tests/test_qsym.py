@@ -9,6 +9,8 @@ import pytest
 
 from qsymk.compositions import Composition, compositions_of, mask_to_set
 from qsymk.errors import BasisTagError, DegreeMismatchError
+from qsymk.kernel import RelationId, edge_vectors, monomial_span_vectors, relation_edges
+from qsymk.linalg import SparseVector, reduce
 from qsymk.qsym import (
     QSymElement,
     ehrenborg_psi_m,
@@ -25,6 +27,7 @@ from qsymk.qsym import (
     psi,
     rho,
 )
+from qsymk.statistics import StatisticId
 
 C = Composition
 
@@ -234,3 +237,65 @@ def test_json_round_trip():
     assert element_from_json_dict(json.loads(json.dumps(data))) == e
     rich = QSymElement(3, "M", {0: Fraction(-1, 2), 3: 2})
     assert element_from_json_dict(element_to_json_dict(rich)) == rich
+
+
+def test_json_rejects_foreign_degree_and_repeated_compositions():
+    foreign = {"degree": 5, "basis": "F", "terms": [{"composition": "(1,2)", "coeff": "3"}]}
+    with pytest.raises(DegreeMismatchError):
+        element_from_json_dict(foreign)
+    repeated = {"degree": 3, "basis": "F", "terms": [
+        {"composition": "(1,2)", "coeff": "1"}, {"composition": "(1,2)", "coeff": "2"}]}
+    with pytest.raises(ValueError):
+        element_from_json_dict(repeated)
+
+
+def _all_int(elem):
+    coeffs = elem.coeffs if isinstance(elem, QSymElement) else elem.entries
+    return all(type(value) is int for value in coeffs.values())
+
+
+def test_coefficient_rule_keeps_integral_values_int():
+    rng = random.Random(11)
+
+    def integral(n, basis, count):
+        size = 1 << max(n - 1, 0)
+        return QSymElement(n, basis, {rng.randrange(size): rng.randint(-4, 4) for _ in range(count)})
+
+    for n in range(0, 9):
+        samples = [integral(n, basis, 4) for basis in ("M", "F") for _ in range(3)]
+        for comp in compositions_of(n):
+            samples += [fundamental(comp), monomial(comp)]
+        for e in samples:
+            images = [psi(e), rho(e), m_to_f(e) if e.basis == "M" else f_to_m(e)]
+            assert all(map(_all_int, images)), e
+        for mask in range(1 << max(n - 1, 0)):
+            for k in range(1, n):
+                if not (mask >> (k - 1)) & 1:
+                    c_set = mask_to_set(mask)
+                    assert _all_int(lemma22b_combination(n, c_set, k))
+                    if k >= 2 and not (mask >> (k - 2)) & 1:
+                        assert _all_int(lemma22c_combination(n, c_set, k))
+        for stat in (StatisticId.Pk, StatisticId.Epk):
+            assert all(map(_all_int, reduce(monomial_span_vectors(stat, n), n).rows))
+        edges = edge_vectors(relation_edges({RelationId.Arrow1, RelationId.Arrow2, RelationId.Arrow3}, n))
+        assert all(map(_all_int, reduce(edges, n).rows))
+    for a in range(0, 5):
+        for b in range(0, 9 - a):
+            assert _all_int(multiply_f(integral(a, "F", 2), integral(b, "F", 2)))
+
+    # rational input still gives Fractions where a value is not integral
+    half = m_to_f(QSymElement(3, "M", {0: Fraction(1, 2)}))
+    assert half.coeffs and all(value.denominator == 2 for value in half.coeffs.values())
+    assert reduce([SparseVector(3, {0: 2, 1: 1})]).rows[0].entries == {0: 1, 1: Fraction(1, 2)}
+
+    # other integral input types are stored as int
+    mixed = {0: True, 1: "3", 2: 2.0, 3: Fraction(6, 3)}
+    assert QSymElement(3, "F", mixed).coeffs == SparseVector(3, mixed).entries == {0: 1, 1: 3, 2: 2, 3: 2}
+    assert _all_int(QSymElement(3, "F", mixed)) and _all_int(SparseVector(3, mixed))
+
+    for k in (-3, 1, 7):
+        as_int, as_fraction = QSymElement(3, "M", {1: k}), QSymElement(3, "M", {1: Fraction(k)})
+        assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+
+    x = QSymElement(3, "F", {0: 3, 3: -7})
+    assert 0.1 * x == Fraction(0.1) * x != Fraction(1, 10) * x
