@@ -61,6 +61,7 @@ from .linalg import (
     SparseVector,
     in_span,
     is_independent,
+    rank,
     reduce,
     spans_equal,
     to_csv,

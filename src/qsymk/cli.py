@@ -36,7 +36,7 @@ from .kernel import (
     quotient_dimension,
     relation_edges,
 )
-from .linalg import reduce as reduce_rows
+from .linalg import rank
 from .qsym import QSymElement, f_to_m, lemma22b_combination, lemma22c_combination, m_to_f
 from .statistics import StatisticId, check_shuffle_compatible, parse_statistic
 
@@ -98,7 +98,7 @@ def _spanning_rows(check: str, stat: StatisticId, relname: str, n: int) -> list[
         graph = relation_edges(RELATION_SETS[relname], n)
         row["witness"] = {
             "kernel_dim": kernel_space(stat, n).dim,
-            "edge_rank": reduce_rows(edge_vectors(graph), n).rank,
+            "edge_rank": rank(edge_vectors(graph), n),
         }
     return [row]
 

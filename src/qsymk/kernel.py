@@ -5,8 +5,15 @@ the projection F_J -> [st-class of J]: a vector lies in it exactly when
 its coefficients sum to zero on every class.  A sound set S of
 equivalent pairs spans K^st_n exactly when the components of the graph
 with edge set S are the classes, and its differences are independent
-exactly when the graph is a forest; each spanning check eliminates the
-edge differences once and cross-checks both criteria against that rank.
+exactly when the graph is a forest; each spanning check computes the
+rank of the edge differences once and cross-checks both criteria against
+it.
+
+Relation graphs are keyed by composition index, the same vertex format
+as the kernel classes: an edge is an (index, index, label) triple and a
+component a tuple of indices.  The moves below act on parts, as stated;
+beyond them a `Composition` is built only to name a vertex in an export
+or an error message.
 
 Binary relation families (parts written 1-based; all preserve degree):
 
@@ -37,7 +44,6 @@ from typing import Iterable, Sequence
 
 from .compositions import (
     Composition,
-    complement,
     complement_mask,
     compositions_of,
     from_index,
@@ -49,7 +55,7 @@ from .compositions import (
 )
 from .config import check_degree
 from .errors import RelationUnsoundError
-from .linalg import RowBasis, SparseVector, reduce, spans_equal
+from .linalg import RowBasis, SparseVector, rank, spans_equal
 from .qsym import QSymElement, f_sparse, _f_basis_product
 from .statistics import DescentStatistic, StatisticId, equivalence_classes, stat_name
 
@@ -177,16 +183,17 @@ def ctilde_member(n: int) -> Composition | None:
 
 @dataclass(frozen=True)
 class RelationGraph:
-    """Directed graph on the compositions of n with labeled edges and an
-    optional set of ctilde-marked vertices."""
+    """Directed graph on the compositions of n, each vertex its index in
+    [0, 2^(n-1)): `edges` are (index, index, label) triples, `marks` the
+    indices of ctilde-marked vertices."""
 
     n: int
-    edges: tuple[tuple[Composition, Composition, str], ...]
-    marks: tuple[Composition, ...] = ()
+    edges: tuple[tuple[int, int, str], ...]
+    marks: tuple[int, ...] = ()
 
     @property
-    def vertices(self) -> tuple[Composition, ...]:
-        return compositions_of(self.n)
+    def vertices(self) -> range:
+        return range(1 << max(self.n - 1, 0))
 
 
 _ORDERED_RELATIONS = list(RelationId)
@@ -194,27 +201,23 @@ _ORDERED_RELATIONS = list(RelationId)
 
 def relation_edges(rels: Iterable[RelationId], n: int) -> RelationGraph:
     """All edges (J, K) with K a successor of J under some relation in
-    `rels`; duplicate (J, K) pairs arising from several relations are
-    kept once.  CTilde contributes vertex marks instead of edges."""
+    `rels`, as index pairs in ascending order; a pair arising from several
+    relations is kept once, with the label of the first relation in
+    `RelationId` order.  CTilde contributes vertex marks instead of edges."""
     check_degree(n)
     rels = set(rels)
-    marks: tuple[Composition, ...] = ()
+    marks: tuple[int, ...] = ()
     if RelationId.CTilde in rels:
         member = ctilde_member(n)
-        marks = (member,) if member is not None else ()
+        marks = (index_of(member),) if member is not None else ()
         rels.discard(RelationId.CTilde)
     ordered = [r for r in _ORDERED_RELATIONS if r in rels]
-    edges: list[tuple[Composition, Composition, str]] = []
-    seen: set[tuple[int, int]] = set()
-    for j in compositions_of(n):
+    labels: dict[tuple[int, int], str] = {}
+    for a, j in enumerate(compositions_of(n)):
         for rel in ordered:
             for k, label in labeled_successors(rel, j):
-                key = (index_of(j), index_of(k))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append((j, k, label))
-    edges.sort(key=lambda e: (index_of(e[0]), index_of(e[1])))
-    return RelationGraph(n, tuple(edges), marks)
+                labels.setdefault((a, index_of(k)), label)
+    return RelationGraph(n, tuple((a, b, labels[a, b]) for a, b in sorted(labels)), marks)
 
 
 class _UnionFind:
@@ -239,26 +242,25 @@ class _UnionFind:
         return True
 
 
-def connected_components(graph: RelationGraph) -> list[list[Composition]]:
-    """Partition of the compositions of n by undirected reachability,
-    blocks and members in ascending index order."""
+def connected_components(graph: RelationGraph) -> tuple[tuple[int, ...], ...]:
+    """Partition of the composition indices of n by undirected
+    reachability, in the form of `KernelSpace.classes`: members ascending,
+    blocks ordered by least member."""
     uf = _UnionFind()
-    for comp in graph.vertices:
-        uf.find(index_of(comp))
-    for j, k, _ in graph.edges:
-        uf.union(index_of(j), index_of(k))
-    blocks: dict[int, list[Composition]] = {}
-    for comp in graph.vertices:
-        blocks.setdefault(uf.find(index_of(comp)), []).append(comp)
-    return sorted(blocks.values(), key=lambda block: index_of(block[0]))
+    for a, b, _ in graph.edges:
+        uf.union(a, b)
+    blocks: dict[int, list[int]] = {}
+    for c in graph.vertices:
+        blocks.setdefault(uf.find(c), []).append(c)
+    return tuple(map(tuple, blocks.values()))
 
 
 def is_forest(graph: RelationGraph) -> bool:
     """True iff the underlying undirected multigraph is acyclic; parallel
     and antiparallel edge pairs count as cycles."""
     uf = _UnionFind()
-    for j, k, _ in graph.edges:
-        if not uf.union(index_of(j), index_of(k)):
+    for a, b, _ in graph.edges:
+        if not uf.union(a, b):
             return False
     return True
 
@@ -328,8 +330,9 @@ def quotient_dimension(stat: DescentStatistic, n: int) -> int:
 
 
 def _check_sound(space: KernelSpace, graph: RelationGraph) -> None:
-    for j, k, _ in graph.edges:
-        if space.labels[index_of(j)] != space.labels[index_of(k)]:
+    for a, b, _ in graph.edges:
+        if space.labels[a] != space.labels[b]:
+            j, k = from_index(graph.n, a), from_index(graph.n, b)
             raise RelationUnsoundError(
                 f"edge {j} -> {k} joins non-{stat_name(space.stat)}-equivalent compositions"
             )
@@ -337,45 +340,43 @@ def _check_sound(space: KernelSpace, graph: RelationGraph) -> None:
 
 def edge_vectors(graph: RelationGraph) -> list[SparseVector]:
     """The differences F_J - F_K along the edges (zero for a loop)."""
-    pairs = ((index_of(j), index_of(k)) for j, k, _ in graph.edges)
-    return [SparseVector(graph.n, {a: 1, b: -1} if a != b else {}) for a, b in pairs]
+    return [SparseVector(graph.n, {a: 1, b: -1} if a != b else {}) for a, b, _ in graph.edges]
 
 
 def _spanning_edges(stat: DescentStatistic, n: int, rels: Iterable[RelationId]):
     """(spans, graph, K^st_n, rank of the edge differences) from one graph
-    build and one elimination.  Sound edges lie in K^st_n, so they span it
+    build and one rank computation.  Sound edges lie in K^st_n, so they span it
     exactly when their rank is its dimension; disagreement with the graph
     criterion raises."""
     graph, space = relation_edges(rels, n), kernel_space(stat, n)
     _check_sound(space, graph)
-    graph_verdict = space.classes == tuple(
-        tuple(map(index_of, block)) for block in connected_components(graph))
-    rank = reduce(edge_vectors(graph), n).rank
-    rank_verdict = rank == space.dim
+    graph_verdict = space.classes == connected_components(graph)
+    edge_rank = rank(edge_vectors(graph), n)
+    rank_verdict = edge_rank == space.dim
     if graph_verdict != rank_verdict:
         raise AssertionError(
             f"graph criterion ({graph_verdict}) and rank comparison ({rank_verdict}) "
             f"disagree for {stat_name(stat)} at degree {n}"
         )
-    return graph_verdict, graph, space, rank
+    return graph_verdict, graph, space, edge_rank
 
 
 def check_spanning_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) -> bool:
     """Do the F-differences along the relation edges span K^st_n?  The
     components of the relation graph are compared with the st-classes and
-    cross-checked against the rank of the edge differences, one
-    elimination; the two must agree (a theorem), disagreement raises."""
+    cross-checked against the rank of the edge differences; the two
+    must agree (a theorem), disagreement raises."""
     return _spanning_edges(stat, n, rels)[0]
 
 
 def check_basis_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) -> bool:
     """Do the F-differences along the relation edges form a basis of
     K^st_n?  Requires spanning, the forest property, and edge count
-    equal to the kernel dimension; the elimination that cross-checks
-    spanning also cross-checks the forest verdict (independent exactly
-    when the rank is the number of edges)."""
-    spanning, graph, space, rank = _spanning_edges(stat, n, rels)
-    forest, independent = is_forest(graph), rank == len(graph.edges)
+    equal to the kernel dimension; the rank that cross-checks spanning
+    also cross-checks the forest verdict (independent exactly when the
+    rank is the number of edges)."""
+    spanning, graph, space, edge_rank = _spanning_edges(stat, n, rels)
+    forest, independent = is_forest(graph), edge_rank == len(graph.edges)
     if forest != independent:
         raise AssertionError(
             f"forest criterion ({forest}) and independence ({independent}) disagree "
@@ -400,24 +401,15 @@ def monomial_span_vectors(stat: StatisticId, n: int) -> list[SparseVector]:
     """
     if stat is StatisticId.Epk:
         graph = relation_edges({RelationId.EpkTri}, n)
-        return [
-            _m_combination(n, {index_of(j): 1, index_of(k): 1}) for j, k, _ in graph.edges
-        ]
+        return [_m_combination(n, {a: 1, b: 1}) for a, b, _ in graph.edges]
     if stat not in (StatisticId.Pk, StatisticId.pk):
         raise ValueError(f"no monomial spanning set implemented for {stat_name(stat)}")
-    graph = relation_edges({RelationId.Tri1, RelationId.Tri2}, n)
-    vectors = [
-        _m_combination(n, {index_of(j): 1, index_of(k): 1}) for j, k, _ in graph.edges
-    ]
-    member = ctilde_member(n)
-    if member is not None:
-        vectors.append(_m_combination(n, {index_of(member): 1}))
+    graph = relation_edges({RelationId.Tri1, RelationId.Tri2, RelationId.CTilde}, n)
+    vectors = [_m_combination(n, {a: 1, b: 1}) for a, b, _ in graph.edges]
+    vectors += [_m_combination(n, {c: 1}) for c in graph.marks]
     if stat is StatisticId.pk:
         swap_graph = relation_edges({RelationId.Arrow3}, n)
-        vectors.extend(
-            _m_combination(n, {index_of(j): 1, index_of(k): -1})
-            for j, k, _ in swap_graph.edges
-        )
+        vectors += [_m_combination(n, {a: 1, b: -1}) for a, b, _ in swap_graph.edges]
     return vectors
 
 
@@ -425,7 +417,7 @@ def check_spanning_M(stat: StatisticId, n: int) -> bool:
     """The monomial combinations X span K^st_n iff every class sum of each
     vector of X vanishes (X lies in K^st_n) and rank X = dim K^st_n."""
     vectors, space = monomial_span_vectors(stat, n), kernel_space(stat, n)
-    return all(_in_kernel(space, v) for v in vectors) and reduce(vectors, n).rank == space.dim
+    return all(_in_kernel(space, v) for v in vectors) and rank(vectors, n) == space.dim
 
 
 # -- the indexed families over subsets ---------------------------------------
@@ -562,10 +554,7 @@ def check_section4_props(n: int) -> dict:
     mn_pk = monomial_span_vectors(StatisticId.Pk, n)
     mn_pknum = monomial_span_vectors(StatisticId.pk, n)
 
-    arrow3_edges = {
-        (index_of(j), index_of(k))
-        for j, k, _ in relation_edges({RelationId.Arrow3}, n).edges
-    }
+    arrow3_edges = {(a, b) for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges}
     om4_pairs = {
         (set_to_mask(c), (set_to_mask(c) | (1 << k)) & ~(1 << (k - 1)))
         for c, k in om.om4
@@ -603,8 +592,7 @@ def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int 
             b = s - a
             tops = {c: block[-1] for block in kernel_space(stat, a).classes for c in block[:-1]}
             for c in sorted(tops):
-                for k_comp in compositions_of(b):
-                    k_mask = index_of(k_comp)
+                for k_mask in range(1 << (b - 1)):
                     if (ideal or len(violations) < max_witnesses) and (
                         _class_sums(labels, _f_basis_product(a, c, b, k_mask))
                         != _class_sums(labels, _f_basis_product(a, tops[c], b, k_mask))
@@ -612,7 +600,8 @@ def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int 
                         ideal = False
                         if len(violations) < max_witnesses:
                             row = {str(from_index(a, c)): "1", str(from_index(a, tops[c])): "-1"}
-                            violations.append({"row_degree": a, "factor": str(k_comp), "row": row})
+                            factor = str(from_index(b, k_mask))
+                            violations.append({"row_degree": a, "factor": factor, "row": row})
     return {
         "stat": stat_name(stat),
         "total_degree": total_degree,
@@ -622,16 +611,6 @@ def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int 
 
 
 # -- symmetry bridges ----------------------------------------------------------
-
-def psi_vector(v: SparseVector) -> SparseVector:
-    """The complement involution on F coordinates."""
-    return SparseVector(v.n, {complement_mask(v.n, m): c for m, c in v.entries.items()})
-
-
-def rho_vector(v: SparseVector) -> SparseVector:
-    """The reverse involution on F coordinates."""
-    return SparseVector(v.n, {reverse_mask(v.n, m): c for m, c in v.entries.items()})
-
 
 def _maps_onto(src: DescentStatistic, dst: DescentStatistic, relabel, n: int) -> bool:
     """Does the F-index relabelling carry K^src_n onto K^dst_n?  It permutes
@@ -653,18 +632,16 @@ def check_symmetry_bridges(n: int) -> dict:
     """
     check_degree(n)
 
-    def comp_edge_ok(j: Composition, k: Composition, rels: set[RelationId]) -> bool:
-        jc, kc = complement(j), complement(k)
-        return any(kc in successors(rel, jc) for rel in rels)
+    def complements_into(src: set[RelationId], dst: set[RelationId]) -> bool:
+        pairs = {(a, b) for a, b, _ in relation_edges(dst, n).edges}
+        return all(
+            (complement_mask(n, a), complement_mask(n, b)) in pairs
+            for a, b, _ in relation_edges(src, n).edges
+        )
 
-    pk_edges_ok = all(
-        comp_edge_ok(j, k, {RelationId.ValArrow1, RelationId.ValArrow2})
-        for j, k, _ in relation_edges({RelationId.Arrow1, RelationId.Arrow2}, n).edges
-    )
-    swap_edges_ok = all(
-        comp_edge_ok(j, k, {RelationId.ValArrow1, RelationId.ValArrow2, RelationId.ValArrow3})
-        for j, k, _ in relation_edges({RelationId.Arrow3}, n).edges
-    )
+    val12 = {RelationId.ValArrow1, RelationId.ValArrow2}
+    pk_edges_ok = complements_into({RelationId.Arrow1, RelationId.Arrow2}, val12)
+    swap_edges_ok = complements_into({RelationId.Arrow3}, val12 | {RelationId.ValArrow3})
 
     epk, val = kernel_space(StatisticId.epk, n), kernel_space(StatisticId.val, n)
     epk_equals_val = epk.classes == val.classes
@@ -683,30 +660,36 @@ def check_symmetry_bridges(n: int) -> dict:
 
 # -- graph export --------------------------------------------------------------
 
+def _names(graph: RelationGraph) -> list[str]:
+    """Composition text of each vertex, by index."""
+    return [str(comp) for comp in compositions_of(graph.n)]
+
+
 def graphs_to_dot(graphs: Sequence[RelationGraph]) -> str:
     """DOT export: vertices labeled with composition text, edges labeled
     1/2/3, ctilde-marked vertices drawn with doubled borders."""
     lines = ["digraph relations {"]
     for graph in graphs:
-        marked = set(graph.marks)
-        for comp in graph.vertices:
-            attr = " [peripheries=2]" if comp in marked else ""
-            lines.append(f'  "{comp}"{attr};')
-        for j, k, label in graph.edges:
-            lines.append(f'  "{j}" -> "{k}" [label="{label}"];')
+        names, marked = _names(graph), set(graph.marks)
+        for c, name in enumerate(names):
+            attr = " [peripheries=2]" if c in marked else ""
+            lines.append(f'  "{name}"{attr};')
+        for a, b, label in graph.edges:
+            lines.append(f'  "{names[a]}" -> "{names[b]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graphs_to_json_dict(graphs: Sequence[RelationGraph]) -> dict:
+    named = [(g, _names(g)) for g in graphs]
     return {
         "degrees": [g.n for g in graphs],
-        "vertices": [str(c) for g in graphs for c in g.vertices],
-        "ctilde": [str(c) for g in graphs for c in g.marks],
+        "vertices": [name for _, names in named for name in names],
+        "ctilde": [names[c] for g, names in named for c in g.marks],
         "edges": [
-            {"from": str(j), "to": str(k), "label": label}
-            for g in graphs
-            for j, k, label in g.edges
+            {"from": names[a], "to": names[b], "label": label}
+            for g, names in named
+            for a, b, label in g.edges
         ],
     }
 
@@ -715,6 +698,6 @@ def graphs_to_csv(graphs: Sequence[RelationGraph]) -> str:
     # composition text contains commas, so those fields are quoted
     lines = ["from,to,label"]
     for g in graphs:
-        for j, k, label in g.edges:
-            lines.append(f'"{j}","{k}",{label}')
+        names = _names(g)
+        lines += [f'"{names[a]}","{names[b]}",{label}' for a, b, label in g.edges]
     return "\n".join(lines) + "\n"

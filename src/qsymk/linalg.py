@@ -257,13 +257,18 @@ def spans_equal(
     return not any(ech_a.add(_to_int_vec(v)) for v in bvecs)
 
 
+def rank(vectors: Iterable[SparseVector], n: int | None = None) -> int:
+    """The rank of a family of vectors, without back-substitution."""
+    vecs = list(vectors)
+    return _echelon_of(vecs, _common_degree(vecs, n)).rank
+
+
 def is_independent(vectors: Iterable[SparseVector], n: int | None = None) -> bool:
     """True iff the rank equals the number of vectors given."""
     vecs = list(vectors)
     if not vecs and n is None:
         return True
-    n = _common_degree(vecs, n)
-    return _echelon_of(vecs, n).rank == len(vecs)
+    return rank(vecs, n) == len(vecs)
 
 
 def to_csv(rows: Sequence[SparseVector] | RowBasis) -> str:

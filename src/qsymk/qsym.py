@@ -129,6 +129,7 @@ def f_to_m(elem: QSymElement) -> QSymElement:
     expands as the sum of M_{n,B} over supersets B of C."""
     if elem.basis != "F":
         raise BasisTagError(f"f_to_m needs an F-basis element, got {elem.basis}")
+    check_degree(elem.n)
     full = full_mask(elem.n)
     out: dict[int, Fraction | int] = defaultdict(int)
     for mask, value in elem.coeffs.items():
@@ -142,6 +143,7 @@ def m_to_f(elem: QSymElement) -> QSymElement:
     """Inverse of :func:`f_to_m`, by inclusion-exclusion over supersets."""
     if elem.basis != "M":
         raise BasisTagError(f"m_to_f needs an M-basis element, got {elem.basis}")
+    check_degree(elem.n)
     full = full_mask(elem.n)
     out: dict[int, Fraction | int] = defaultdict(int)
     for mask, value in elem.coeffs.items():
@@ -317,6 +319,7 @@ def element_from_json_dict(data: dict) -> QSymElement:
     """Inverse of `element_to_json_dict`; each composition must have the
     stated degree and appear once."""
     n = data["degree"]
+    check_degree(n)
     coeffs = {}
     for term in data["terms"]:
         comp = parse_composition(term["composition"])

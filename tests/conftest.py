@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from qsymk.compositions import complement_mask, reverse_mask
+from qsymk.linalg import SparseVector
 from qsymk.statistics import Permutation
 
 
@@ -14,3 +16,13 @@ def complement_permutation(p: Permutation) -> Permutation:
 
 def reverse_permutation(p: Permutation) -> Permutation:
     return Permutation(p.letters[::-1])
+
+
+def psi_vector(v: SparseVector) -> SparseVector:
+    """The complement involution on F coordinates."""
+    return SparseVector(v.n, {complement_mask(v.n, m): c for m, c in v.entries.items()})
+
+
+def rho_vector(v: SparseVector) -> SparseVector:
+    """The reverse involution on F coordinates."""
+    return SparseVector(v.n, {reverse_mask(v.n, m): c for m, c in v.entries.items()})

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import time
 
-from qsymk.compositions import compositions_of, index_of, mask_to_set
+from qsymk.compositions import compositions_of, from_index, index_of, mask_to_set
 from qsymk.kernel import (
     RelationId,
     check_section4_props,
@@ -16,10 +16,8 @@ from qsymk.kernel import (
     is_forest,
     is_ideal_upto,
     kernel_space,
-    psi_vector,
     quotient_dimension,
     relation_edges,
-    rho_vector,
 )
 from qsymk.linalg import is_independent, spans_equal
 from qsymk.qsym import (
@@ -43,6 +41,7 @@ from qsymk.statistics import (
 )
 
 import figure_data
+from conftest import psi_vector, rho_vector
 
 S = StatisticId
 R = RelationId
@@ -55,6 +54,11 @@ def _report(number: int, label: str, ok: bool) -> None:
 
 def _partition_key(blocks):
     return frozenset(frozenset(index_of(c) for c in block) for block in blocks)
+
+
+def _edge_names(graph):
+    return sorted((str(from_index(graph.n, a)), str(from_index(graph.n, b)), label)
+                  for a, b, label in graph.edges)
 
 
 def test_criterion_01_dimension_law():
@@ -80,7 +84,8 @@ def test_criterion_02_fundamental_spanning():
     for stat, rels in cases:
         for n in range(0, 11):
             graph = relation_edges(rels, n)
-            graph_verdict = _partition_key(connected_components(graph)) == _partition_key(
+            components = [[from_index(n, c) for c in block] for block in connected_components(graph)]
+            graph_verdict = _partition_key(components) == _partition_key(
                 equivalence_classes(stat, n)
             )
             rank_verdict = spans_equal(
@@ -229,10 +234,10 @@ def test_criterion_11_figure_fidelity():
     ok = True
     for n in range(0, 6):
         split_graph = relation_edges({R.Arrow1, R.Arrow2, R.Arrow3}, n)
-        got = sorted((str(j), str(k), lbl) for j, k, lbl in split_graph.edges)
+        got = _edge_names(split_graph)
         ok = ok and got == sorted(figure_data.FIGURE1_EDGES[n])
         tri_graph = relation_edges({R.Tri1, R.Tri2, R.CTilde}, n)
-        got2 = sorted((str(j), str(k), lbl) for j, k, lbl in tri_graph.edges)
+        got2 = _edge_names(tri_graph)
         ok = ok and got2 == sorted(figure_data.FIGURE2_EDGES[n])
-        ok = ok and [str(c) for c in tri_graph.marks] == figure_data.FIGURE2_CTILDE[n]
+        ok = ok and [str(from_index(n, c)) for c in tri_graph.marks] == figure_data.FIGURE2_CTILDE[n]
     _report(11, "relation graphs match the reference diagrams n<=5", ok)

@@ -12,15 +12,19 @@ from qsymk.cli import CHECK_NAMES, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# CLI reports recorded before the spanning checks moved to the quotient
-# map, each the stdout of `PYTHONPATH=src python -m qsymk.cli ARGV...`.
-# A change to how the checks are computed must reproduce them byte for
-# byte.
+# CLI reports, each the stdout of `PYTHONPATH=src python -m qsymk.cli
+# ARGV...`: the verify and dims reports recorded before the spanning
+# checks moved to the quotient map, the tri12ctilde graph exports before
+# relation graphs moved to composition indices.  A change to how the
+# checks or graphs are computed must reproduce them byte for byte.
 GOLDEN_REPORTS = [
     *((f"verify_{check}_deg1-6.json", ("verify", check, "--deg", "1..6")) for check in CHECK_NAMES),
     ("dims_deg1-8.csv", ("dims", "--deg", "1..8")),
     ("graph_pknumbasis_deg1-7.json",
      ("graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json")),
+    *((f"graph_tri12ctilde_deg0-7.{fmt}",
+       ("graph", "--rels", "tri12ctilde", "--deg", "0..7", "--format", fmt))
+      for fmt in ("dot", "json", "csv")),
 ]
 
 

@@ -30,14 +30,14 @@ from qsymk.kernel import (
     m_family,
     monomial_span_vectors,
     omega_sets,
-    psi_vector,
     quotient_dimension,
     relation_edges,
-    rho_vector,
 )
 from qsymk.linalg import SparseVector, in_span, is_independent, reduce, spans_equal
 from qsymk.qsym import QSymElement, _f_basis_product, f_sparse, m_to_f
 from qsymk.statistics import StatisticId, equivalence_classes, stat_name
+
+from conftest import psi_vector, rho_vector
 
 C = Composition
 R = RelationId
@@ -472,6 +472,7 @@ def test_edge_and_monomial_checks_eliminate_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon_of", counted)
     monkeypatch.setattr(linalg._Echelon, "reduces_to_zero", _refuse)  # only in_span
+    monkeypatch.setattr(linalg._Echelon, "to_row_basis", _refuse)  # only reduce
     checks = [
         lambda n: check_spanning_F(S.pk, n, {R.Arrow1, R.Arrow2, R.Arrow3}),
         lambda n: check_spanning_F(S.pk, n, {R.Arrow1, R.Arrow2}),
@@ -490,16 +491,12 @@ def test_edge_and_monomial_checks_eliminate_once(monkeypatch):
 def test_edge_cross_checks_are_live(monkeypatch):
     # a wrong rank or a flipped forest verdict must raise, and thm1a/thm1b
     # turn that into failing rows
-    real_reduce, real_forest = kernel.reduce, kernel.is_forest
+    real_rank, real_forest = kernel.rank, kernel.is_forest
     spanning = {(stat, relname) for stat, relname in cli.THM1_SUITE
                 if check_spanning_F(stat, 5, cli.RELATION_SETS[relname])}
     assert (S.Pk, "arrow12") in spanning and (S.Pk, "arrow2") not in spanning
 
-    class OffByOne:
-        def __init__(self, rank):
-            self.rank = rank + 1
-
-    monkeypatch.setattr(kernel, "reduce", lambda vs, n=None: OffByOne(real_reduce(vs, n).rank))
+    monkeypatch.setattr(kernel, "rank", lambda vs, n=None: real_rank(vs, n) + 1)
     with pytest.raises(AssertionError, match="rank comparison"):
         check_spanning_F(S.Pk, 5, {R.Arrow1, R.Arrow2})
     with pytest.raises(AssertionError, match="rank comparison"):
@@ -509,7 +506,7 @@ def test_edge_cross_checks_are_live(monkeypatch):
                   if not row["pass"] and "rank comparison" in row["witness"]}
         assert spanning <= failed
 
-    monkeypatch.setattr(kernel, "reduce", real_reduce)
+    monkeypatch.setattr(kernel, "rank", real_rank)
     monkeypatch.setattr(kernel, "is_forest", lambda graph: not real_forest(graph))
     assert check_spanning_F(S.Pk, 5, {R.PkBasisArrow})
     with pytest.raises(AssertionError, match="forest criterion"):

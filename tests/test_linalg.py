@@ -12,6 +12,7 @@ from qsymk.linalg import (
     SparseVector,
     in_span,
     is_independent,
+    rank,
     reduce,
     spans_equal,
     to_csv,
@@ -155,6 +156,28 @@ def test_is_independent_examples():
     v = SparseVector(3, {1: 1})
     assert not is_independent([v, v])
     assert is_independent([v, SparseVector(3, {0: 1, 1: 5})])
+
+
+def test_rank_matches_reduce():
+    # the families of the reduce, rank-invariance and idempotence tests
+    families = [
+        ([SparseVector(3, {0: 1, 1: 1}), SparseVector(3, {1: 1})], None),
+        ([SparseVector(3, {0: 2, 2: -1}), SparseVector(3, {0: 4, 2: -2})], None),
+        ([SparseVector(6, {i: 1}) for i in range(32)], None),
+        ([SparseVector(3, {0: Fraction(1, 3), 1: 1})], None),
+        ([], 4),
+    ]
+    for seed, width, count in ((3, 4, 6), (11, 5, 7)):
+        rng = random.Random(seed)
+        for _ in range(20):
+            families.append(([
+                SparseVector(5, {rng.randrange(16): rng.randint(-4, 4) for _ in range(width)})
+                for _ in range(count)
+            ], 5))
+    for vectors, n in families:
+        assert rank(vectors, n) == reduce(vectors, n).rank
+    with pytest.raises(ValueError):
+        rank([])
 
 
 def test_reduction_agrees_when_content_reduction_triggers(monkeypatch):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qsymk.compositions import Composition, compositions_of, mask_to_set
-from qsymk.errors import BasisTagError, DegreeMismatchError
+from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError
 from qsymk.kernel import RelationId, edge_vectors, monomial_span_vectors, relation_edges
 from qsymk.linalg import SparseVector, reduce
 from qsymk.qsym import (
@@ -247,6 +247,20 @@ def test_json_rejects_foreign_degree_and_repeated_compositions():
         {"composition": "(1,2)", "coeff": "1"}, {"composition": "(1,2)", "coeff": "2"}]}
     with pytest.raises(ValueError):
         element_from_json_dict(repeated)
+
+
+def test_json_and_basis_changes_enforce_the_degree_limit():
+    huge = {"degree": 40, "basis": "M", "terms": [{"composition": "(40)", "coeff": "1"}]}
+    with pytest.raises(DegreeLimitError):
+        element_from_json_dict(huge)
+    negative = {"degree": -3, "basis": "M", "terms": []}
+    with pytest.raises(ValueError):
+        element_from_json_dict(negative)
+    # a basis change enumerates 2^(n-1) supersets, so it refuses first
+    with pytest.raises(DegreeLimitError):
+        m_to_f(QSymElement(24, "M", {0: 1}))
+    with pytest.raises(DegreeLimitError):
+        f_to_m(QSymElement(24, "F", {0: 1}))
 
 
 def _all_int(elem):

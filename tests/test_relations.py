@@ -3,7 +3,14 @@ from __future__ import annotations
 import pytest
 
 import figure_data
-from qsymk.compositions import Composition, compositions_of, complement, inversions
+from qsymk.compositions import (
+    Composition,
+    complement,
+    compositions_of,
+    from_index,
+    index_of,
+    inversions,
+)
 from qsymk.kernel import (
     RelationGraph,
     RelationId,
@@ -111,7 +118,13 @@ def test_successors_rejects_unary_marker():
 
 
 def _edge_names(graph):
-    return [(str(j), str(k), label) for j, k, label in graph.edges]
+    return [(str(j), str(k), label) for j, k, label in _edge_comps(graph)]
+
+
+def _edge_comps(graph):
+    """The edges with their endpoints as compositions."""
+    return [(from_index(graph.n, a), from_index(graph.n, b), label)
+            for a, b, label in graph.edges]
 
 
 def test_figure1_golden():
@@ -124,7 +137,7 @@ def test_figure2_golden():
     for n, expected in figure_data.FIGURE2_EDGES.items():
         graph = relation_edges({R.Tri1, R.Tri2, R.CTilde}, n)
         assert sorted(_edge_names(graph)) == sorted(expected), n
-        assert [str(c) for c in graph.marks] == figure_data.FIGURE2_CTILDE[n]
+        assert [str(from_index(n, c)) for c in graph.marks] == figure_data.FIGURE2_CTILDE[n]
 
 
 def test_relation_edges_trivial_degrees():
@@ -138,7 +151,7 @@ def test_connected_components_counts():
     assert len(connected_components(relation_edges({R.Arrow1, R.Arrow2, R.Arrow3}, 4))) == 2
     comps5 = connected_components(relation_edges({R.Arrow1, R.Arrow2}, 5))
     assert len(comps5) == 5
-    assert [C((2, 2, 1))] in comps5  # isolated vertex
+    assert (index_of(C((2, 2, 1))),) in comps5  # isolated vertex
     empty = relation_edges(set(), 4)
     assert all(len(block) == 1 for block in connected_components(empty))
 
@@ -151,7 +164,7 @@ def test_is_forest():
         assert is_forest(relation_edges({R.PkNumBasisArrow}, n))
     assert is_forest(relation_edges(set(), 5))
     # antiparallel edges count as a cycle
-    j, k = C((2,)), C((1, 1))
+    j, k = index_of(C((2,))), index_of(C((1, 1)))
     loop = RelationGraph(2, ((j, k, "x"), (k, j, "x")))
     assert not is_forest(loop)
 
@@ -170,7 +183,7 @@ _SOUNDNESS_CASES = [
 def test_relation_soundness_exhaustive():
     for rels, stat in _SOUNDNESS_CASES:
         for n in range(0, 11):
-            for j, k, _ in relation_edges(rels, n).edges:
+            for j, k, _ in _edge_comps(relation_edges(rels, n)):
                 assert eval_on_composition(stat, j) == eval_on_composition(stat, k), (
                     rels, stat, str(j), str(k),
                 )
@@ -191,10 +204,10 @@ def test_complement_carries_split_edges_to_merge_edges():
     assert kc in successors(R.ValArrow1, jc) | successors(R.ValArrow2, jc)
     # exhaustively at small degrees
     for n in range(0, 9):
-        for j, k, _ in relation_edges({R.Arrow1, R.Arrow2}, n).edges:
+        for j, k, _ in _edge_comps(relation_edges({R.Arrow1, R.Arrow2}, n)):
             jc, kc = complement(j), complement(k)
             assert kc in successors(R.ValArrow1, jc) | successors(R.ValArrow2, jc)
-        for j, k, _ in relation_edges({R.Arrow3}, n).edges:
+        for j, k, _ in _edge_comps(relation_edges({R.Arrow3}, n)):
             assert complement(k) in successors(R.ValArrow3, complement(j))
 
 
