@@ -64,7 +64,6 @@ from .linalg import (
     rank,
     reduce,
     spans_equal,
-    to_csv,
 )
 from .qsym import (
     QSymElement,

@@ -40,7 +40,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .compositions import (
     Composition,
@@ -440,10 +441,6 @@ class OmegaSets:
         """Regions 1-3 flattened as (region, C, k), in region order."""
         return [(r, c, k) for r in (1, 2, 3) for c, k in self.region(r)]
 
-    def theta(self) -> list[tuple[int, frozenset[int], int]]:
-        """All four regions flattened as (region, C, k)."""
-        return self.omega() + [(4, c, k) for c, k in self.om4]
-
 
 def _sorted_pairs(pairs: Iterable[tuple[frozenset[int], int]]):
     return tuple(sorted(pairs, key=lambda ck: (set_to_mask(ck[0]), ck[1])))
@@ -585,29 +582,31 @@ def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int 
     `max_witnesses` violations are listed, and projecting stops once the
     verdict is known and the list is full."""
     check_degree(total_degree)
-    ideal, violations = True, []
+    found = list(islice(_ideal_violations(stat, total_degree), max(max_witnesses, 1)))
+    return {
+        "stat": stat_name(stat),
+        "total_degree": total_degree,
+        "ideal": not found,
+        "violations": found[:max_witnesses],
+    }
+
+
+def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dict]:
+    """`is_ideal_upto`'s violations in order; a class top is projected once per factor."""
     for s in range(2, total_degree + 1):
         labels = kernel_space(stat, s).labels
         for a in range(1, s):
             b = s - a
             tops = {c: block[-1] for block in kernel_space(stat, a).classes for c in block[:-1]}
-            for c in sorted(tops):
+            top_sums: dict[tuple[int, int], dict] = {}
+            for c, top in sorted(tops.items()):
                 for k_mask in range(1 << (b - 1)):
-                    if (ideal or len(violations) < max_witnesses) and (
-                        _class_sums(labels, _f_basis_product(a, c, b, k_mask))
-                        != _class_sums(labels, _f_basis_product(a, tops[c], b, k_mask))
-                    ):
-                        ideal = False
-                        if len(violations) < max_witnesses:
-                            row = {str(from_index(a, c)): "1", str(from_index(a, tops[c])): "-1"}
-                            factor = str(from_index(b, k_mask))
-                            violations.append({"row_degree": a, "factor": factor, "row": row})
-    return {
-        "stat": stat_name(stat),
-        "total_degree": total_degree,
-        "ideal": ideal,
-        "violations": violations,
-    }
+                    want = top_sums.get((top, k_mask))
+                    if want is None:
+                        want = top_sums[top, k_mask] = _class_sums(labels, _f_basis_product(a, top, b, k_mask))
+                    if _class_sums(labels, _f_basis_product(a, c, b, k_mask)) != want:
+                        row = {str(from_index(a, c)): "1", str(from_index(a, top)): "-1"}
+                        yield {"row_degree": a, "factor": str(from_index(b, k_mask)), "row": row}
 
 
 # -- symmetry bridges ----------------------------------------------------------

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .compositions import from_index
 from .errors import DegreeMismatchError
 
 # Trigger a content reduction when coefficients pass this size; purely a
@@ -269,18 +268,3 @@ def is_independent(vectors: Iterable[SparseVector], n: int | None = None) -> boo
     if not vecs and n is None:
         return True
     return rank(vecs, n) == len(vecs)
-
-
-def to_csv(rows: Sequence[SparseVector] | RowBasis) -> str:
-    """Export rows as CSV `row_id,composition,coefficient` with exact
-    fraction strings."""
-    if isinstance(rows, RowBasis):
-        n, seq = rows.n, rows.rows
-    else:
-        seq = list(rows)
-        n = seq[0].n if seq else 0
-    lines = ["row_id,composition,coefficient"]
-    for i, row in enumerate(seq):
-        for col in sorted(row.entries):
-            lines.append(f"{i},{from_index(n, col)},{row.entries[col]}")
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ written in ("M" or "F"); integral coefficients are held as `int` (see
 
 and the product of two fundamentals expands as a sum of fundamentals
 over the shuffles of any two disjoint words realizing the two index
-compositions.
+compositions; `_f_basis_product` counts their descent compositions by a
+DP, and `multiply_f_via_shuffles` keeps the route through the words.
 
 The involutions psi and rho relabel the fundamental basis by the
 complement and reverse of the index composition respectively; both are
@@ -20,10 +21,9 @@ coarsening sum (-1)^{n - l(L)} * sum of M_K over coarsenings K of L.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, Mapping
 
 from .compositions import (
@@ -39,7 +39,7 @@ from .compositions import (
 from .config import check_degree
 from .errors import BasisTagError, DegreeMismatchError
 from .linalg import SparseVector, exact_coefficients
-from .statistics import realize_permutation
+from .statistics import perm_descent_composition, realize_permutation, shuffles
 
 
 class QSymElement:
@@ -51,6 +51,7 @@ class QSymElement:
     def __init__(self, n: int, basis: str, coeffs: Mapping[int, Fraction | int]):
         if basis not in ("M", "F"):
             raise BasisTagError(f"basis must be 'M' or 'F', got {basis!r}")
+        check_degree(n)
         self.n = n
         self.basis = basis
         self.coeffs = exact_coefficients(n, coeffs)
@@ -157,10 +158,6 @@ def to_f(elem: QSymElement) -> QSymElement:
     return elem if elem.basis == "F" else m_to_f(elem)
 
 
-def to_m(elem: QSymElement) -> QSymElement:
-    return elem if elem.basis == "M" else f_to_m(elem)
-
-
 def f_sparse(elem: QSymElement) -> SparseVector:
     """The element as F-coordinates for the linear algebra layer."""
     return SparseVector(elem.n, to_f(elem).coeffs)
@@ -169,32 +166,54 @@ def f_sparse(elem: QSymElement) -> SparseVector:
 @lru_cache(maxsize=None)
 def _f_basis_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
     """Multiplicity of each descent composition over the shuffles of two
-    disjoint words realizing the two index compositions."""
-    wa = realize_permutation(from_index(na, mask_a)).letters
-    wb = realize_permutation(from_index(nb, mask_b), offset=na).letters
-    total = na + nb
-    counts: dict[int, int] = {}
-    for spots in combinations(range(total), na):
-        word = [0] * total
-        chosen = set(spots)
-        ia = ib = 0
-        for i in range(total):
-            if i in chosen:
-                word[i] = wa[ia]
-                ia += 1
-            else:
-                word[i] = wb[ib]
-                ib += 1
-        mask = 0
-        for i in range(1, total):
-            if word[i - 1] > word[i]:
-                mask |= 1 << (i - 1)
-        counts[mask] = counts.get(mask, 0) + 1
-    return tuple(sorted(counts.items()))
+    disjoint words realizing the two index compositions.
+
+    Every letter of the second word exceeds every letter of the first: a
+    letter of the first after one of the second descends, the reverse
+    never does, and two letters of one word descend where that word does.
+    So a DP over (letters used from each word, source of the last letter)
+    counts the descent masks without writing a word out."""
+    # ends[s][i]: mask counts of the prefixes of one length with i letters
+    # from the first word and the last from word s (0 first, 1 second); the
+    # empty prefix counts as ending in the first: nothing descends after it.
+    ends: tuple[dict[int, dict[int, int]], ...] = ({0: {0: 1}}, {})
+    for t in range(na + nb):
+        step = 1 << (t - 1) if t else 0
+        nxt: tuple[dict[int, dict[int, int]], ...] = ({}, {})
+        for source, table in enumerate(ends):
+            for i, counts in table.items():
+                if i < na:
+                    descent = source or (i and mask_a >> (i - 1) & 1)
+                    _add_shifted(nxt[0], i + 1, counts, step if descent else 0)
+                j = t - i
+                if j < nb:
+                    descent = source and mask_b >> (j - 1) & 1
+                    _add_shifted(nxt[1], i, counts, step if descent else 0)
+        ends = nxt
+    total: Counter = Counter()
+    for table in ends:
+        for counts in table.values():
+            total.update(counts)
+    return tuple(sorted(total.items()))
+
+
+def _add_shifted(table: dict[int, dict[int, int]], key: int, counts: dict[int, int], bit: int) -> None:
+    """Add `counts`, each mask with `bit` set, into `table[key]`."""
+    into = table.get(key)
+    if into is None:
+        table[key] = {mask | bit: count for mask, count in counts.items()} if bit else dict(counts)
+        return
+    for mask, count in counts.items():
+        mask |= bit
+        into[mask] = into.get(mask, 0) + count
 
 
 def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:
-    """Product of two F-basis elements, of degree deg(a) + deg(b)."""
+    """Product of two F-basis elements, of degree deg(a) + deg(b).
+
+    >>> multiply_f(fundamental(Composition((1,))), fundamental(Composition((1,))))
+    1*F(2) + 1*F(1,1)
+    """
     if a.basis != "F" or b.basis != "F":
         raise BasisTagError("multiply_f needs both factors in the F basis")
     n = a.n + b.n
@@ -215,15 +234,11 @@ def multiply_f_via_shuffles(
     and sum F over the descent compositions of their shuffles.  The
     offsets pick which letters realize each composition; the result must
     not depend on them."""
-    from .statistics import perm_descent_composition, shuffles
-
     if offset_b is None:
         offset_b = offset_a + a_comp.n
     p = realize_permutation(a_comp, offset_a)
     q = realize_permutation(b_comp, offset_b)
-    out: dict[int, int] = defaultdict(int)
-    for t in shuffles(p, q):
-        out[index_of(perm_descent_composition(t))] += 1
+    out = Counter(index_of(perm_descent_composition(t)) for t in shuffles(p, q))
     return QSymElement(a_comp.n + b_comp.n, "F", out)
 
 

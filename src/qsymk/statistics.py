@@ -8,6 +8,10 @@ while the composition-level evaluators work from descent positions;
 the two routes are independent implementations and the test suite
 checks them against each other exhaustively.
 
+The shuffle-compatibility oracle works on letter tuples, through one
+`itemgetter` per interleaving pattern, and never goes through QSym;
+`shuffles`, the interleavings as a set of `Permutation`s, is its reference.
+
 Position conventions (1-based, word of length n):
   descent   i in [n-1]     with w_i > w_{i+1}
   peak      i in [2, n-1]  with w_{i-1} < w_i > w_{i+1}
@@ -24,6 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Hashable, Union
 
 from .compositions import Composition, compositions_of, index_of
@@ -107,11 +112,6 @@ def standardize(p: Permutation) -> Permutation:
     return Permutation(tuple(rank[x] for x in p.letters))
 
 
-def perm_descent_set(p: Permutation) -> frozenset[int]:
-    w = p.letters
-    return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
-
-
 def perm_descent_composition(p: Permutation) -> Composition:
     """Lengths of the maximal increasing runs, in order.
 
@@ -133,39 +133,31 @@ def perm_descent_composition(p: Permutation) -> Composition:
     return Composition(tuple(parts))
 
 
+def _peaks_at(v: tuple[int, ...], shift: int) -> frozenset[int]:
+    """Positions i + shift of the peaks v[i-1] < v[i] > v[i+1] of v."""
+    return frozenset([i + shift for i in range(1, len(v) - 1) if v[i - 1] < v[i] > v[i + 1]])
+
+
 def _perm_peaks(w: tuple[int, ...]) -> frozenset[int]:
-    n = len(w)
-    return frozenset(
-        i for i in range(2, n) if w[i - 2] < w[i - 1] > w[i]
-    )
+    return _peaks_at(w, 1)
 
 
 def _perm_valleys(w: tuple[int, ...]) -> frozenset[int]:
-    n = len(w)
-    return frozenset(
-        i for i in range(2, n) if w[i - 2] > w[i - 1] < w[i]
-    )
+    return _peaks_at(tuple(-x for x in w), 1)
 
+
+# Letters are positive: a 0 written at an end makes a boundary peak a peak.
 
 def _perm_left_peaks(w: tuple[int, ...]) -> frozenset[int]:
-    out = set(_perm_peaks(w))
-    if len(w) >= 2 and w[0] > w[1]:
-        out.add(1)
-    return frozenset(out)
+    return _peaks_at((0,) + w, 0)
 
 
 def _perm_right_peaks(w: tuple[int, ...]) -> frozenset[int]:
-    out = set(_perm_peaks(w))
-    n = len(w)
-    if n >= 2 and w[n - 2] < w[n - 1]:
-        out.add(n)
-    return frozenset(out)
+    return _peaks_at(w + (0,), 1)
 
 
 def _perm_exterior_peaks(w: tuple[int, ...]) -> frozenset[int]:
-    if len(w) == 1:
-        return frozenset({1})
-    return _perm_left_peaks(w) | _perm_right_peaks(w)
+    return _peaks_at((0,) + w + (0,), 0)
 
 
 _PERM_EVAL: dict[StatisticId, Callable[[tuple[int, ...]], StatValue]] = {
@@ -310,16 +302,36 @@ def shuffles(p: Permutation, q: Permutation) -> set[Permutation]:
 PermStatistic = Union[StatisticId, Callable[[Permutation], Hashable]]
 
 
-def _perm_evaluator(stat: PermStatistic) -> Callable[[Permutation], Hashable]:
+def _word_evaluator(stat: PermStatistic) -> Callable[[tuple[int, ...]], Hashable]:
+    """The statistic on letter tuples; any other callable gets a `Permutation`."""
     if isinstance(stat, StatisticId):
-        return lambda p: eval_on_permutation(stat, p)
-    return stat
+        return _PERM_EVAL[stat]
+    return lambda word: stat(Permutation(word))
+
+
+def _interleavings(a: int, b: int) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:
+    """One map per interleaving of a word of length a with one of length
+    b, from their concatenation to the interleaved word (`tuple` when
+    a + b < 2, where `itemgetter` would return a bare letter)."""
+    if a + b < 2:
+        return [tuple]
+    getters = []
+    for spots in combinations(range(a + b), a):
+        chosen = set(spots)
+        from_p, from_q = iter(range(a)), iter(range(a, a + b))
+        getters.append(itemgetter(*(next(from_p) if i in chosen else next(from_q) for i in range(a + b))))
+    return getters
+
+
+def _distribution(evaluate, interleavings, word: tuple[int, ...]) -> Counter:
+    return Counter([evaluate(interleave(word)) for interleave in interleavings])
 
 
 def shuffle_distribution(stat: PermStatistic, p: Permutation, q: Permutation) -> Counter:
     """Multiset of statistic values over all shuffles of p and q."""
-    evaluate = _perm_evaluator(stat)
-    return Counter(evaluate(t) for t in shuffles(p, q))
+    if set(p.letters) & set(q.letters):
+        raise DisjointnessError(f"permutations share letters: {p} and {q}")
+    return _distribution(_word_evaluator(stat), _interleavings(len(p), len(q)), p.letters + q.letters)
 
 
 def realize_permutation(comp: Composition, offset: int = 0) -> Permutation:
@@ -391,23 +403,26 @@ def check_shuffle_compatible(
     representatives and for a second randomized pair; the distributions
     must agree between representative choices, and across all
     composition pairs with the same (a, b, value, value) signature.
+
+    Shuffles are letter tuples; a `StatisticId` is evaluated on the
+    tuple, any other callable on `Permutation(word)`.
     """
     check_degree(max_total_len)
     rng = random.Random(seed)
-    evaluate = _perm_evaluator(stat)
+    evaluate = _word_evaluator(stat)
     name = stat_name(stat)
     for total in range(1, max_total_len + 1):
         for a in range(0, total + 1):
             b = total - a
+            interleavings = _interleavings(a, b)
             groups: dict = {}
             for left in compositions_of(a):
                 for right in compositions_of(b):
                     p1 = realize_permutation(left)
                     q1 = realize_permutation(right, offset=a)
-                    dist = Counter(evaluate(t) for t in shuffles(p1, q1))
+                    dist = _distribution(evaluate, interleavings, p1.letters + q1.letters)
                     p2, q2 = _random_representatives(left, right, rng)
-                    dist2 = Counter(evaluate(t) for t in shuffles(p2, q2))
-                    if dist != dist2:
+                    if dist != _distribution(evaluate, interleavings, p2.letters + q2.letters):
                         return ShuffleCompatibilityReport(
                             name, max_total_len, False,
                             witness={
@@ -417,7 +432,7 @@ def check_shuffle_compatible(
                                 "pair2": [str(p2), str(q2)],
                             },
                         )
-                    key = (a, b, evaluate(p1), evaluate(q1))
+                    key = (a, b, evaluate(p1.letters), evaluate(q1.letters))
                     seen = groups.get(key)
                     if seen is None:
                         groups[key] = (left, right, dist)

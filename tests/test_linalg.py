@@ -15,7 +15,6 @@ from qsymk.linalg import (
     rank,
     reduce,
     spans_equal,
-    to_csv,
 )
 
 
@@ -196,13 +195,3 @@ def test_reduction_agrees_when_content_reduction_triggers(monkeypatch):
     monkeypatch.setattr(linalg, "_GROWTH_LIMIT", 2)
     for vectors, rows in zip(batches, expected):
         assert reduce(vectors, n=5).rows == rows
-
-
-def test_csv_export():
-    basis = reduce([SparseVector(3, {0: 1, 3: Fraction(-1, 2)})])
-    assert to_csv(basis) == (
-        "row_id,composition,coefficient\n"
-        "0,(3),1\n"
-        "0,(1,1,1),-1/2\n"
-    )
-    assert to_csv([]) == "row_id,composition,coefficient\n"

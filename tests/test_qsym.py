@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qsymk.compositions import Composition, compositions_of, mask_to_set
+from qsymk.config import set_max_degree
 from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError
 from qsymk.kernel import RelationId, edge_vectors, monomial_span_vectors, relation_edges
 from qsymk.linalg import SparseVector, reduce
@@ -97,8 +98,8 @@ def test_multiply_f_examples():
 
 
 def test_multiply_matches_shuffle_oracle_and_offsets():
-    for a in range(0, 4):
-        for b in range(0, 4 - a + 1):
+    for a in range(0, 9):
+        for b in range(0, 8 - a + 1):
             for left in compositions_of(a):
                 for right in compositions_of(b):
                     product = multiply_f(fundamental(left), fundamental(right))
@@ -256,11 +257,34 @@ def test_json_and_basis_changes_enforce_the_degree_limit():
     negative = {"degree": -3, "basis": "M", "terms": []}
     with pytest.raises(ValueError):
         element_from_json_dict(negative)
-    # a basis change enumerates 2^(n-1) supersets, so it refuses first
+    # a basis change enumerates 2^(n-1) supersets; the element refuses
+    # such a degree before one starts
     with pytest.raises(DegreeLimitError):
         m_to_f(QSymElement(24, "M", {0: 1}))
     with pytest.raises(DegreeLimitError):
         f_to_m(QSymElement(24, "F", {0: 1}))
+
+
+def test_elements_refuse_degrees_outside_the_limit():
+    with pytest.raises(ValueError):
+        QSymElement(-3, "M", {0: 1})
+    with pytest.raises(DegreeLimitError):
+        fundamental(C((40,)))
+    with pytest.raises(DegreeLimitError):
+        monomial(C((40,)))
+    with pytest.raises(DegreeLimitError):
+        ehrenborg_psi_m(C((22,)))
+    # an element built before the limit was lowered still meets the
+    # basis changes' own check
+    m_elem, f_elem = QSymElement(12, "M", {0: 1}), QSymElement(12, "F", {0: 1})
+    set_max_degree(8)
+    try:
+        with pytest.raises(DegreeLimitError):
+            m_to_f(m_elem)
+        with pytest.raises(DegreeLimitError):
+            f_to_m(f_elem)
+    finally:
+        set_max_degree(None)
 
 
 def _all_int(elem):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -9,10 +10,13 @@ import pytest
 from conftest import complement_permutation, reverse_permutation
 from qsymk.compositions import Composition, compositions_of
 from qsymk.config import set_max_degree
+from qsymk import statistics
 from qsymk.errors import DegreeLimitError, DisjointnessError
 from qsymk.statistics import (
     Permutation,
+    ShuffleCompatibilityReport,
     StatisticId,
+    _random_representatives,
     check_shuffle_compatible,
     equivalence_classes,
     eval_on_composition,
@@ -24,6 +28,7 @@ from qsymk.statistics import (
     shuffle_distribution,
     shuffles,
     standardize,
+    stat_name,
 )
 
 S = StatisticId
@@ -222,15 +227,108 @@ def test_shuffle_compatibility_positive():
         assert report.compatible, report.witness
 
 
-def test_shuffle_compatibility_rejects_letter_dependent_statistic():
-    def first_letter(p: Permutation):
-        return p.letters[0] if p.letters else 0
+def first_letter(p: Permutation):
+    return p.letters[0] if p.letters else 0
 
-    first_letter.__name__ = "first_letter"
+
+def max_run(p: Permutation):
+    return max(perm_descent_composition(p).parts, default=0)
+
+
+def runs_mod_3(p: Permutation):
+    return len(perm_descent_composition(p).parts) % 3
+
+
+def test_shuffle_compatibility_rejects_letter_dependent_statistic():
     report = check_shuffle_compatible(first_letter, 5)
     assert not report.compatible
     assert report.witness is not None
     assert report.witness["kind"] == "representative-dependence"
+
+
+def _shufflecheck_via_shuffles(stat, max_total_len: int, seed: int = 0) -> ShuffleCompatibilityReport:
+    """The oracle: `check_shuffle_compatible` through `shuffles()`, one
+    validated `Permutation` per interleaving."""
+    rng = random.Random(seed)
+    evaluate = (lambda p: eval_on_permutation(stat, p)) if isinstance(stat, StatisticId) else stat
+    name = stat_name(stat)
+    for total in range(1, max_total_len + 1):
+        for a in range(0, total + 1):
+            b = total - a
+            groups: dict = {}
+            for left in compositions_of(a):
+                for right in compositions_of(b):
+                    p1 = realize_permutation(left)
+                    q1 = realize_permutation(right, offset=a)
+                    dist = Counter(evaluate(t) for t in shuffles(p1, q1))
+                    p2, q2 = _random_representatives(left, right, rng)
+                    dist2 = Counter(evaluate(t) for t in shuffles(p2, q2))
+                    if dist != dist2:
+                        return ShuffleCompatibilityReport(
+                            name, max_total_len, False,
+                            witness={
+                                "kind": "representative-dependence",
+                                "compositions": [str(left), str(right)],
+                                "pair1": [str(p1), str(q1)],
+                                "pair2": [str(p2), str(q2)],
+                            },
+                        )
+                    key = (a, b, evaluate(p1), evaluate(q1))
+                    seen = groups.get(key)
+                    if seen is None:
+                        groups[key] = (left, right, dist)
+                    elif seen[2] != dist:
+                        return ShuffleCompatibilityReport(
+                            name, max_total_len, False,
+                            witness={
+                                "kind": "distribution-mismatch",
+                                "pair1": [str(seen[0]), str(seen[1])],
+                                "pair2": [str(left), str(right)],
+                            },
+                        )
+    return ShuffleCompatibilityReport(name, max_total_len, True)
+
+
+def test_shufflecheck_matches_shuffles_oracle():
+    for stat in StatisticId:
+        for length in range(0, 7):
+            for seed in range(3):
+                report = check_shuffle_compatible(stat, length, seed)
+                assert report.as_dict() == _shufflecheck_via_shuffles(stat, length, seed).as_dict()
+    kinds = {}
+    for planted in (max_run, runs_mod_3, first_letter):
+        for seed in range(3):
+            report = check_shuffle_compatible(planted, 6, seed)
+            assert report.as_dict() == _shufflecheck_via_shuffles(planted, 6, seed).as_dict()
+            kinds[planted.__name__] = report.witness["kind"]
+    assert kinds == {
+        "max_run": "distribution-mismatch",
+        "runs_mod_3": "distribution-mismatch",
+        "first_letter": "representative-dependence",
+    }
+
+
+def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the shuffle oracle was called")
+
+    built = 0
+    post_init = Permutation.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(statistics, "shuffles", refuse)
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    assert check_shuffle_compatible(S.Pk, 6).compatible
+    sizes = [(len(compositions_of(a)) * len(compositions_of(total - a)), math.comb(total, a))
+             for total in range(1, 7) for a in range(total + 1)]
+    pairs = sum(count for count, _ in sizes)
+    # two representative pairs per composition pair, each shuffled in full
+    interleavings = sum(2 * count * words for count, words in sizes)
+    assert built <= 6 * pairs < interleavings
 
 
 def test_shuffle_compatibility_validates_length():
