@@ -352,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.max_degree is not None:
             previous, restore = config.set_max_degree(args.max_degree), True
         return args.func(args)
-    except (QsymkError, ValueError) as exc:
+    except (QsymkError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2  # unreachable; parser.exit raises SystemExit
     finally:

@@ -11,9 +11,11 @@ it.
 
 Relation graphs are keyed by composition index, the same vertex format
 as the kernel classes: an edge is an (index, index, label) triple and a
-component a tuple of indices.  The moves below act on parts, as stated;
-beyond them a `Composition` is built only to name a vertex in an export
-or an error message.
+component a tuple of indices.  The moves below are stated on parts, and
+each changes the descent set by one or two positions, so `_moves`
+computes them as bit operations on the index; a `Composition` is built
+only where a public function takes or returns one, or to name a vertex
+in an export or an error message.
 
 Binary relation families (parts written 1-based; all preserve degree):
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import (
@@ -77,15 +79,6 @@ class RelationId(enum.Enum):
     EpkTri = "epktri"
 
 
-def _split(parts: tuple[int, ...], i: int, head: int) -> Composition:
-    """Replace parts[i] by (head, parts[i] - head)."""
-    return Composition(parts[:i] + (head, parts[i] - head) + parts[i + 1:])
-
-
-def _swap(parts: tuple[int, ...], i: int) -> Composition:
-    return Composition(parts[:i] + (parts[i + 1], parts[i]) + parts[i + 2:])
-
-
 def _pk_basis_position(parts: tuple[int, ...]) -> int | None:
     """0-based index of the least part > 2, falling back to the final
     part when it equals 2; None when neither exists."""
@@ -98,70 +91,74 @@ def _pk_basis_position(parts: tuple[int, ...]) -> int | None:
     return None
 
 
-def labeled_successors(rel: RelationId, comp: Composition) -> list[tuple[Composition, str]]:
-    """Successors of a composition under one relation, with edge labels
-    1/2/3 naming the underlying move."""
-    parts = comp.parts
+# (first eligible part, letters split off) of the moves that split a part > 2
+_SPLITS = {
+    RelationId.Arrow1: (0, 1),
+    RelationId.Tri1: (0, 2),
+    RelationId.EpkArrow: (1, 1),
+    RelationId.EpkTri: (1, 2),
+}
+
+
+def _moves(rel: RelationId, mask: int, parts: tuple[int, ...]) -> list[tuple[int, str]]:
+    """Successor indices of the composition with index `mask` and the given
+    parts under one relation, with edge labels 1/2/3 naming the move.
+
+    Part l starts after position cuts[l], so splitting it after h letters
+    sets the bit of position cuts[l] + h (bit cuts[l] + h - 1); a merge
+    clears the bit of a cut, and a swap or unit move shifts one cut by one
+    position."""
+    cuts = (0, *accumulate(parts))
     m = len(parts)
-    out: list[tuple[Composition, str]] = []
-    if rel is RelationId.Arrow1:
-        for i in range(m):
-            if parts[i] > 2:
-                out.append((_split(parts, i, 1), "1"))
-    elif rel is RelationId.Arrow2:
+    if rel in _SPLITS:
+        first, head = _SPLITS[rel]
+        return [(mask | 1 << (cuts[l] + head - 1), "1") for l in range(first, m) if parts[l] > 2]
+    out: list[tuple[int, str]] = []
+    if rel is RelationId.Arrow2:
         if m >= 1 and parts[-1] == 2:
-            out.append((Composition(parts[:-1] + (1, 1)), "2"))
+            out.append((mask | 1 << (cuts[m] - 2), "2"))
     elif rel is RelationId.Arrow3:
         if m >= 1 and parts[-1] == 1 and all(p <= 2 for p in parts):
             for i in range(m - 2):
                 if parts[i] == 1 and parts[i + 1] == 2:
-                    out.append((_swap(parts, i), "3"))
-    elif rel is RelationId.Tri1:
-        for i in range(m):
-            if parts[i] > 2:
-                out.append((_split(parts, i, 2), "1"))
+                    # (1, 2) -> (2, 1): the cut after part i moves one right
+                    out.append((mask ^ 3 << (cuts[i + 1] - 1), "3"))
     elif rel is RelationId.Tri2:
         if m >= 1 and parts[-1] == 2:
             for i in range(m - 1):
                 if parts[i] == 2:
-                    out.append(
-                        (Composition(parts[:i] + (1, 1) + parts[i + 1:m - 1] + (2,)), "2")
-                    )
+                    out.append((mask | 1 << cuts[i], "2"))
     elif rel in (RelationId.PkBasisArrow, RelationId.PkNumBasisArrow):
         i = _pk_basis_position(parts)
         if i is not None:
-            label = "1" if parts[i] > 2 else "2"
-            out.append((_split(parts, i, 1), label))
+            out.append((mask | 1 << cuts[i], "1" if parts[i] > 2 else "2"))
         elif rel is RelationId.PkNumBasisArrow:
             for i in range(m - 1):
                 if parts[i] == 1 and parts[i + 1] == 2:
-                    out.append((_swap(parts, i), "3"))
+                    out.append((mask ^ 3 << (cuts[i + 1] - 1), "3"))
                     break
     elif rel is RelationId.ValArrow1:
         for i in range(m - 1):
             if parts[i] >= 2 and parts[i + 1] == 1:
-                out.append((Composition(parts[:i] + (parts[i] + 1,) + parts[i + 2:]), "1"))
+                out.append((mask & ~(1 << (cuts[i + 1] - 1)), "1"))
     elif rel is RelationId.ValArrow2:
         if m >= 2 and parts[0] == 1 and parts[1] == 1:
-            out.append((Composition((2,) + parts[2:]), "2"))
+            out.append((mask & ~1, "2"))
     elif rel is RelationId.ValArrow3:
         if all(p >= 2 for p in parts[1:]):
             for i in range(m - 1):
                 if parts[i] >= 2 and (i == 0 or parts[i] > 2):
-                    out.append(
-                        (Composition(parts[:i] + (parts[i] - 1, parts[i + 1] + 1) + parts[i + 2:]), "3")
-                    )
-    elif rel is RelationId.EpkArrow:
-        for i in range(1, m):
-            if parts[i] > 2:
-                out.append((_split(parts, i, 1), "1"))
-    elif rel is RelationId.EpkTri:
-        for i in range(1, m):
-            if parts[i] > 2:
-                out.append((_split(parts, i, 2), "1"))
+                    # a unit from part i to part i + 1: the cut moves one left
+                    out.append((mask ^ 3 << (cuts[i + 1] - 2), "3"))
     else:
         raise ValueError(f"{rel} is a unary marker, not a binary relation")
     return out
+
+
+def labeled_successors(rel: RelationId, comp: Composition) -> list[tuple[Composition, str]]:
+    """Successors of a composition under one relation, with edge labels
+    1/2/3 naming the underlying move."""
+    return [(from_index(comp.n, b), label) for b, label in _moves(rel, index_of(comp), comp.parts)]
 
 
 def successors(rel: RelationId, comp: Composition) -> set[Composition]:
@@ -209,15 +206,16 @@ def relation_edges(rels: Iterable[RelationId], n: int) -> RelationGraph:
     rels = set(rels)
     marks: tuple[int, ...] = ()
     if RelationId.CTilde in rels:
-        member = ctilde_member(n)
-        marks = (index_of(member),) if member is not None else ()
+        # (1, ..., 1, 2): every position but n - 1 is a descent
+        marks = ((1 << (n - 2)) - 1,) if n >= 2 else ()
         rels.discard(RelationId.CTilde)
     ordered = [r for r in _ORDERED_RELATIONS if r in rels]
     labels: dict[tuple[int, int], str] = {}
-    for a, j in enumerate(compositions_of(n)):
+    for a, comp in enumerate(compositions_of(n)):
+        parts = comp.parts
         for rel in ordered:
-            for k, label in labeled_successors(rel, j):
-                labels.setdefault((a, index_of(k)), label)
+            for b, label in _moves(rel, a, parts):
+                labels.setdefault((a, b), label)
     return RelationGraph(n, tuple((a, b, labels[a, b]) for a, b in sorted(labels)), marks)
 
 
@@ -442,10 +440,6 @@ class OmegaSets:
         return [(r, c, k) for r in (1, 2, 3) for c, k in self.region(r)]
 
 
-def _sorted_pairs(pairs: Iterable[tuple[frozenset[int], int]]):
-    return tuple(sorted(pairs, key=lambda ck: (set_to_mask(ck[0]), ck[1])))
-
-
 def omega_sets(n: int) -> OmegaSets:
     """Enumerate the four regions by their literal membership predicates."""
     check_degree(n)
@@ -494,9 +488,7 @@ def _omega_sets(n: int) -> OmegaSets:
                     om4.append((c_set, k))
     if n >= 2:
         om3.append((mask_to_set(fullm >> 1), n - 1))
-    return OmegaSets(
-        n, _sorted_pairs(om1), _sorted_pairs(om2), _sorted_pairs(om3), _sorted_pairs(om4)
-    )
+    return OmegaSets(n, tuple(om1), tuple(om2), tuple(om3), tuple(om4))
 
 
 def f_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:

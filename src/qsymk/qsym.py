@@ -245,25 +245,24 @@ def multiply_f_via_shuffles(
 def ehrenborg_psi_m(comp: Composition) -> QSymElement:
     """Image of M_L under psi: (-1)^(n - number of parts) times the sum
     of M_K over all coarsenings K of L."""
-    n = comp.n
-    mask = index_of(comp)
-    parts = comp.num_parts
-    sign = -1 if (n - parts) & 1 else 1
-    return QSymElement(n, "M", {sub: sign for sub in _submasks(mask)})
+    return psi(monomial(comp))
 
 
 def psi(elem: QSymElement) -> QSymElement:
     """The complement involution.  On the F basis it relabels each index
-    by its complement; on the M basis it applies the signed coarsening
-    sum per index and re-collects, staying in the M basis."""
+    by its complement.  On the M basis it sends M_L to the signed
+    coarsening sum: the coarsenings of L are the submasks of its index,
+    and L has popcount + 1 parts (none when n = 0).  It stays in the M
+    basis."""
     n = elem.n
     if elem.basis == "F":
         return QSymElement(n, "F", {complement_mask(n, m): v for m, v in elem.coeffs.items()})
     out: dict[int, Fraction | int] = defaultdict(int)
     for mask, value in elem.coeffs.items():
-        image = ehrenborg_psi_m(from_index(n, mask))
-        for sub, sign in image.coeffs.items():
-            out[sub] += value * sign
+        parts = mask.bit_count() + 1 if n else 0
+        signed = -value if (n - parts) & 1 else value
+        for sub in _submasks(mask):
+            out[sub] += signed
     return QSymElement(n, "M", out)
 
 

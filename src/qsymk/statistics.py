@@ -253,14 +253,6 @@ def eval_on_composition(stat: StatisticId, comp: Composition) -> StatValue:
 DescentStatistic = Union[StatisticId, Callable[[Composition], Hashable]]
 
 
-def comp_stat_value(stat: DescentStatistic, comp: Composition) -> Hashable:
-    """Value of a statistic on a composition; accepts a StatisticId or
-    any callable on compositions (used for planted control statistics)."""
-    if isinstance(stat, StatisticId):
-        return eval_on_composition(stat, comp)
-    return stat(comp)
-
-
 def stat_name(stat: DescentStatistic) -> str:
     if isinstance(stat, StatisticId):
         return stat.value
@@ -269,11 +261,20 @@ def stat_name(stat: DescentStatistic) -> str:
 
 def equivalence_classes(stat: DescentStatistic, n: int) -> list[list[Composition]]:
     """Partition of the compositions of n into blocks of equal statistic
-    value.  Blocks and their members are in ascending index order."""
+    value.  Blocks and their members are in ascending index order: the
+    compositions are enumerated by index, so a block is first met at its
+    least member.  A `StatisticId` is evaluated on the index, any other
+    callable on the `Composition` (used for planted control statistics)."""
+    comps = compositions_of(n)
+    if isinstance(stat, StatisticId):
+        evaluate = _COMP_EVAL[stat]
+        values = (evaluate(n, mask) for mask in range(len(comps)))
+    else:
+        values = map(stat, comps)
     blocks: dict[Hashable, list[Composition]] = {}
-    for comp in compositions_of(n):
-        blocks.setdefault(comp_stat_value(stat, comp), []).append(comp)
-    return sorted(blocks.values(), key=lambda block: index_of(block[0]))
+    for comp, value in zip(comps, values):
+        blocks.setdefault(value, []).append(comp)
+    return list(blocks.values())
 
 
 # -- shuffles ---------------------------------------------------------------

@@ -224,6 +224,17 @@ def test_output_deterministic_and_file_writing(tmp_path, capsys):
     assert json.loads(target.read_text())["pass"] is True
 
 
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "thm2a", "--deg", "1..3", "--out", str(target)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(target) in captured.err
+
+
 def test_shufflecheck(capsys):
     code, out = run_cli(capsys, "shufflecheck", "Des", "4")
     assert code == 0

@@ -14,6 +14,7 @@ from qsymk.compositions import (
     from_index,
     index_of,
     reverse_mask,
+    set_to_mask,
 )
 from qsymk.errors import RelationUnsoundError
 from qsymk.kernel import (
@@ -262,6 +263,9 @@ def test_omega_sets_against_brute_force():
         assert set(om.om2) == b2, n
         assert set(om.om3) == b3, n
         assert set(om.om4) == b4, n
+        for region in (om.om1, om.om2, om.om3, om.om4):
+            keys = [(set_to_mask(c), k) for c, k in region]
+            assert keys == sorted(keys), n
 
 
 def test_omega_small_cases():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import figure_data
@@ -14,6 +16,7 @@ from qsymk.compositions import (
 from qsymk.kernel import (
     RelationGraph,
     RelationId,
+    _pk_basis_position,
     connected_components,
     ctilde_member,
     is_ctilde,
@@ -22,6 +25,7 @@ from qsymk.kernel import (
     relation_edges,
     successors,
 )
+from qsymk.qsym import QSymElement, psi
 from qsymk.statistics import StatisticId, eval_on_composition
 
 C = Composition
@@ -215,3 +219,126 @@ def test_labeled_successors_labels():
     assert labeled_successors(R.PkBasisArrow, C((2, 2))) == [(C((2, 1, 1)), "2")]
     assert labeled_successors(R.PkBasisArrow, C((3, 2))) == [(C((1, 2, 2)), "1")]
     assert labeled_successors(R.PkNumBasisArrow, C((1, 2, 1))) == [(C((2, 1, 1)), "3")]
+
+
+# -- the moves against their statement on parts ------------------------------
+
+def _split(parts, i, head):
+    """Replace parts[i] by (head, parts[i] - head)."""
+    return C(parts[:i] + (head, parts[i] - head) + parts[i + 1:])
+
+
+def _swap(parts, i):
+    return C(parts[:i] + (parts[i + 1], parts[i]) + parts[i + 2:])
+
+
+def _labeled_successors_via_parts(rel, comp):
+    """Oracle: each move written as surgery on the parts."""
+    parts = comp.parts
+    m = len(parts)
+    out = []
+    if rel is R.Arrow1:
+        for i in range(m):
+            if parts[i] > 2:
+                out.append((_split(parts, i, 1), "1"))
+    elif rel is R.Arrow2:
+        if m >= 1 and parts[-1] == 2:
+            out.append((C(parts[:-1] + (1, 1)), "2"))
+    elif rel is R.Arrow3:
+        if m >= 1 and parts[-1] == 1 and all(p <= 2 for p in parts):
+            for i in range(m - 2):
+                if parts[i] == 1 and parts[i + 1] == 2:
+                    out.append((_swap(parts, i), "3"))
+    elif rel is R.Tri1:
+        for i in range(m):
+            if parts[i] > 2:
+                out.append((_split(parts, i, 2), "1"))
+    elif rel is R.Tri2:
+        if m >= 1 and parts[-1] == 2:
+            for i in range(m - 1):
+                if parts[i] == 2:
+                    out.append((C(parts[:i] + (1, 1) + parts[i + 1:m - 1] + (2,)), "2"))
+    elif rel in (R.PkBasisArrow, R.PkNumBasisArrow):
+        i = _pk_basis_position(parts)
+        if i is not None:
+            label = "1" if parts[i] > 2 else "2"
+            out.append((_split(parts, i, 1), label))
+        elif rel is R.PkNumBasisArrow:
+            for i in range(m - 1):
+                if parts[i] == 1 and parts[i + 1] == 2:
+                    out.append((_swap(parts, i), "3"))
+                    break
+    elif rel is R.ValArrow1:
+        for i in range(m - 1):
+            if parts[i] >= 2 and parts[i + 1] == 1:
+                out.append((C(parts[:i] + (parts[i] + 1,) + parts[i + 2:]), "1"))
+    elif rel is R.ValArrow2:
+        if m >= 2 and parts[0] == 1 and parts[1] == 1:
+            out.append((C((2,) + parts[2:]), "2"))
+    elif rel is R.ValArrow3:
+        if all(p >= 2 for p in parts[1:]):
+            for i in range(m - 1):
+                if parts[i] >= 2 and (i == 0 or parts[i] > 2):
+                    out.append((C(parts[:i] + (parts[i] - 1, parts[i + 1] + 1) + parts[i + 2:]), "3"))
+    elif rel is R.EpkArrow:
+        for i in range(1, m):
+            if parts[i] > 2:
+                out.append((_split(parts, i, 1), "1"))
+    elif rel is R.EpkTri:
+        for i in range(1, m):
+            if parts[i] > 2:
+                out.append((_split(parts, i, 2), "1"))
+    return out
+
+
+_BINARY = [rel for rel in R if rel is not R.CTilde]
+
+
+def test_moves_match_parts_oracle():
+    assert len(_BINARY) == 12
+    for n in range(0, 11):
+        for comp in compositions_of(n):
+            for rel in _BINARY:
+                assert labeled_successors(rel, comp) == _labeled_successors_via_parts(rel, comp), (
+                    rel, str(comp),
+                )
+
+
+def _oracle_edges(rels, n):
+    labels = {}
+    for a, comp in enumerate(compositions_of(n)):
+        for rel in [r for r in R if r in rels]:
+            for k, label in _labeled_successors_via_parts(rel, comp):
+                labels.setdefault((a, index_of(k)), label)
+    return tuple((a, b, labels[a, b]) for a, b in sorted(labels))
+
+
+def test_relation_edges_match_parts_oracle():
+    for n in range(0, 10):
+        for rels in [{rel} for rel in _BINARY] + [set(R)]:
+            graph = relation_edges(rels, n)
+            assert graph.edges == _oracle_edges(rels, n), (n, rels)
+        member = ctilde_member(n)
+        expected_marks = (index_of(member),) if member is not None else ()
+        assert relation_edges({R.CTilde}, n).marks == expected_marks
+
+
+def test_moves_and_psi_build_no_composition(monkeypatch):
+    compositions_of(9)  # the enumeration is cached; warm it first
+    rng = random.Random(0)
+    elem = QSymElement(9, "M", {mask: rng.choice((-2, -1, 1, 2)) for mask in rng.sample(range(256), 37)})
+    assert len(elem.coeffs) == 37
+    built = 0
+    post_init = C.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(C, "__post_init__", counting)
+    graph = relation_edges(set(R), 9)
+    assert built == 0
+    image = psi(elem)
+    assert built == 0
+    assert graph.edges and graph.marks and not image.is_zero()
