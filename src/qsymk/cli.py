@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TextIO
 
 from . import config
 from .compositions import mask_to_set
@@ -218,12 +219,8 @@ def _parse_degrees(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, out: TextIO | None) -> None:
+    (out or sys.stdout).write(text)
 
 
 def _report_json(check: str, rows: list[dict]) -> str:
@@ -347,15 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    restore = False
+    restore, out = False, None
     try:
         if args.max_degree is not None:
             previous, restore = config.set_max_degree(args.max_degree), True
+        if args.out:
+            # opened (and truncated) before the run, so a bad path fails first
+            out = args.out = open(args.out, "w", encoding="utf-8")
         return args.func(args)
     except (QsymkError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2  # unreachable; parser.exit raises SystemExit
     finally:
+        if out is not None:
+            out.close()
         if restore:
             config.set_max_degree(previous)
 

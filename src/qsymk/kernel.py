@@ -269,7 +269,8 @@ def is_forest(graph: RelationGraph) -> bool:
 @dataclass(frozen=True, eq=False)
 class KernelSpace:
     """K^st_n, the kernel of the projection F_a -> [st-class of a], held as
-    its classes of composition indices (ascending, ordered by least member).
+    its classes of composition indices (ascending, ordered by least member),
+    exactly as `equivalence_classes` returns them.
     The reduced echelon basis is written down, not eliminated for: one row
     F_c - F_top per non-top member c of each class, top its greatest index."""
 
@@ -319,8 +320,7 @@ def kernel_space(stat: DescentStatistic, n: int) -> KernelSpace:
 
 @lru_cache(maxsize=None)
 def _kernel_space(stat: DescentStatistic, n: int) -> KernelSpace:
-    classes = equivalence_classes(stat, n)
-    return KernelSpace(stat, n, tuple(tuple(map(index_of, block)) for block in classes))
+    return KernelSpace(stat, n, equivalence_classes(stat, n))
 
 
 def quotient_dimension(stat: DescentStatistic, n: int) -> int:

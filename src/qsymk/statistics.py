@@ -4,9 +4,11 @@ A permutation here is any sequence of distinct positive integers, not
 necessarily 1..n.  Every statistic in `StatisticId` is a descent
 statistic: its value depends only on the descent composition.  The
 permutation-level evaluators work directly from letter comparisons,
-while the composition-level evaluators work from descent positions;
-the two routes are independent implementations and the test suite
-checks them against each other exhaustively.
+while the composition-level evaluators are shift formulas on the
+descent mask (the composition's index), a set statistic returned as a
+mask; the two routes are independent implementations and the test
+suite checks them against each other exhaustively.  Equivalence
+classes are blocks of indices, the kernels' class format.
 
 The shuffle-compatibility oracle works on letter tuples, through one
 `itemgetter` per interleaving pattern, and never goes through QSym;
@@ -31,7 +33,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Hashable, Union
 
-from .compositions import Composition, compositions_of, index_of
+from .compositions import Composition, compositions_of, full_mask, index_of, mask_to_set
 from .config import check_degree
 from .errors import DisjointnessError
 
@@ -184,70 +186,46 @@ def eval_on_permutation(stat: StatisticId, p: Permutation) -> StatValue:
 
 # -- compositions -----------------------------------------------------------
 #
-# With D the descent set of L and n = |L|: i in [n-1] is a descent of
-# every word with descent composition L, so peaks are the i in [2, n-1]
-# with i in D and i-1 not in D, valleys the i with i not in D and i-1
-# in D, and the boundary positions follow the same comparisons.
+# Every word with descent composition L has the descent mask D of L, so
+# each statistic is a function of D, and a set statistic is a mask too.
+# Position i peaks when i is in D and i - 1 is not: `_peak_mask`.  As
+# `_peaks_at` does on words, padding makes a boundary peak an ordinary
+# peak.  Position 0 is never a descent, so position 1 peaks when it is a
+# descent (a left peak), and `& ~1` drops it again.  Setting the bit of
+# position n, `1 << n >> 1` (0 at n = 0), makes n peak when n - 1 is an
+# ascent (a right peak).  Valleys are the peaks of the complement.
 
-def _comp_peaks(n: int, mask: int) -> frozenset[int]:
-    return frozenset(
-        i for i in range(2, n)
-        if (mask >> (i - 1)) & 1 and not (mask >> (i - 2)) & 1
-    )
-
-
-def _comp_valleys(n: int, mask: int) -> frozenset[int]:
-    return frozenset(
-        i for i in range(2, n)
-        if not (mask >> (i - 1)) & 1 and (mask >> (i - 2)) & 1
-    )
+def _peak_mask(d: int) -> int:
+    return d & ~(d << 1)
 
 
-def _comp_left_peaks(n: int, mask: int) -> frozenset[int]:
-    out = set(_comp_peaks(n, mask))
-    if n >= 2 and mask & 1:
-        out.add(1)
-    return frozenset(out)
+_SET_EVAL: dict[StatisticId, Callable[[int, int], int]] = {
+    StatisticId.Des: lambda n, d: d,
+    StatisticId.Pk: lambda n, d: _peak_mask(d) & ~1,
+    StatisticId.Epk: lambda n, d: _peak_mask(d | 1 << n >> 1),
+    StatisticId.Lpk: lambda n, d: _peak_mask(d),
+    StatisticId.Rpk: lambda n, d: _peak_mask(d | 1 << n >> 1) & ~1,
+    StatisticId.Val: lambda n, d: _peak_mask(d ^ full_mask(n)) & ~1,
+}
 
 
-def _comp_right_peaks(n: int, mask: int) -> frozenset[int]:
-    out = set(_comp_peaks(n, mask))
-    if n >= 2 and not (mask >> (n - 2)) & 1:
-        out.add(n)
-    return frozenset(out)
+def _size_of(evaluate: Callable[[int, int], int]) -> Callable[[int, int], int]:
+    return lambda n, d: evaluate(n, d).bit_count()
 
 
-def _comp_exterior_peaks(n: int, mask: int) -> frozenset[int]:
-    if n == 1:
-        return frozenset({1})
-    return _comp_left_peaks(n, mask) | _comp_right_peaks(n, mask)
-
-
-def _mask_positions(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
-_COMP_EVAL: dict[StatisticId, Callable[[int, int], StatValue]] = {
-    StatisticId.Des: lambda n, m: _mask_positions(m),
-    StatisticId.des: lambda n, m: m.bit_count(),
-    StatisticId.maj: lambda n, m: sum(_mask_positions(m)),
-    StatisticId.Pk: _comp_peaks,
-    StatisticId.pk: lambda n, m: len(_comp_peaks(n, m)),
-    StatisticId.Epk: _comp_exterior_peaks,
-    StatisticId.epk: lambda n, m: len(_comp_exterior_peaks(n, m)),
-    StatisticId.Lpk: _comp_left_peaks,
-    StatisticId.lpk: lambda n, m: len(_comp_left_peaks(n, m)),
-    StatisticId.Rpk: _comp_right_peaks,
-    StatisticId.rpk: lambda n, m: len(_comp_right_peaks(n, m)),
-    StatisticId.Val: _comp_valleys,
-    StatisticId.val: lambda n, m: len(_comp_valleys(n, m)),
+# each count statistic is the size of its set, and named in lower case
+_COMP_EVAL: dict[StatisticId, Callable[[int, int], int]] = {
+    **_SET_EVAL,
+    **{StatisticId(stat.value.lower()): _size_of(evaluate) for stat, evaluate in _SET_EVAL.items()},
+    StatisticId.maj: lambda n, d: sum(mask_to_set(d)),
 }
 
 
 def eval_on_composition(stat: StatisticId, comp: Composition) -> StatValue:
     """Evaluate a statistic from the descent set alone; agrees with
     :func:`eval_on_permutation` on any word with that descent composition."""
-    return _COMP_EVAL[stat](comp.n, index_of(comp))
+    value = _COMP_EVAL[stat](comp.n, index_of(comp))
+    return mask_to_set(value) if stat in _SET_EVAL else value
 
 
 DescentStatistic = Union[StatisticId, Callable[[Composition], Hashable]]
@@ -259,22 +237,23 @@ def stat_name(stat: DescentStatistic) -> str:
     return getattr(stat, "__name__", str(stat))
 
 
-def equivalence_classes(stat: DescentStatistic, n: int) -> list[list[Composition]]:
-    """Partition of the compositions of n into blocks of equal statistic
-    value.  Blocks and their members are in ascending index order: the
-    compositions are enumerated by index, so a block is first met at its
-    least member.  A `StatisticId` is evaluated on the index, any other
-    callable on the `Composition` (used for planted control statistics)."""
+def equivalence_classes(stat: DescentStatistic, n: int) -> tuple[tuple[int, ...], ...]:
+    """Partition of the composition indices of n into blocks of equal
+    statistic value, in the form of `KernelSpace.classes`: members
+    ascending, blocks ordered by least member (the indices are met in
+    ascending order).  A `StatisticId` is evaluated on the index, any
+    other callable on the `Composition` (used for planted control
+    statistics)."""
     comps = compositions_of(n)
     if isinstance(stat, StatisticId):
         evaluate = _COMP_EVAL[stat]
         values = (evaluate(n, mask) for mask in range(len(comps)))
     else:
         values = map(stat, comps)
-    blocks: dict[Hashable, list[Composition]] = {}
-    for comp, value in zip(comps, values):
-        blocks.setdefault(value, []).append(comp)
-    return list(blocks.values())
+    blocks: dict[Hashable, list[int]] = {}
+    for mask, value in enumerate(values):
+        blocks.setdefault(value, []).append(mask)
+    return tuple(map(tuple, blocks.values()))
 
 
 # -- shuffles ---------------------------------------------------------------

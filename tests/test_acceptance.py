@@ -86,7 +86,7 @@ def test_criterion_02_fundamental_spanning():
             graph = relation_edges(rels, n)
             components = [[from_index(n, c) for c in block] for block in connected_components(graph)]
             graph_verdict = _partition_key(components) == _partition_key(
-                equivalence_classes(stat, n)
+                [from_index(n, c) for c in block] for block in equivalence_classes(stat, n)
             )
             rank_verdict = spans_equal(
                 edge_vectors(graph), kernel_space(stat, n).basis.rows, n

@@ -7,7 +7,7 @@ import re
 import pytest
 
 import figure_data
-from qsymk import config
+from qsymk import cli, config
 from qsymk.cli import CHECK_NAMES, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -233,6 +233,17 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert str(target) in captured.err
+
+
+def test_unwritable_out_path_fails_before_the_check(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check ran before --out was opened")
+
+    monkeypatch.setattr(cli, "is_ideal_upto", refuse)
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "ideal", "--deg", "1..3", "--out", str(target)])
+    assert info.value.code == 2
 
 
 def test_shufflecheck(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsymk import cli, kernel, linalg
+from qsymk import cli, compositions, kernel, linalg, statistics
 from qsymk.compositions import (
     Composition,
     complement_mask,
@@ -77,7 +77,7 @@ def test_kernel_rref_matches_per_class_construction():
     for stat in [*StatisticId, max_part]:
         for n in range(0, 10):
             generators = [
-                SparseVector(n, {index_of(block[0]): 1, index_of(other): -1})
+                SparseVector(n, {block[0]: 1, other: -1})
                 for block in equivalence_classes(stat, n)
                 for other in block[1:]
             ]
@@ -86,6 +86,32 @@ def test_kernel_rref_matches_per_class_construction():
             assert basis.rows == expected.rows, (stat, n)
             assert basis.pivots == expected.pivots, (stat, n)
             assert basis._int_rows == expected._int_rows, (stat, n)
+
+
+def test_kernel_classes_need_no_composition_round_trip(monkeypatch):
+    # the classes come from the statistics as index blocks; no index is
+    # turned into a Composition and back on the way to a kernel
+    for n in range(0, 12):
+        compositions_of(n)
+    counts = {"index_of": 0, "Composition": 0}
+
+    def counting_index_of(comp):
+        counts["index_of"] += 1
+        return index_of(comp)
+
+    post_init = Composition.__post_init__
+
+    def counting_post_init(self):
+        counts["Composition"] += 1
+        post_init(self)
+
+    for module in (compositions, statistics, kernel):
+        monkeypatch.setattr(module, "index_of", counting_index_of)
+    monkeypatch.setattr(Composition, "__post_init__", counting_post_init)
+    for n in range(1, 12):
+        for stat in StatisticId:
+            kernel._kernel_space.__wrapped__(stat, n)
+    assert counts == {"index_of": 0, "Composition": 0}
 
 
 def test_dimension_queries_do_not_build_the_basis():
@@ -110,7 +136,7 @@ def test_in_span_matches_class_sum_oracle():
             entries = {rng.randrange(32): Fraction(rng.randint(-3, 3)) for _ in range(5)}
             v = SparseVector(n, entries)
             class_sums_vanish = all(
-                sum(v.entries.get(index_of(c), Fraction(0)) for c in block) == 0
+                sum(v.entries.get(c, Fraction(0)) for c in block) == 0
                 for block in classes
             )
             assert in_span(v, ks.basis) == class_sums_vanish

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import complement_permutation, reverse_permutation
-from qsymk.compositions import Composition, compositions_of
+from qsymk.compositions import Composition, compositions_of, from_index, index_of
 from qsymk.config import set_max_degree
 from qsymk import statistics
 from qsymk.errors import DegreeLimitError, DisjointnessError
@@ -169,9 +169,100 @@ def test_exterior_peak_count_is_valley_count_plus_one():
             assert eval_on_composition(S.epk, comp) == eval_on_composition(S.val, comp) + 1
 
 
+# The position-loop evaluators that the mask formulas replaced, kept as
+# the oracle of `eval_on_composition` and `equivalence_classes` at degrees
+# the permutation route cannot reach.
+
+def _comp_peaks(n: int, mask: int) -> frozenset[int]:
+    return frozenset(
+        i for i in range(2, n)
+        if (mask >> (i - 1)) & 1 and not (mask >> (i - 2)) & 1
+    )
+
+
+def _comp_valleys(n: int, mask: int) -> frozenset[int]:
+    return frozenset(
+        i for i in range(2, n)
+        if not (mask >> (i - 1)) & 1 and (mask >> (i - 2)) & 1
+    )
+
+
+def _comp_left_peaks(n: int, mask: int) -> frozenset[int]:
+    out = set(_comp_peaks(n, mask))
+    if n >= 2 and mask & 1:
+        out.add(1)
+    return frozenset(out)
+
+
+def _comp_right_peaks(n: int, mask: int) -> frozenset[int]:
+    out = set(_comp_peaks(n, mask))
+    if n >= 2 and not (mask >> (n - 2)) & 1:
+        out.add(n)
+    return frozenset(out)
+
+
+def _comp_exterior_peaks(n: int, mask: int) -> frozenset[int]:
+    if n == 1:
+        return frozenset({1})
+    return _comp_left_peaks(n, mask) | _comp_right_peaks(n, mask)
+
+
+def _mask_positions(mask: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+_VIA_POSITIONS = {
+    S.Des: lambda n, m: _mask_positions(m),
+    S.des: lambda n, m: m.bit_count(),
+    S.maj: lambda n, m: sum(_mask_positions(m)),
+    S.Pk: _comp_peaks,
+    S.pk: lambda n, m: len(_comp_peaks(n, m)),
+    S.Epk: _comp_exterior_peaks,
+    S.epk: lambda n, m: len(_comp_exterior_peaks(n, m)),
+    S.Lpk: _comp_left_peaks,
+    S.lpk: lambda n, m: len(_comp_left_peaks(n, m)),
+    S.Rpk: _comp_right_peaks,
+    S.rpk: lambda n, m: len(_comp_right_peaks(n, m)),
+    S.Val: _comp_valleys,
+    S.val: lambda n, m: len(_comp_valleys(n, m)),
+}
+
+
+def _comp_eval_via_positions(stat: StatisticId, comp: Composition):
+    return _VIA_POSITIONS[stat](comp.n, index_of(comp))
+
+
+def _classes_via_positions(stat, n: int) -> tuple[tuple[int, ...], ...]:
+    """Compositions grouped by value, then converted to index blocks."""
+    blocks: dict = {}
+    for comp in compositions_of(n):
+        value = _comp_eval_via_positions(stat, comp) if isinstance(stat, StatisticId) else stat(comp)
+        blocks.setdefault(value, []).append(comp)
+    return tuple(tuple(index_of(c) for c in block) for block in blocks.values())
+
+
+def max_part(comp: Composition) -> int:
+    return max(comp.parts) if comp.parts else 0
+
+
+def test_mask_formulas_match_position_loops():
+    for n in range(0, 13):
+        for comp in compositions_of(n):
+            for stat in StatisticId:
+                assert eval_on_composition(stat, comp) == _comp_eval_via_positions(stat, comp), (
+                    stat, comp,
+                )
+
+
+def test_equivalence_classes_match_position_loops():
+    for n in range(0, 11):
+        for stat in [*StatisticId, max_part]:
+            assert equivalence_classes(stat, n) == _classes_via_positions(stat, n), (stat, n)
+
+
 def test_equivalence_classes_examples():
     blocks = equivalence_classes(S.Pk, 4)
-    as_sets = {frozenset(str(c) for c in block) for block in blocks}
+    as_sets = {frozenset(str(from_index(4, c)) for c in block) for block in blocks}
     assert as_sets == {
         frozenset({"(4)", "(1,3)", "(1,1,2)", "(1,1,1,1)"}),
         frozenset({"(2,2)", "(2,1,1)"}),
