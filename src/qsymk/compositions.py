@@ -48,10 +48,6 @@ class Composition:
         """The degree: sum of the parts (cached)."""
         return self._n  # type: ignore[attr-defined]
 
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
     def __len__(self) -> int:
         return len(self.parts)
 

@@ -25,9 +25,12 @@ def max_degree() -> int:
     raw = os.environ.get(ENV_MAX_DEGREE)
     if raw is not None:
         try:
-            return int(raw)
+            limit = int(raw)
+            if limit >= 0:
+                return limit
         except ValueError:
-            raise DegreeLimitError(f"{ENV_MAX_DEGREE} must be an integer, got {raw!r}")
+            pass
+        raise DegreeLimitError(f"{ENV_MAX_DEGREE} must be a nonnegative integer, got {raw!r}")
     return DEFAULT_MAX_DEGREE
 
 

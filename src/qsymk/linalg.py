@@ -5,10 +5,10 @@ keyed by composition index in [0, 2^(n-1)) and every stored coefficient
 is nonzero: an `int` when integral, else a `fractions.Fraction`.  All
 checks are exact equalities of rationals; there is no tolerance anywhere.
 
-Internally, elimination is fraction-free: rows are primitive integer
-vectors (content 1) combined by cross-multiplication, and divisions by
-the pivot happen only once, when producing the reduced row-echelon rows
-of a `RowBasis`.  Pivots are chosen as the smallest column index.
+Internally, elimination is fraction-free.  An echelon is a dict from
+pivot column (a row's least column) to a primitive integer row, and
+`_remainder` is the one loop that eliminates a vector against it, by
+cross-multiplication.  Pivot divisions happen once, in `reduce`.
 """
 
 from __future__ import annotations
@@ -79,22 +79,17 @@ class SparseVector:
 
 
 class RowBasis:
-    """Rows in reduced row-echelon form with recorded pivot columns.
+    """The rational view that `reduce` and `KernelSpace.basis` return: rows
+    in reduced row-echelon form with recorded pivot columns.  Pivot columns
+    strictly increase, each pivot entry is 1, and a pivot column is zero in
+    every other row."""
 
-    Invariants: pivot columns strictly increase, each pivot entry is 1,
-    and a pivot column is zero in every other row.
-    """
+    __slots__ = ("n", "rows", "pivots")
 
-    __slots__ = ("n", "rows", "pivots", "_int_rows")
-
-    def __init__(self, n: int, rows: Sequence[SparseVector], pivots: Sequence[int],
-                 _int_rows: dict[int, dict[int, int]] | None = None):
+    def __init__(self, n: int, rows: Sequence[SparseVector], pivots: Sequence[int]):
         self.n = n
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
-        if _int_rows is None:
-            _int_rows = {p: _to_int_vec(r) for p, r in zip(self.pivots, self.rows)}
-        self._int_rows = _int_rows
 
     @property
     def rank(self) -> int:
@@ -104,11 +99,12 @@ class RowBasis:
         return f"RowBasis(n={self.n}, rank={self.rank}, pivots={self.pivots})"
 
 
-def _to_int_vec(v: SparseVector) -> dict[int, int]:
+def _integral(v: SparseVector) -> dict[int, int]:
+    """v scaled by its common denominator; `v.entries` itself if integral."""
     denom = lcm(*(value.denominator for value in v.entries.values()))
     if denom == 1:
-        return _normalized(dict(v.entries))
-    return _normalized({c: value.numerator * (denom // value.denominator) for c, value in v.entries.items()})
+        return v.entries
+    return {c: value.numerator * (denom // value.denominator) for c, value in v.entries.items()}
 
 
 def _normalized(vec: dict[int, int]) -> dict[int, int]:
@@ -147,63 +143,41 @@ def _eliminate(vec: dict[int, int], row: dict[int, int], col: int) -> None:
         _normalized(vec)
 
 
-class _Echelon:
-    """Incremental integer row-echelon accumulator (not back-substituted)."""
+def _remainder(rows: dict[int, dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
+    """A copy of vec, its least column eliminated against `rows` until no
+    row has that pivot: empty exactly when vec lies in the span of rows."""
+    vec = dict(vec)
+    while vec and (col := min(vec)) in rows:
+        _eliminate(vec, rows[col], col)
+    return vec
 
-    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: dict[int, dict[int, int]] = {}
+def _echelon(vectors: Iterable[SparseVector]) -> dict[int, dict[int, int]]:
+    """Primitive integer pivot rows (not back-substituted) spanning vectors."""
+    rows: dict[int, dict[int, int]] = {}
+    for v in vectors:
+        rest = _remainder(rows, _integral(v))
+        if rest:
+            rows[min(rest)] = _normalized(rest)
+    return rows
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
-    def add(self, vec: dict[int, int]) -> bool:
-        """Reduce vec against the current rows; insert the remainder as a
-        new pivot row.  Returns True iff the rank grew."""
-        vec = dict(vec)
-        while vec:
-            col = min(vec)
-            row = self.rows.get(col)
-            if row is None:
-                self.rows[col] = _normalized(vec)
-                return True
-            _eliminate(vec, row, col)
-        return False
-
-    def reduces_to_zero(self, vec: dict[int, int]) -> bool:
-        vec = dict(vec)
-        while vec:
-            col = min(vec)
-            row = self.rows.get(col)
-            if row is None:
-                return False
-            _eliminate(vec, row, col)
-        return True
-
-    def to_row_basis(self) -> RowBasis:
-        """Back-substitute and rescale pivots to 1."""
-        pivots = sorted(self.rows)
-        pivot_set = set(pivots)
-        reduced: dict[int, dict[int, int]] = {}
-        for p in reversed(pivots):
-            row = dict(self.rows[p])
-            # Later rows are already fully reduced, so eliminating their
-            # pivot columns cannot reintroduce other pivot columns.
-            for q in sorted(c for c in row if c != p and c in pivot_set):
-                if q in row:
-                    _eliminate(row, reduced[q], q)
-            reduced[p] = _normalized(row)
-        rows = []
-        int_rows = {}
-        for p in pivots:
-            row = reduced[p]
-            lead = row[p]
-            rows.append(SparseVector(self.n, {c: Fraction(v, lead) for c, v in row.items()}))
-            int_rows[p] = row
-        return RowBasis(self.n, rows, pivots, _int_rows=int_rows)
+def _row_basis(n: int, rows: dict[int, dict[int, int]]) -> RowBasis:
+    """Back-substitute and rescale pivots to 1."""
+    pivots = sorted(rows)
+    pivot_set = set(pivots)
+    reduced: dict[int, dict[int, int]] = {}
+    for p in reversed(pivots):
+        row = dict(rows[p])
+        # Later rows are already fully reduced, so eliminating their
+        # pivot columns cannot reintroduce other pivot columns.
+        for q in sorted(c for c in row if c != p and c in pivot_set):
+            if q in row:
+                _eliminate(row, reduced[q], q)
+        reduced[p] = _normalized(row)
+    rational = [SparseVector(n, {c: Fraction(v, row[p]) for c, v in row.items()})
+                for p, row in sorted(reduced.items())]
+    return RowBasis(n, rational, pivots)
 
 
 def _common_degree(vectors: Sequence[SparseVector], n: int | None) -> int:
@@ -217,49 +191,48 @@ def _common_degree(vectors: Sequence[SparseVector], n: int | None) -> int:
     return n
 
 
-def _echelon_of(vectors: Sequence[SparseVector], n: int) -> _Echelon:
-    ech = _Echelon(n)
-    for v in vectors:
-        ech.add(_to_int_vec(v))
-    return ech
-
-
 def reduce(vectors: Iterable[SparseVector], n: int | None = None) -> RowBasis:
     """Row-reduce a family of vectors; the row space is preserved and the
     number of rows equals the rank."""
     vecs = list(vectors)
-    n = _common_degree(vecs, n)
-    return _echelon_of(vecs, n).to_row_basis()
+    return _row_basis(_common_degree(vecs, n), _echelon(vecs))
 
 
 def in_span(v: SparseVector, basis: RowBasis) -> bool:
     """True iff v reduces to zero against the basis rows."""
     if v.n != basis.n:
         raise DegreeMismatchError(f"vector degree {v.n} vs basis degree {basis.n}")
-    ech = _Echelon(basis.n)
-    ech.rows = basis._int_rows
-    return ech.reduces_to_zero(_to_int_vec(v))
+    rows = {p: _integral(row) for p, row in zip(basis.pivots, basis.rows)}
+    return not _remainder(rows, _integral(v))
 
 
 def spans_equal(
     a: Iterable[SparseVector], b: Iterable[SparseVector], n: int | None = None
 ) -> bool:
-    """True iff rank(A) = rank(B) = rank(A u B)."""
-    avecs = list(a)
-    bvecs = list(b)
-    n = _common_degree(avecs + bvecs, n)
-    ech_a = _echelon_of(avecs, n)
-    ech_b = _echelon_of(bvecs, n)
-    if ech_a.rank != ech_b.rank:
+    """True iff rank(A) = rank(B) and every vector of B lies in span(A).
+
+    >>> spans_equal([SparseVector(3, {0: 1})], [SparseVector(3, {0: -2})])
+    True
+    >>> spans_equal([SparseVector(3, {0: 1})], [SparseVector(3, {1: 1})])
+    False
+    """
+    avecs, bvecs = list(a), list(b)
+    _common_degree(avecs + bvecs, n)
+    rows_a = _echelon(avecs)
+    if len(rows_a) != len(_echelon(bvecs)):
         return False
-    # ech_a is not read again, so it can take the rows of B itself
-    return not any(ech_a.add(_to_int_vec(v)) for v in bvecs)
+    return not any(_remainder(rows_a, _integral(v)) for v in bvecs)
 
 
 def rank(vectors: Iterable[SparseVector], n: int | None = None) -> int:
-    """The rank of a family of vectors, without back-substitution."""
+    """The rank of a family of vectors, without back-substitution.
+
+    >>> rank([SparseVector(3, {0: 1, 1: 2}), SparseVector(3, {0: -2, 1: -4})])
+    1
+    """
     vecs = list(vectors)
-    return _echelon_of(vecs, _common_degree(vecs, n)).rank
+    _common_degree(vecs, n)
+    return len(_echelon(vecs))
 
 
 def is_independent(vectors: Iterable[SparseVector], n: int | None = None) -> bool:

@@ -329,18 +329,31 @@ def element_to_json_dict(elem: QSymElement) -> dict:
     }
 
 
+def _json_field(data: object, key: str, kinds: tuple[type, ...]):
+    """data[key] when data is an object holding a value of one of `kinds`;
+    otherwise a ValueError that names the field."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"JSON element field {key!r} is missing")
+    value = data[key]
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"JSON element field {key!r} must be {names}, got {value!r}")
+    return value
+
+
 def element_from_json_dict(data: dict) -> QSymElement:
     """Inverse of `element_to_json_dict`; each composition must have the
-    stated degree and appear once."""
-    n = data["degree"]
+    stated degree and appear once.  A missing or ill-typed field raises a
+    ValueError that names it."""
+    n = _json_field(data, "degree", (int,))
     check_degree(n)
     coeffs = {}
-    for term in data["terms"]:
-        comp = parse_composition(term["composition"])
+    for term in _json_field(data, "terms", (list,)):
+        comp = parse_composition(_json_field(term, "composition", (str,)))
         if comp.n != n:
             raise DegreeMismatchError(f"composition {comp} has degree {comp.n}, not {n}")
         mask = index_of(comp)
         if mask in coeffs:
             raise ValueError(f"composition {comp} appears more than once")
-        coeffs[mask] = term["coeff"]
-    return QSymElement(n, data["basis"], coeffs)
+        coeffs[mask] = _json_field(term, "coeff", (str, int, float))
+    return QSymElement(n, _json_field(data, "basis", (str,)), coeffs)

@@ -90,9 +90,6 @@ class StatisticId(enum.Enum):
     val = "val"
 
 
-ALL_STATISTICS: tuple[StatisticId, ...] = tuple(StatisticId)
-
-
 def parse_statistic(name: str) -> StatisticId:
     """Look up a statistic by its case-sensitive name."""
     for stat in StatisticId:

@@ -223,6 +223,7 @@ def test_degree_limit_env_override(monkeypatch):
     assert max_degree() == 3
     with pytest.raises(DegreeLimitError):
         compositions_of(4)
-    monkeypatch.setenv("QSYMK_MAX_DEGREE", "not-a-number")
-    with pytest.raises(DegreeLimitError):
-        max_degree()
+    for raw in ("not-a-number", "-1"):
+        monkeypatch.setenv("QSYMK_MAX_DEGREE", raw)
+        with pytest.raises(DegreeLimitError):
+            max_degree()

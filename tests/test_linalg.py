@@ -22,6 +22,76 @@ def vec(n, **cols):
     return SparseVector(n, {int(k): v for k, v in cols.items()})
 
 
+def gauss_jordan(vectors, n):
+    """Textbook dense Gauss-Jordan over Fraction: (rows, pivots) of the
+    reduced row-echelon form, an oracle independent of `linalg`."""
+    width = 1 << max(n - 1, 0)
+    rows = [[Fraction(v.entries.get(c, 0)) for c in range(width)] for v in vectors]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        below = [i for i in range(r, len(rows)) if rows[i][col]]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    rref = tuple(SparseVector(n, dict(enumerate(row))) for row in rows[:len(pivots)])
+    return rref, tuple(pivots)
+
+
+def assert_matches_gauss_jordan(a, b, n):
+    """reduce, rank, in_span and spans_equal on families a and b agree
+    with the dense oracle."""
+    rows, pivots = gauss_jordan(a, n)
+    basis = reduce(a, n)
+    assert basis.rows == rows
+    assert basis.pivots == pivots
+    assert rank(a, n) == len(pivots)
+    for v in b:
+        assert in_span(v, basis) == (len(gauss_jordan([*a, v], n)[1]) == len(pivots))
+    # the RREF is unique, so equal spans are equal oracle rows
+    assert spans_equal(a, b, n) == (gauss_jordan(b, n)[0] == rows)
+    assert spans_equal(a, [*reversed(a), *a[:1]], n)
+
+
+entry_dicts = st.lists(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=15),
+        st.builds(
+            Fraction,
+            st.integers(min_value=-9, max_value=9),
+            st.integers(min_value=1, max_value=9),
+        ),
+        max_size=5,
+    ),
+    max_size=6,
+)
+
+
+def seeded_families():
+    """The families of the reduce, rank-invariance and idempotence tests."""
+    families = [
+        ([SparseVector(3, {0: 1, 1: 1}), SparseVector(3, {1: 1})], None),
+        ([SparseVector(3, {0: 2, 2: -1}), SparseVector(3, {0: 4, 2: -2})], None),
+        ([SparseVector(6, {i: 1}) for i in range(32)], None),
+        ([SparseVector(3, {0: Fraction(1, 3), 1: 1})], None),
+        ([], 4),
+    ]
+    for seed, width, count in ((3, 4, 6), (11, 5, 7)):
+        rng = random.Random(seed)
+        for _ in range(20):
+            families.append(([
+                SparseVector(5, {rng.randrange(16): rng.randint(-4, 4) for _ in range(width)})
+                for _ in range(count)
+            ], 5))
+    return families
+
+
 def test_sparse_vector_drops_zeros():
     v = SparseVector(3, {0: 0, 1: Fraction(1, 2)})
     assert v.entries == {1: Fraction(1, 2)}
@@ -88,20 +158,7 @@ def test_rank_invariant_under_permutation_and_scaling():
         assert reduce(scaled, n=5).rank == rank
 
 
-@given(
-    st.lists(
-        st.dictionaries(
-            st.integers(min_value=0, max_value=15),
-            st.builds(
-                Fraction,
-                st.integers(min_value=-9, max_value=9),
-                st.integers(min_value=1, max_value=9),
-            ),
-            max_size=5,
-        ),
-        max_size=6,
-    )
-)
+@given(entry_dicts)
 @settings(max_examples=80)
 def test_rref_invariants(entry_dicts):
     vectors = [SparseVector(5, d) for d in entry_dicts]
@@ -148,6 +205,12 @@ def test_spans_equal_examples():
         [SparseVector(3, {0: 1}), SparseVector(3, {1: 1})],
     )
     assert spans_equal([], [SparseVector(3, {})], n=3)
+    # planted negatives: equal ranks, different spans
+    e = [SparseVector(3, {i: 1}) for i in range(4)]
+    assert not spans_equal([e[0]], [e[1]])
+    assert not spans_equal([SparseVector(3, {0: 1, 1: 1})], [SparseVector(3, {0: 1, 1: -1})])
+    assert not spans_equal([e[0], e[1]], [e[0], e[2]])
+    assert not spans_equal([e[0], e[1], e[2]], [e[1], e[2], e[3]])
 
 
 def test_is_independent_examples():
@@ -158,22 +221,7 @@ def test_is_independent_examples():
 
 
 def test_rank_matches_reduce():
-    # the families of the reduce, rank-invariance and idempotence tests
-    families = [
-        ([SparseVector(3, {0: 1, 1: 1}), SparseVector(3, {1: 1})], None),
-        ([SparseVector(3, {0: 2, 2: -1}), SparseVector(3, {0: 4, 2: -2})], None),
-        ([SparseVector(6, {i: 1}) for i in range(32)], None),
-        ([SparseVector(3, {0: Fraction(1, 3), 1: 1})], None),
-        ([], 4),
-    ]
-    for seed, width, count in ((3, 4, 6), (11, 5, 7)):
-        rng = random.Random(seed)
-        for _ in range(20):
-            families.append(([
-                SparseVector(5, {rng.randrange(16): rng.randint(-4, 4) for _ in range(width)})
-                for _ in range(count)
-            ], 5))
-    for vectors, n in families:
+    for vectors, n in seeded_families():
         assert rank(vectors, n) == reduce(vectors, n).rank
     with pytest.raises(ValueError):
         rank([])
@@ -195,3 +243,19 @@ def test_reduction_agrees_when_content_reduction_triggers(monkeypatch):
     monkeypatch.setattr(linalg, "_GROWTH_LIMIT", 2)
     for vectors, rows in zip(batches, expected):
         assert reduce(vectors, n=5).rows == rows
+
+
+@given(entry_dicts, entry_dicts)
+@settings(max_examples=80)
+def test_linalg_matches_dense_gauss_jordan(a_dicts, b_dicts):
+    a = [SparseVector(5, d) for d in a_dicts]
+    b = [SparseVector(5, d) for d in b_dicts]
+    assert_matches_gauss_jordan(a, b, 5)
+    # b spans the same space as a: a's rows scaled and mixed
+    assert_matches_gauss_jordan(a, [*reduce(a, 5).rows[::-1], *a], 5)
+
+
+def test_seeded_families_match_dense_gauss_jordan():
+    families = [(a, n if n is not None else a[0].n) for a, n in seeded_families()]
+    for (a, n), (b, m) in zip(families, families[1:] + families[:1]):
+        assert_matches_gauss_jordan(a, b if m == n else [], n)

@@ -248,6 +248,20 @@ def test_json_rejects_foreign_degree_and_repeated_compositions():
         {"composition": "(1,2)", "coeff": "1"}, {"composition": "(1,2)", "coeff": "2"}]}
     with pytest.raises(ValueError):
         element_from_json_dict(repeated)
+    # a missing or ill-typed field is a ValueError that names it
+    term = {"composition": "(1,2)", "coeff": "1"}
+    malformed = [
+        ({"degree": 3, "basis": "F"}, "terms"),
+        ({"degree": "3", "basis": "F", "terms": [term]}, "degree"),
+        ({"degree": 3, "basis": "F", "terms": [{"composition": "(1,2)"}]}, "coeff"),
+        ({"degree": 3, "basis": "F", "terms": [{"composition": [1, 2], "coeff": "1"}]},
+         "composition"),
+        ({"degree": 3, "terms": [term]}, "basis"),
+        ({"degree": 3, "basis": "F", "terms": ["(1,2)"]}, "composition"),
+    ]
+    for data, field in malformed:
+        with pytest.raises(ValueError, match=repr(field)):
+            element_from_json_dict(data)
 
 
 def test_json_and_basis_changes_enforce_the_degree_limit():
