@@ -432,95 +432,90 @@ class OmegaSets:
     om3: tuple[tuple[frozenset[int], int], ...]
     om4: tuple[tuple[frozenset[int], int], ...]
 
-    def region(self, which: int) -> tuple[tuple[frozenset[int], int], ...]:
-        return (self.om1, self.om2, self.om3, self.om4)[which - 1]
-
     def omega(self) -> list[tuple[int, frozenset[int], int]]:
         """Regions 1-3 flattened as (region, C, k), in region order."""
-        return [(r, c, k) for r in (1, 2, 3) for c, k in self.region(r)]
+        return [(r, c, k) for r, om in enumerate((self.om1, self.om2, self.om3), 1) for c, k in om]
+
+
+def _region(n: int, c_mask: int, k: int) -> int | None:
+    """The region holding (C, k), for C inside [n-1] given by its mask and
+    k in [n-1], or None; the regions are disjoint.  With C0 = C u {0}:
+
+      1  C != [n-1]; k and k-1 outside C; k-2 in C0
+      2  C inside [n-2], containing n-2, C != [n-2]; k outside C; k+1 in
+         C; k-1 in C0
+      3  C = [n-2] and k = n-1
+      4  n-1 in C; k in C; k-1 in C0; k+1 outside C; k+2 in C; and every
+         member j != n-1 of C0 has j+1 or j+2 in C
+    """
+    has = lambda j: 1 <= j <= n - 1 and c_mask >> (j - 1) & 1
+    held = lambda j: j == 0 or has(j)  # j in C0
+    top = full_mask(n) >> 1  # [n-2]
+    if c_mask != full_mask(n) and not has(k) and not has(k - 1) and held(k - 2):
+        return 1
+    if not has(n - 1) and has(n - 2) and c_mask != top and not has(k) and has(k + 1) and held(k - 1):
+        return 2
+    if c_mask == top and k == n - 1:
+        return 3
+    if has(n - 1) and has(k) and held(k - 1) and not has(k + 1) and has(k + 2):
+        if all(has(j + 1) or has(j + 2) for j in range(n - 1) if held(j)):
+            return 4
+    return None
 
 
 def omega_sets(n: int) -> OmegaSets:
-    """Enumerate the four regions by their literal membership predicates."""
+    """The pairs (C, k) of each region, C by mask ascending, then k.
+
+    >>> omega_sets(2).om3 == ((frozenset(), 1),)
+    True
+    """
     check_degree(n)
-    return _omega_sets(n)
-
-
-@lru_cache(maxsize=None)
-def _omega_sets(n: int) -> OmegaSets:
-    om1, om2, om3, om4 = [], [], [], []
-    size = 1 << max(n - 1, 0)
-    fullm = full_mask(n)
-    for c_mask in range(size):
-        has = lambda j: 1 <= j <= n - 1 and (c_mask >> (j - 1)) & 1
-        c_set = mask_to_set(c_mask)
+    regions: tuple[list, ...] = ([], [], [], [])
+    for c_mask in range(1 << max(n - 1, 0)):
         for k in range(1, n):
-            in_c = has(k)
-            # region 1: C proper, k and k-1 outside C, k-2 in C u {0}
-            if c_mask != fullm and not in_c and not has(k - 1) and (k - 2 == 0 or has(k - 2)):
-                om1.append((c_set, k))
-            # region 2: C proper inside [n-2] containing n-2, k outside C,
-            # k+1 in C, k-1 in C u {0}
-            if (
-                n >= 2
-                and not has(n - 1)
-                and c_mask != fullm >> 1
-                and has(n - 2)
-                and not in_c
-                and has(k + 1)
-                and (k - 1 == 0 or has(k - 1))
-            ):
-                om2.append((c_set, k))
-            # region 4: n-1 in C; k in C with k-1 in C u {0}, k+1 outside,
-            # k+2 in C; and every member of C u {0} except n-1 is followed
-            # by another member within two steps
-            if (
-                has(n - 1)
-                and in_c
-                and (k - 1 == 0 or has(k - 1))
-                and not has(k + 1)
-                and has(k + 2)
-            ):
-                members = [0] + sorted(c_set)
-                if all(
-                    has(j + 1) or has(j + 2) for j in members if j != n - 1
-                ):
-                    om4.append((c_set, k))
-    if n >= 2:
-        om3.append((mask_to_set(fullm >> 1), n - 1))
-    return OmegaSets(n, tuple(om1), tuple(om2), tuple(om3), tuple(om4))
+            r = _region(n, c_mask, k)
+            if r is not None:
+                regions[r - 1].append((mask_to_set(c_mask), k))
+    return OmegaSets(n, *map(tuple, regions))
+
+
+def _swap(c_mask: int, k: int) -> int:
+    """The region-4 partner C - {k} u {k+1} of (C, k)."""
+    return c_mask & ~(1 << (k - 1)) | 1 << k
+
+
+def _member_mask(region: int, c: frozenset[int], k: int, n: int) -> int:
+    """The mask of C, once (C, k) is known to lie in the given region."""
+    check_degree(n)
+    if region not in (1, 2, 3, 4):
+        raise ValueError(f"region must be 1..4, got {region}")
+    # positions first: set_to_mask takes only ints, and no 0
+    inside = all(isinstance(j, int) and 1 <= j <= n - 1 for j in (*c, k))
+    if not (inside and _region(n, set_to_mask(c), k) == region):
+        raise ValueError(f"({set(c)}, {k}) is not in region {region} at degree {n}")
+    return set_to_mask(c)
 
 
 def f_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:
     """The F-side family member indexed by (C, k) in the given region."""
-    _require_member(region, c, k, n)
-    c_mask = set_to_mask(c)
+    c_mask = _member_mask(region, c, k, n)
     if region == 1:
         other = c_mask | (1 << (k - 2))
     elif region in (2, 3):
         other = c_mask | (1 << (n - 2))
     else:
-        other = (c_mask | (1 << k)) & ~(1 << (k - 1))
+        other = _swap(c_mask, k)
     return QSymElement(n, "F", {c_mask: 1, other: -1})
 
 
 def m_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:
     """The M-side family member indexed by (C, k) in the given region."""
-    _require_member(region, c, k, n)
-    c_mask = set_to_mask(c)
+    c_mask = _member_mask(region, c, k, n)
     if region in (1, 2):
         return QSymElement(n, "M", {c_mask: 1, c_mask | (1 << (k - 1)): 1})
     if region == 3:
         return QSymElement(n, "M", {c_mask: 1})
-    other = (c_mask | (1 << k)) & ~(1 << (k - 1))
-    return QSymElement(n, "M", {c_mask: 1, other: -1})
-
-
-def _require_member(region: int, c: frozenset[int], k: int, n: int) -> None:
-    if region not in (1, 2, 3, 4):
-        raise ValueError(f"region must be 1..4, got {region}")
-    if (frozenset(c), k) not in omega_sets(n).region(region):
-        raise ValueError(f"({set(c)}, {k}) is not in region {region} at degree {n}")
+    return QSymElement(n, "M", {c_mask: 1, _swap(c_mask, k): -1})
 
 
 def check_section4_props(n: int) -> dict:
@@ -544,10 +539,7 @@ def check_section4_props(n: int) -> dict:
     mn_pknum = monomial_span_vectors(StatisticId.pk, n)
 
     arrow3_edges = {(a, b) for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges}
-    om4_pairs = {
-        (set_to_mask(c), (set_to_mask(c) | (1 << k)) & ~(1 << (k - 1)))
-        for c, k in om.om4
-    }
+    om4_pairs = {(set_to_mask(c), _swap(set_to_mask(c), k)) for c, k in om.om4}
 
     results = {
         "prop41_f_family_spans_FPk": spans_equal(f_omega, fn_pk, n),

@@ -21,6 +21,7 @@ coarsening sum (-1)^{n - l(L)} * sum of M_K over coarsenings K of L.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -330,14 +331,17 @@ def element_to_json_dict(elem: QSymElement) -> dict:
 
 
 def _json_field(data: object, key: str, kinds: tuple[type, ...]):
-    """data[key] when data is an object holding a value of one of `kinds`;
-    otherwise a ValueError that names the field."""
+    """data[key] when data is an object holding a finite, non-bool value of
+    one of `kinds`; otherwise a ValueError that names the field."""
     if not isinstance(data, dict) or key not in data:
         raise ValueError(f"JSON element field {key!r} is missing")
     value = data[key]
-    if not isinstance(value, kinds):
+    # a bool is an int to isinstance, but true is no degree or coefficient
+    if isinstance(value, bool) or not isinstance(value, kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise ValueError(f"JSON element field {key!r} must be {names}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"JSON element field {key!r} must be finite, got {value!r}")
     return value
 
 

@@ -137,42 +137,26 @@ def _peaks_at(v: tuple[int, ...], shift: int) -> frozenset[int]:
     return frozenset([i + shift for i in range(1, len(v) - 1) if v[i - 1] < v[i] > v[i + 1]])
 
 
-def _perm_peaks(w: tuple[int, ...]) -> frozenset[int]:
-    return _peaks_at(w, 1)
-
-
-def _perm_valleys(w: tuple[int, ...]) -> frozenset[int]:
-    return _peaks_at(tuple(-x for x in w), 1)
-
-
 # Letters are positive: a 0 written at an end makes a boundary peak a peak.
-
-def _perm_left_peaks(w: tuple[int, ...]) -> frozenset[int]:
-    return _peaks_at((0,) + w, 0)
-
-
-def _perm_right_peaks(w: tuple[int, ...]) -> frozenset[int]:
-    return _peaks_at(w + (0,), 1)
-
-
-def _perm_exterior_peaks(w: tuple[int, ...]) -> frozenset[int]:
-    return _peaks_at((0,) + w + (0,), 0)
-
-
-_PERM_EVAL: dict[StatisticId, Callable[[tuple[int, ...]], StatValue]] = {
+_PERM_SET_EVAL: dict[StatisticId, Callable[[tuple[int, ...]], frozenset[int]]] = {
     StatisticId.Des: lambda w: frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i]),
-    StatisticId.des: lambda w: sum(1 for i in range(1, len(w)) if w[i - 1] > w[i]),
+    StatisticId.Pk: lambda w: _peaks_at(w, 1),
+    StatisticId.Epk: lambda w: _peaks_at((0,) + w + (0,), 0),
+    StatisticId.Lpk: lambda w: _peaks_at((0,) + w, 0),
+    StatisticId.Rpk: lambda w: _peaks_at(w + (0,), 1),
+    StatisticId.Val: lambda w: _peaks_at(tuple(-x for x in w), 1),
+}
+
+
+def _len_of(evaluate: Callable[[tuple[int, ...]], frozenset[int]]) -> Callable[[tuple[int, ...]], int]:
+    return lambda w: len(evaluate(w))
+
+
+# as on compositions, each count statistic is the size of its set
+_PERM_EVAL: dict[StatisticId, Callable[[tuple[int, ...]], StatValue]] = {
+    **_PERM_SET_EVAL,
+    **{StatisticId(stat.value.lower()): _len_of(evaluate) for stat, evaluate in _PERM_SET_EVAL.items()},
     StatisticId.maj: lambda w: sum(i for i in range(1, len(w)) if w[i - 1] > w[i]),
-    StatisticId.Pk: _perm_peaks,
-    StatisticId.pk: lambda w: len(_perm_peaks(w)),
-    StatisticId.Epk: _perm_exterior_peaks,
-    StatisticId.epk: lambda w: len(_perm_exterior_peaks(w)),
-    StatisticId.Lpk: _perm_left_peaks,
-    StatisticId.lpk: lambda w: len(_perm_left_peaks(w)),
-    StatisticId.Rpk: _perm_right_peaks,
-    StatisticId.rpk: lambda w: len(_perm_right_peaks(w)),
-    StatisticId.Val: _perm_valleys,
-    StatisticId.val: lambda w: len(_perm_valleys(w)),
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 import figure_data
 from qsymk import cli, config
 from qsymk.cli import CHECK_NAMES, main
+from qsymk.kernel import RelationId
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -244,6 +245,32 @@ def test_unwritable_out_path_fails_before_the_check(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as info:
         main(["verify", "ideal", "--deg", "1..3", "--out", str(target)])
     assert info.value.code == 2
+
+
+def test_failing_checks_report_witnesses(capsys, monkeypatch):
+    # planted: the arrow1 splits alone are sound for Pk but span too little
+    arrow1 = frozenset({RelationId.Arrow1})
+    monkeypatch.setitem(cli.RELATION_SETS, "arrow12", arrow1)
+    monkeypatch.setitem(cli.RELATION_SETS, "pkbasis", arrow1)
+    dims = (1, 2, 5, 11)
+    for check, key, counts in (("thm2a", "edge_rank", (0, 1, 3, 8)), ("thm33", "edges", (0, 1, 3, 8))):
+        code, out = run_cli(capsys, "verify", check, "--deg", "1..5")
+        assert code == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        first, *rest = report["rows"]
+        assert first["pass"] and "witness" not in first
+        assert not any(row["pass"] for row in rest)
+        assert [row["witness"] for row in rest] == [
+            {"kernel_dim": dim, key: count} for dim, count in zip(dims, counts)
+        ]
+
+    monkeypatch.setattr(cli, "check_spanning_M", lambda stat, n: False)
+    code, out = run_cli(capsys, "verify", "thm3a", "--deg", "1..3")
+    assert code == 1
+    assert [row["witness"] for row in json.loads(out)["rows"]] == [
+        {"kernel_dim": dim} for dim in (0, 1, 2)
+    ]
 
 
 def test_shufflecheck(capsys):

@@ -18,6 +18,7 @@ from qsymk.compositions import (
 )
 from qsymk.errors import RelationUnsoundError
 from qsymk.kernel import (
+    RelationGraph,
     RelationId,
     check_basis_F,
     check_section4_props,
@@ -345,6 +346,13 @@ def test_family_examples():
         m_family(2, frozenset(), 1, 2)
     with pytest.raises(ValueError):
         f_family(5, frozenset(), 1, 2)
+    # positions of C and k that are not ints in [n-1] are in no region
+    n = 4
+    outside = ((frozenset({0}), 2), (frozenset({n}), 2), (frozenset(), 0), (frozenset(), n))
+    for c, k in (*outside, (frozenset({"1"}), 2), (frozenset({1.0}), 3), (frozenset(), 2.0)):
+        for family in (f_family, m_family):
+            with pytest.raises(ValueError, match="not in region"):
+                family(1, c, k, n)
 
 
 def test_section4_props():
@@ -353,6 +361,34 @@ def test_section4_props():
         assert report["pass"], report
     deg2 = check_section4_props(2)
     assert deg2["results"]["lemma_om4_matches_arrow3"]
+
+
+def test_section4_props_planted_negatives(monkeypatch):
+    n = 5
+    relation_edges_of = kernel.relation_edges
+
+    def one_arrow3_edge_dropped(rels, degree):
+        graph = relation_edges_of(rels, degree)
+        if RelationId.Arrow3 not in set(rels):
+            return graph
+        dropped = next(e for e in graph.edges if e[2] == "3")
+        return RelationGraph(graph.n, tuple(e for e in graph.edges if e != dropped), graph.marks)
+
+    monkeypatch.setattr(kernel, "relation_edges", one_arrow3_edge_dropped)
+    results = check_section4_props(n)["results"]
+    assert not results["lemma_om4_matches_arrow3"]
+    assert not results["prop44_f_family_spans_Fpk"]
+    monkeypatch.undo()
+
+    ctilde = f_sparse(QSymElement(n, "M", {index_of(C((1,) * (n - 2) + (2,))): 1}))
+    span_vectors_of = kernel.monomial_span_vectors
+    monkeypatch.setattr(
+        kernel, "monomial_span_vectors",
+        lambda stat, degree: [v for v in span_vectors_of(stat, degree) if v != ctilde],
+    )
+    report = check_section4_props(n)
+    assert not report["pass"]
+    assert not report["results"]["prop42_m_family_spans_MPk"]
 
 
 def _row_times_basis(row: SparseVector, a: int, b: int, k_mask: int) -> SparseVector:

@@ -258,7 +258,13 @@ def test_json_rejects_foreign_degree_and_repeated_compositions():
          "composition"),
         ({"degree": 3, "terms": [term]}, "basis"),
         ({"degree": 3, "basis": "F", "terms": ["(1,2)"]}, "composition"),
+        ({"degree": True, "basis": "F", "terms": []}, "degree"),
+        ({"degree": 3, "basis": "F", "terms": [{"composition": "(1,2)", "coeff": True}]}, "coeff"),
     ]
+    # json.loads accepts Infinity and NaN, which are no exact coefficients
+    for literal in ("Infinity", "-Infinity", "NaN"):
+        text = f'{{"degree": 3, "basis": "F", "terms": [{{"composition": "(1,2)", "coeff": {literal}}}]}}'
+        malformed.append((json.loads(text), "coeff"))
     for data, field in malformed:
         with pytest.raises(ValueError, match=repr(field)):
             element_from_json_dict(data)
