@@ -234,6 +234,8 @@ def _report_json(check: str, rows: list[dict]) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.stat and args.check != "ideal":
+        raise ValueError(f"--stat applies only to the ideal check, not {args.check}")
     degrees = _parse_degrees(args.deg if args.deg else ("1..10" if args.deep else "1..8"))
     if args.check == "ideal":
         stats = [parse_statistic(args.stat)] if args.stat else list(StatisticId)

@@ -39,7 +39,7 @@ class Composition:
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {parts!r}")
         object.__setattr__(self, "_n", sum(parts))
 

@@ -46,7 +46,10 @@ def set_max_degree(limit: int | None) -> int | None:
 
 
 def check_degree(n: int) -> None:
-    """Refuse negative degrees and degrees beyond the configured maximum."""
+    """Refuse non-int degrees (a bool too), negative degrees and degrees
+    beyond the configured maximum."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"degree must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if n > max_degree():

@@ -31,8 +31,8 @@ Binary relation families (parts written 1-based; all preserve degree):
            part j_{l+1}, allowed at l = 1 when j_1 >= 2 and at l > 1
            only when j_l > 2
   epkarrow / epktri   the arrow1 / tri1 moves restricted to l >= 2
-  pkbasis  the arrow1/arrow2 move applied at the least eligible l
-  pknumbasis  pkbasis, or the leftmost arrow3 swap when no split exists
+  pkbasis  the first arrow1 move (least l), else the arrow2 move
+  pknumbasis  the pkbasis move, else the first arrow3 move
 
 The unary marker ctilde holds the compositions (1, ..., 1, 2).
 """
@@ -79,24 +79,18 @@ class RelationId(enum.Enum):
     EpkTri = "epktri"
 
 
-def _pk_basis_position(parts: tuple[int, ...]) -> int | None:
-    """0-based index of the least part > 2, falling back to the final
-    part when it equals 2; None when neither exists."""
-    m = len(parts)
-    for i, p in enumerate(parts):
-        if p > 2:
-            return i
-    if m >= 1 and parts[-1] == 2:
-        return m - 1
-    return None
-
-
 # (first eligible part, letters split off) of the moves that split a part > 2
 _SPLITS = {
     RelationId.Arrow1: (0, 1),
     RelationId.Tri1: (0, 2),
     RelationId.EpkArrow: (1, 1),
     RelationId.EpkTri: (1, 2),
+}
+
+# the trimmed relations: the first move of the first parent that has one
+_FIRST_OF = {
+    RelationId.PkBasisArrow: (RelationId.Arrow1, RelationId.Arrow2),
+    RelationId.PkNumBasisArrow: (RelationId.Arrow1, RelationId.Arrow2, RelationId.Arrow3),
 }
 
 
@@ -108,6 +102,12 @@ def _moves(rel: RelationId, mask: int, parts: tuple[int, ...]) -> list[tuple[int
     sets the bit of position cuts[l] + h (bit cuts[l] + h - 1); a merge
     clears the bit of a cut, and a swap or unit move shifts one cut by one
     position."""
+    if rel in _FIRST_OF:
+        for parent in _FIRST_OF[rel]:
+            out = _moves(parent, mask, parts)
+            if out:
+                return out[:1]
+        return []
     cuts = (0, *accumulate(parts))
     m = len(parts)
     if rel in _SPLITS:
@@ -128,15 +128,6 @@ def _moves(rel: RelationId, mask: int, parts: tuple[int, ...]) -> list[tuple[int
             for i in range(m - 1):
                 if parts[i] == 2:
                     out.append((mask | 1 << cuts[i], "2"))
-    elif rel in (RelationId.PkBasisArrow, RelationId.PkNumBasisArrow):
-        i = _pk_basis_position(parts)
-        if i is not None:
-            out.append((mask | 1 << cuts[i], "1" if parts[i] > 2 else "2"))
-        elif rel is RelationId.PkNumBasisArrow:
-            for i in range(m - 1):
-                if parts[i] == 1 and parts[i + 1] == 2:
-                    out.append((mask ^ 3 << (cuts[i + 1] - 1), "3"))
-                    break
     elif rel is RelationId.ValArrow1:
         for i in range(m - 1):
             if parts[i] >= 2 and parts[i + 1] == 1:
@@ -219,49 +210,30 @@ def relation_edges(rels: Iterable[RelationId], n: int) -> RelationGraph:
     return RelationGraph(n, tuple((a, b, labels[a, b]) for a, b in sorted(labels)), marks)
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge; returns False when a and b were already connected."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def connected_components(graph: RelationGraph) -> tuple[tuple[int, ...], ...]:
     """Partition of the composition indices of n by undirected
     reachability, in the form of `KernelSpace.classes`: members ascending,
     blocks ordered by least member."""
-    uf = _UnionFind()
+    parent = list(graph.vertices)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
     for a, b, _ in graph.edges:
-        uf.union(a, b)
+        parent[find(b)] = find(a)
     blocks: dict[int, list[int]] = {}
     for c in graph.vertices:
-        blocks.setdefault(uf.find(c), []).append(c)
+        blocks.setdefault(find(c), []).append(c)
     return tuple(map(tuple, blocks.values()))
 
 
 def is_forest(graph: RelationGraph) -> bool:
-    """True iff the underlying undirected multigraph is acyclic; parallel
-    and antiparallel edge pairs count as cycles."""
-    uf = _UnionFind()
-    for a, b, _ in graph.edges:
-        if not uf.union(a, b):
-            return False
-    return True
+    """True iff the underlying undirected multigraph is acyclic, i.e. every
+    edge joins two components: edges + components = vertices.  Loops and
+    parallel or antiparallel pairs count as cycles."""
+    return len(graph.edges) == len(graph.vertices) - len(connected_components(graph))
 
 
 # -- kernel spaces -----------------------------------------------------------
@@ -566,6 +538,8 @@ def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int 
     `max_witnesses` violations are listed, and projecting stops once the
     verdict is known and the list is full."""
     check_degree(total_degree)
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be nonnegative, got {max_witnesses}")
     found = list(islice(_ideal_violations(stat, total_degree), max(max_witnesses, 1)))
     return {
         "stat": stat_name(stat),

@@ -50,7 +50,7 @@ class Permutation:
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
         for x in letters:
-            if not isinstance(x, int) or x < 1:
+            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
                 raise ValueError(f"letters must be positive integers, got {letters!r}")
         if len(set(letters)) != len(letters):
             raise ValueError(f"letters must be distinct, got {letters!r}")

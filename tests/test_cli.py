@@ -16,13 +16,19 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # CLI reports, each the stdout of `PYTHONPATH=src python -m qsymk.cli
 # ARGV...`: the verify and dims reports recorded before the spanning
 # checks moved to the quotient map, the tri12ctilde graph exports before
-# relation graphs moved to composition indices.  A change to how the
-# checks or graphs are computed must reproduce them byte for byte.
+# relation graphs moved to composition indices, the pkbasis and degree
+# 8..10 pknumbasis exports before the trimmed relations became their
+# parents' first move.  A change to how the checks or graphs are
+# computed must reproduce them byte for byte.
 GOLDEN_REPORTS = [
     *((f"verify_{check}_deg1-6.json", ("verify", check, "--deg", "1..6")) for check in CHECK_NAMES),
     ("dims_deg1-8.csv", ("dims", "--deg", "1..8")),
     ("graph_pknumbasis_deg1-7.json",
      ("graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json")),
+    ("graph_pknumbasis_deg8-10.csv",
+     ("graph", "--rels", "pknumbasis", "--deg", "8..10", "--format", "csv")),
+    ("graph_pkbasis_deg0-10.csv",
+     ("graph", "--rels", "pkbasis", "--deg", "0..10", "--format", "csv")),
     *((f"graph_tri12ctilde_deg0-7.{fmt}",
        ("graph", "--rels", "tri12ctilde", "--deg", "0..7", "--format", fmt))
       for fmt in ("dot", "json", "csv")),
@@ -97,6 +103,13 @@ def test_verify_unknown_check_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "nonsense", "--deg", "1..3"])
     assert info.value.code == 2
+    capsys.readouterr()
+    # --stat restricts only the ideal check; elsewhere it is refused
+    for stat in ("Nope", "Pk"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "thm2a", "--deg", "1..3", "--stat", stat])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --stat")
 
 
 def test_bad_degree_range_is_usage_error(capsys):
@@ -295,13 +308,18 @@ def test_shufflecheck_length_is_validated(capsys):
 
 
 def test_console_script_subprocess():
+    import os
     import subprocess
     import sys
 
+    # the child imports the package under test, wherever pytest found it
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qsymk.cli", "verify", "thm33", "--deg", "1..4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True

@@ -19,7 +19,7 @@ from qsymk.compositions import (
     refines,
     reverse,
 )
-from qsymk.config import set_max_degree
+from qsymk.config import check_degree, set_max_degree
 from qsymk.errors import DegreeLimitError, InvalidSubsetError
 from qsymk.statistics import perm_descent_composition, realize_permutation, Permutation
 
@@ -185,6 +185,13 @@ def test_composition_validation():
         Composition((0, 1))
     with pytest.raises(ValueError):
         Composition((-2,))
+    # a bool is an int to isinstance, but no part
+    for parts in ((True, 2), (2, False), (1.0,)):
+        with pytest.raises(ValueError, match="positive integers"):
+            Composition(parts)
+    for bad in (3.5, True, "3"):
+        with pytest.raises(ValueError, match="degree must be an int"):
+            check_degree(bad)
 
 
 def test_text_form():

@@ -458,6 +458,21 @@ def test_is_ideal_matches_in_span_route():
     assert is_ideal_upto(max_part, 7, 0)["violations"] == []
 
 
+def test_is_ideal_refuses_a_negative_witness_cap():
+    # a negative cap once sliced the last witness off a non-ideal report
+    for cap in (-1, -3):
+        with pytest.raises(ValueError, match="max_witnesses"):
+            is_ideal_upto(max_part, 5, cap)
+
+
+def test_degrees_must_be_ints():
+    for bad in (3.5, 2.0, True, False, "3", None):
+        with pytest.raises(ValueError, match="degree must be an int"):
+            kernel_space(S.Pk, bad)
+        with pytest.raises(ValueError, match="degree must be an int"):
+            check_spanning_F(S.Pk, bad, cli.RELATION_SETS["arrow12"])
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("this route must not be taken")
 

@@ -16,7 +16,6 @@ from qsymk.compositions import (
 from qsymk.kernel import (
     RelationGraph,
     RelationId,
-    _pk_basis_position,
     connected_components,
     ctilde_member,
     is_ctilde,
@@ -259,8 +258,12 @@ def _labeled_successors_via_parts(rel, comp):
                 if parts[i] == 2:
                     out.append((C(parts[:i] + (1, 1) + parts[i + 1:m - 1] + (2,)), "2"))
     elif rel in (R.PkBasisArrow, R.PkNumBasisArrow):
-        i = _pk_basis_position(parts)
-        if i is not None:
+        # the least eligible part: the least part > 2, else a final part 2
+        eligible = [i for i in range(m) if parts[i] > 2]
+        if not eligible and m >= 1 and parts[-1] == 2:
+            eligible = [m - 1]
+        if eligible:
+            i = eligible[0]
             label = "1" if parts[i] > 2 else "2"
             out.append((_split(parts, i, 1), label))
         elif rel is R.PkNumBasisArrow:

@@ -448,3 +448,6 @@ def test_permutation_text_forms():
         Permutation((1, 1))
     with pytest.raises(ValueError):
         Permutation((0, 1))
+    for letters in ((True, 3), (2, False), (1.0, 2)):
+        with pytest.raises(ValueError, match="positive integers"):
+            Permutation(letters)
