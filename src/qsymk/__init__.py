@@ -50,6 +50,7 @@ from .kernel import (
     is_ideal_upto,
     kernel_space,
     m_family,
+    monomial_span_terms,
     monomial_span_vectors,
     omega_sets,
     quotient_dimension,

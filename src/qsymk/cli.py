@@ -220,6 +220,8 @@ def _parse_degrees(text: str) -> list[int]:
 
 
 def _emit(text: str, out: TextIO | None) -> None:
+    if out is not None:
+        out.truncate(0)  # opened without truncating: a usage error keeps the old file
     (out or sys.stdout).write(text)
 
 
@@ -351,8 +353,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.max_degree is not None:
             previous, restore = config.set_max_degree(args.max_degree), True
         if args.out:
-            # opened (and truncated) before the run, so a bad path fails first
-            out = args.out = open(args.out, "w", encoding="utf-8")
+            # opened before the run, so a bad path fails first; `_emit` truncates
+            out = args.out = open(args.out, "a", encoding="utf-8")
         return args.func(args)
     except (QsymkError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -38,8 +38,11 @@ def set_max_degree(limit: int | None) -> int | None:
     """Set (or clear, with None) the process-wide degree limit; returns
     the previous override so callers can restore it."""
     global _override
-    if limit is not None and limit < 0:
-        raise ValueError("degree limit must be nonnegative")
+    if limit is not None:
+        if isinstance(limit, bool) or not isinstance(limit, int):
+            raise ValueError(f"degree limit must be an int or None, got {limit!r}")
+        if limit < 0:
+            raise ValueError("degree limit must be nonnegative")
     previous = _override
     _override = limit
     return previous

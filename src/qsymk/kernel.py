@@ -358,37 +358,62 @@ def check_basis_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) ->
 
 # -- monomial spanning sets ---------------------------------------------------
 
-def _m_combination(n: int, terms: dict[int, int]) -> SparseVector:
-    return f_sparse(QSymElement(n, "M", terms))
-
-
-def monomial_span_vectors(stat: StatisticId, n: int) -> list[SparseVector]:
-    """The M-basis combinations whose span is claimed to be K^st_n,
-    expressed in F coordinates.
+def monomial_span_terms(stat: StatisticId, n: int) -> list[dict[int, int]]:
+    """The M-basis combinations whose span is claimed to be K^st_n, as
+    coefficient dicts keyed by M index.
 
     Pk:  M_J + M_K over tri1/tri2 edges, plus M over the ctilde member.
     pk:  the Pk set, plus M_J - M_K over arrow3 edges.
     Epk: M_J + M_K over epktri edges.
     """
     if stat is StatisticId.Epk:
-        graph = relation_edges({RelationId.EpkTri}, n)
-        return [_m_combination(n, {a: 1, b: 1}) for a, b, _ in graph.edges]
+        return [{a: 1, b: 1} for a, b, _ in relation_edges({RelationId.EpkTri}, n).edges]
     if stat not in (StatisticId.Pk, StatisticId.pk):
         raise ValueError(f"no monomial spanning set implemented for {stat_name(stat)}")
     graph = relation_edges({RelationId.Tri1, RelationId.Tri2, RelationId.CTilde}, n)
-    vectors = [_m_combination(n, {a: 1, b: 1}) for a, b, _ in graph.edges]
-    vectors += [_m_combination(n, {c: 1}) for c in graph.marks]
+    terms = [{a: 1, b: 1} for a, b, _ in graph.edges] + [{c: 1} for c in graph.marks]
     if stat is StatisticId.pk:
-        swap_graph = relation_edges({RelationId.Arrow3}, n)
-        vectors += [_m_combination(n, {a: 1, b: -1}) for a, b, _ in swap_graph.edges]
-    return vectors
+        terms += [{a: 1, b: -1} for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges]
+    return terms
+
+
+def monomial_span_vectors(stat: StatisticId, n: int) -> list[SparseVector]:
+    """`monomial_span_terms` expressed in F coordinates."""
+    return [f_sparse(QSymElement(n, "M", terms)) for terms in monomial_span_terms(stat, n)]
+
+
+def _projected_m(space: KernelSpace) -> list[dict[int, int]]:
+    """The class sums of M_C for every index C: m_to_f(M_C) is the sum over
+    B containing C of (-1)^|B - C| F_B, so P(M_C) is the superset Moebius
+    transform of the labels, one pass per position."""
+    proj = [{label: 1} for label in space.labels]
+    for bit in (1 << i for i in range(space.n - 1)):
+        for c, low in enumerate(proj):
+            if not c & bit:
+                for label, value in proj[c | bit].items():
+                    rest = low.get(label, 0) - value
+                    if rest:
+                        low[label] = rest
+                    else:
+                        del low[label]
+    return proj
 
 
 def check_spanning_M(stat: StatisticId, n: int) -> bool:
     """The monomial combinations X span K^st_n iff every class sum of each
-    vector of X vanishes (X lies in K^st_n) and rank X = dim K^st_n."""
-    vectors, space = monomial_span_vectors(stat, n), kernel_space(stat, n)
-    return all(_in_kernel(space, v) for v in vectors) and rank(vectors, n) == space.dim
+    vector of X vanishes (X lies in K^st_n) and rank X = dim K^st_n.  Both
+    are read in M coordinates: the class sums of a combination are those
+    of its P(M_C), and m_to_f is invertible, so the rank is unchanged."""
+    terms, space = monomial_span_terms(stat, n), kernel_space(stat, n)
+    proj = _projected_m(space)
+    for combination in terms:
+        sums: dict[int, int] = {}
+        for c, coeff in combination.items():
+            for label, value in proj[c].items():
+                sums[label] = sums.get(label, 0) + coeff * value
+        if any(sums.values()):
+            return False
+    return rank([SparseVector(n, t) for t in terms], n) == space.dim
 
 
 # -- the indexed families over subsets ---------------------------------------
@@ -497,9 +522,14 @@ def check_section4_props(n: int) -> dict:
     check_degree(n)
     om = omega_sets(n)
     f_omega = [f_sparse(f_family(r, c, k, n)) for r, c, k in om.omega()]
-    m_omega = [f_sparse(m_family(r, c, k, n)) for r, c, k in om.omega()]
     f_theta = f_omega + [f_sparse(f_family(4, c, k, n)) for c, k in om.om4]
-    m_theta = m_omega + [f_sparse(m_family(4, c, k, n)) for c, k in om.om4]
+    # the M-side families in M coordinates (prop42/45) and as F images (prop43/46)
+    m_members = [m_family(r, c, k, n) for r, c, k in om.omega()]
+    m4_members = [m_family(4, c, k, n) for c, k in om.om4]
+    m_omega = [SparseVector(n, m.coeffs) for m in m_members]
+    m_theta = m_omega + [SparseVector(n, m.coeffs) for m in m4_members]
+    fm_omega = list(map(f_sparse, m_members))
+    fm_theta = fm_omega + list(map(f_sparse, m4_members))
 
     pk_graph = relation_edges({RelationId.Arrow1, RelationId.Arrow2}, n)
     pknum_graph = relation_edges(
@@ -507,8 +537,8 @@ def check_section4_props(n: int) -> dict:
     )
     fn_pk = edge_vectors(pk_graph)
     fn_pknum = edge_vectors(pknum_graph)
-    mn_pk = monomial_span_vectors(StatisticId.Pk, n)
-    mn_pknum = monomial_span_vectors(StatisticId.pk, n)
+    mn_pk = [SparseVector(n, t) for t in monomial_span_terms(StatisticId.Pk, n)]
+    mn_pknum = [SparseVector(n, t) for t in monomial_span_terms(StatisticId.pk, n)]
 
     arrow3_edges = {(a, b) for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges}
     om4_pairs = {(set_to_mask(c), _swap(set_to_mask(c), k)) for c, k in om.om4}
@@ -516,10 +546,10 @@ def check_section4_props(n: int) -> dict:
     results = {
         "prop41_f_family_spans_FPk": spans_equal(f_omega, fn_pk, n),
         "prop42_m_family_spans_MPk": spans_equal(m_omega, mn_pk, n),
-        "prop43_f_equals_m_on_omega": spans_equal(f_omega, m_omega, n),
+        "prop43_f_equals_m_on_omega": spans_equal(f_omega, fm_omega, n),
         "prop44_f_family_spans_Fpk": spans_equal(f_theta, fn_pknum, n),
         "prop45_m_family_spans_Mpk": spans_equal(m_theta, mn_pknum, n),
-        "prop46_f_equals_m_on_theta": spans_equal(f_theta, m_theta, n),
+        "prop46_f_equals_m_on_theta": spans_equal(f_theta, fm_theta, n),
         "lemma_om4_matches_arrow3": arrow3_edges == om4_pairs,
     }
     return {"degree": n, "pass": all(results.values()), "results": results}

@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors live in the F-coordinate space of a fixed degree n: entries are
-keyed by composition index in [0, 2^(n-1)) and every stored coefficient
-is nonzero: an `int` when integral, else a `fractions.Fraction`.  All
-checks are exact equalities of rationals; there is no tolerance anywhere.
+A vector has a fixed degree n and is keyed by composition index in
+[0, 2^(n-1)), in one basis of QSym_n (F or M); every stored coefficient
+is nonzero: an `int` when integral, else a `fractions.Fraction`.  `rank`
+and `spans_equal` do not depend on which basis, so long as every vector
+of a call uses the same one.  All checks are exact equalities of
+rationals; there is no tolerance anywhere.
 
 Internally, elimination is fraction-free.  An echelon is a dict from
 pivot column (a row's least column) to a primitive integer row, and

@@ -18,10 +18,13 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # checks moved to the quotient map, the tri12ctilde graph exports before
 # relation graphs moved to composition indices, the pkbasis and degree
 # 8..10 pknumbasis exports before the trimmed relations became their
-# parents' first move.  A change to how the checks or graphs are
-# computed must reproduce them byte for byte.
+# parents' first move, and the monomial checks and props4 at higher
+# degrees before those checks moved to M coordinates.  A change to how
+# the checks or graphs are computed must reproduce them byte for byte.
 GOLDEN_REPORTS = [
     *((f"verify_{check}_deg1-6.json", ("verify", check, "--deg", "1..6")) for check in CHECK_NAMES),
+    *((f"verify_{check}_deg1-{hi}.json", ("verify", check, "--deg", f"1..{hi}"))
+      for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9))),
     ("dims_deg1-8.csv", ("dims", "--deg", "1..8")),
     ("graph_pknumbasis_deg1-7.json",
      ("graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json")),
@@ -258,6 +261,22 @@ def test_unwritable_out_path_fails_before_the_check(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as info:
         main(["verify", "ideal", "--deg", "1..3", "--out", str(target)])
     assert info.value.code == 2
+
+
+def test_usage_error_keeps_an_existing_out_file(tmp_path, capsys):
+    target = tmp_path / "old.json"
+    target.write_bytes(b"old report\n")
+    for argv in (["verify", "thm2a", "--deg", "5..3"], ["verify", "thm2a", "--stat", "Nope"],
+                 ["verify", "ideal", "--stat", "Nope"], ["dims", "--stat", "Nope"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(target)])
+        assert info.value.code == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+        assert target.read_bytes() == b"old report\n", argv
+    # a run that completes replaces the old bytes entirely
+    code, out = run_cli(capsys, "verify", "thm2a", "--deg", "1..2", "--out", str(target))
+    assert (code, out) == (0, "")
+    assert json.loads(target.read_text())["pass"] is True
 
 
 def test_failing_checks_report_witnesses(capsys, monkeypatch):

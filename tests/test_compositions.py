@@ -223,6 +223,24 @@ def test_degree_limit():
     assert len(compositions_of(5)) == 16
 
 
+def test_degree_limit_must_be_an_int_or_none():
+    from qsymk.config import max_degree
+
+    before = max_degree()
+    for bad in (True, False, 4.5, 5.0, "5"):
+        with pytest.raises(ValueError, match="degree limit must be an int"):
+            set_max_degree(bad)
+        assert max_degree() == before
+    with pytest.raises(ValueError, match="nonnegative"):
+        set_max_degree(-1)
+    assert set_max_degree(5) is None
+    try:
+        assert max_degree() == 5
+    finally:
+        assert set_max_degree(None) == 5
+    assert max_degree() == before
+
+
 def test_degree_limit_env_override(monkeypatch):
     from qsymk.config import max_degree
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsymk import cli, compositions, kernel, linalg, statistics
+from qsymk import cli, compositions, kernel, linalg, qsym, statistics
 from qsymk.compositions import (
     Composition,
     complement_mask,
@@ -30,13 +30,14 @@ from qsymk.kernel import (
     is_ideal_upto,
     kernel_space,
     m_family,
+    monomial_span_terms,
     monomial_span_vectors,
     omega_sets,
     quotient_dimension,
     relation_edges,
 )
-from qsymk.linalg import SparseVector, in_span, is_independent, reduce, spans_equal
-from qsymk.qsym import QSymElement, _f_basis_product, f_sparse, m_to_f
+from qsymk.linalg import SparseVector, in_span, is_independent, rank, reduce, spans_equal
+from qsymk.qsym import QSymElement, _f_basis_product, f_sparse, f_to_m, m_to_f
 from qsymk.statistics import StatisticId, equivalence_classes, stat_name
 
 from conftest import psi_vector, rho_vector
@@ -220,6 +221,69 @@ def test_check_spanning_M():
         assert check_spanning_M(S.Epk, n)
 
 
+def test_monomial_span_terms_are_the_vectors_in_m_coordinates():
+    ctilde = {index_of(C((1, 1, 2))): 1}
+    swap = {index_of(C((1, 2, 1))): 1, index_of(C((2, 1, 1))): -1}
+    assert ctilde in monomial_span_terms(S.Pk, 4) and swap not in monomial_span_terms(S.Pk, 4)
+    assert ctilde in monomial_span_terms(S.pk, 4) and swap in monomial_span_terms(S.pk, 4)
+    for stat in (S.Pk, S.pk, S.Epk):
+        for n in range(0, 8):
+            terms = monomial_span_terms(stat, n)
+            assert all(len(t) in (1, 2) and set(t.values()) <= {1, -1} for t in terms)
+            assert monomial_span_vectors(stat, n) == [f_sparse(QSymElement(n, "M", t)) for t in terms]
+    with pytest.raises(ValueError):
+        monomial_span_terms(S.Val, 4)
+
+
+def test_projected_m_is_the_class_sums_of_m_to_f():
+    for stat in StatisticId:
+        for n in range(0, 10):
+            space = kernel_space(stat, n)
+            proj = kernel._projected_m(space)
+            assert len(proj) == 1 << max(n - 1, 0)
+            for c, got in enumerate(proj):
+                image = m_to_f(QSymElement(n, "M", {c: 1})).coeffs
+                want = {k: v for k, v in kernel._class_sums(space.labels, image.items()).items() if v}
+                assert got == want, (stat, n, c)
+
+
+def _check_spanning_M_via_F(stat, n) -> bool:
+    """The F-coordinate route: membership and rank of the F images."""
+    vectors, space = monomial_span_vectors(stat, n), kernel_space(stat, n)
+    return all(kernel._in_kernel(space, v) for v in vectors) and rank(vectors, n) == space.dim
+
+
+def test_check_spanning_M_agrees_with_the_F_route(monkeypatch):
+    for stat in (S.Pk, S.pk, S.Epk):
+        for n in range(0, 11):
+            assert check_spanning_M(stat, n) and _check_spanning_M_via_F(stat, n)
+    # both routes reject the planted families alike, including a sign flip
+    terms_of = kernel.monomial_span_terms
+    n = 7
+    for stat in (S.Pk, S.pk, S.Epk):
+        honest = terms_of(stat, n)
+        flipped = [{c: -v if i else v for i, (c, v) in enumerate(t.items())} for t in honest]
+        for planted in (honest[1:], flipped, honest + [{0: 1}]):
+            monkeypatch.setattr(kernel, "monomial_span_terms", lambda st, deg, ts=planted: ts)
+            assert not check_spanning_M(stat, n)
+            assert not _check_spanning_M_via_F(stat, n)
+
+
+def test_check_spanning_M_makes_no_f_expansion(monkeypatch):
+    calls = []
+    m_to_f_of = qsym.m_to_f
+
+    def counted(elem):
+        calls.append(elem)
+        return m_to_f_of(elem)
+
+    monkeypatch.setattr(qsym, "m_to_f", counted)
+    assert check_spanning_M(S.pk, 9)
+    assert calls == []
+    monomial_span_vectors(S.pk, 9)
+    assert len(calls) == len(monomial_span_terms(S.pk, 9))
+
+
 def test_check_spanning_M_matches_span_equality(monkeypatch):
     # membership plus rank against the old route, exact span equality
     for stat in (S.Pk, S.pk, S.Epk):
@@ -227,18 +291,21 @@ def test_check_spanning_M_matches_span_equality(monkeypatch):
             rows = kernel_space(stat, n).basis.rows
             assert spans_equal(monomial_span_vectors(stat, n), rows, n)
             assert check_spanning_M(stat, n)
-    # planted negatives: a spanning vector dropped, a non-kernel vector
-    # added, and both at once (full rank, so only membership rejects it)
+    # planted negatives, written in M coordinates: a spanning combination
+    # dropped, a non-kernel vector (F_(6), as its M expansion) added, and
+    # both at once (full rank, so only membership rejects it)
     n = 6
-    pk_set = monomial_span_vectors(S.Pk, n)
-    ctilde = f_sparse(QSymElement(n, "M", {index_of(C((1, 1, 1, 1, 2))): 1}))
-    outside = SparseVector(n, {0: 1})
-    dropped = [v for v in pk_set if v != ctilde]
-    assert len(dropped) == len(pk_set) - 1
-    planted = (dropped, pk_set + [outside], dropped + [outside])
+    pk_terms = monomial_span_terms(S.Pk, n)
+    ctilde = {index_of(C((1, 1, 1, 1, 2))): 1}
+    outside = f_to_m(QSymElement(n, "F", {0: 1})).coeffs
+    assert f_sparse(QSymElement(n, "M", outside)) == SparseVector(n, {0: 1})
+    dropped = [t for t in pk_terms if t != ctilde]
+    assert len(dropped) == len(pk_terms) - 1
+    planted = (dropped, pk_terms + [outside], dropped + [outside])
     rows = kernel_space(S.Pk, n).basis.rows
-    for vectors in planted:
-        monkeypatch.setattr(kernel, "monomial_span_vectors", lambda stat, n, vs=vectors: vs)
+    for terms in planted:
+        vectors = [f_sparse(QSymElement(n, "M", t)) for t in terms]
+        monkeypatch.setattr(kernel, "monomial_span_terms", lambda stat, n, ts=terms: ts)
         assert not spans_equal(vectors, rows, n)
         assert not check_spanning_M(S.Pk, n)
 
@@ -380,11 +447,11 @@ def test_section4_props_planted_negatives(monkeypatch):
     assert not results["prop44_f_family_spans_Fpk"]
     monkeypatch.undo()
 
-    ctilde = f_sparse(QSymElement(n, "M", {index_of(C((1,) * (n - 2) + (2,))): 1}))
-    span_vectors_of = kernel.monomial_span_vectors
+    ctilde = {index_of(C((1,) * (n - 2) + (2,))): 1}
+    span_terms_of = kernel.monomial_span_terms
     monkeypatch.setattr(
-        kernel, "monomial_span_vectors",
-        lambda stat, degree: [v for v in span_vectors_of(stat, degree) if v != ctilde],
+        kernel, "monomial_span_terms",
+        lambda stat, degree: [t for t in span_terms_of(stat, degree) if t != ctilde],
     )
     report = check_section4_props(n)
     assert not report["pass"]
