@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TextIO
 
@@ -28,7 +29,6 @@ from .kernel import (
     check_spanning_F,
     check_spanning_M,
     check_symmetry_bridges,
-    edge_vectors,
     graphs_to_csv,
     graphs_to_dot,
     graphs_to_json_dict,
@@ -37,7 +37,6 @@ from .kernel import (
     quotient_dimension,
     relation_edges,
 )
-from .linalg import rank
 from .qsym import QSymElement, f_to_m, lemma22b_combination, lemma22c_combination, m_to_f
 from .statistics import StatisticId, check_shuffle_compatible, parse_statistic
 
@@ -96,10 +95,9 @@ def _spanning_rows(check: str, stat: StatisticId, relname: str, n: int) -> list[
     passed = check_spanning_F(stat, n, RELATION_SETS[relname])
     row = _row(check, n, passed, stat.value, rels=relname)
     if not passed:
-        graph = relation_edges(RELATION_SETS[relname], n)
         row["witness"] = {
             "kernel_dim": kernel_space(stat, n).dim,
-            "edge_rank": rank(edge_vectors(graph), n),
+            "edge_rank": relation_edges(RELATION_SETS[relname], n).edge_rank,
         }
     return [row]
 
@@ -108,10 +106,9 @@ def _basis_rows(check: str, stat: StatisticId, relname: str, n: int) -> list[dic
     passed = check_basis_F(stat, n, RELATION_SETS[relname])
     row = _row(check, n, passed, stat.value, rels=relname)
     if not passed:
-        graph = relation_edges(RELATION_SETS[relname], n)
         row["witness"] = {
             "kernel_dim": kernel_space(stat, n).dim,
-            "edges": len(graph.edges),
+            "edges": len(relation_edges(RELATION_SETS[relname], n).edges),
         }
     return [row]
 
@@ -348,12 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    restore, out = False, None
+    restore, out, created = False, None, False
     try:
         if args.max_degree is not None:
             previous, restore = config.set_max_degree(args.max_degree), True
         if args.out:
             # opened before the run, so a bad path fails first; `_emit` truncates
+            created = not os.path.exists(args.out)
             out = args.out = open(args.out, "a", encoding="utf-8")
         return args.func(args)
     except (QsymkError, ValueError, OSError) as exc:
@@ -361,7 +359,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2  # unreachable; parser.exit raises SystemExit
     finally:
         if out is not None:
+            unwritten = out.tell() == 0  # a report is never empty
             out.close()
+            if created and unwritten:
+                os.remove(out.name)
         if restore:
             config.set_max_degree(previous)
 

@@ -5,9 +5,10 @@ the projection F_J -> [st-class of J]: a vector lies in it exactly when
 its coefficients sum to zero on every class.  A sound set S of
 equivalent pairs spans K^st_n exactly when the components of the graph
 with edge set S are the classes, and its differences are independent
-exactly when the graph is a forest; each spanning check computes the
-rank of the edge differences once and cross-checks both criteria against
-it.
+exactly when the graph is a forest.  Neither fact depends on st: one
+graph per (rels, n) is built once, kept in a bounded cache, and carries
+its components and the rank of its edge differences, and every spanning
+check cross-checks both criteria against that rank.
 
 Relation graphs are keyed by composition index, the same vertex format
 as the kernel classes: an edge is an (index, index, label) triple and a
@@ -184,6 +185,16 @@ class RelationGraph:
     def vertices(self) -> range:
         return range(1 << max(self.n - 1, 0))
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """`connected_components(self)`, found once per graph."""
+        return connected_components(self)
+
+    @cached_property
+    def edge_rank(self) -> int:
+        """The rank of `edge_vectors(self)`, eliminated once per graph."""
+        return rank(edge_vectors(self), self.n)
+
 
 _ORDERED_RELATIONS = list(RelationId)
 
@@ -192,15 +203,23 @@ def relation_edges(rels: Iterable[RelationId], n: int) -> RelationGraph:
     """All edges (J, K) with K a successor of J under some relation in
     `rels`, as index pairs in ascending order; a pair arising from several
     relations is kept once, with the label of the first relation in
-    `RelationId` order.  CTilde contributes vertex marks instead of edges."""
+    `RelationId` order.  CTilde contributes vertex marks instead of edges.
+    The graph is shared, from a cache bounded at 128 graphs keyed by
+    (frozenset(rels), n); a member of `rels` that is not a `RelationId`
+    raises ValueError."""
     check_degree(n)
-    rels = set(rels)
-    marks: tuple[int, ...] = ()
-    if RelationId.CTilde in rels:
-        # (1, ..., 1, 2): every position but n - 1 is a descent
-        marks = ((1 << (n - 2)) - 1,) if n >= 2 else ()
-        rels.discard(RelationId.CTilde)
-    ordered = [r for r in _ORDERED_RELATIONS if r in rels]
+    rels = tuple(rels)
+    for rel in rels:
+        if not isinstance(rel, RelationId):
+            raise ValueError(f"relations must be RelationId members, got {rel!r}")
+    return _relation_edges(frozenset(rels), n)
+
+
+@lru_cache(maxsize=128)
+def _relation_edges(rels: frozenset[RelationId], n: int) -> RelationGraph:
+    # (1, ..., 1, 2): every position but n - 1 is a descent
+    marks = ((1 << (n - 2)) - 1,) if RelationId.CTilde in rels and n >= 2 else ()
+    ordered = [r for r in _ORDERED_RELATIONS if r in rels and r is not RelationId.CTilde]
     labels: dict[tuple[int, int], str] = {}
     for a, comp in enumerate(compositions_of(n)):
         parts = comp.parts
@@ -233,7 +252,7 @@ def is_forest(graph: RelationGraph) -> bool:
     """True iff the underlying undirected multigraph is acyclic, i.e. every
     edge joins two components: edges + components = vertices.  Loops and
     parallel or antiparallel pairs count as cycles."""
-    return len(graph.edges) == len(graph.vertices) - len(connected_components(graph))
+    return len(graph.edges) == len(graph.vertices) - len(graph.components)
 
 
 # -- kernel spaces -----------------------------------------------------------
@@ -315,21 +334,20 @@ def edge_vectors(graph: RelationGraph) -> list[SparseVector]:
 
 
 def _spanning_edges(stat: DescentStatistic, n: int, rels: Iterable[RelationId]):
-    """(spans, graph, K^st_n, rank of the edge differences) from one graph
-    build and one rank computation.  Sound edges lie in K^st_n, so they span it
+    """(spans, graph, K^st_n), the graph with its components and edge rank
+    found once per (rels, n).  Sound edges lie in K^st_n, so they span it
     exactly when their rank is its dimension; disagreement with the graph
     criterion raises."""
     graph, space = relation_edges(rels, n), kernel_space(stat, n)
     _check_sound(space, graph)
-    graph_verdict = space.classes == connected_components(graph)
-    edge_rank = rank(edge_vectors(graph), n)
-    rank_verdict = edge_rank == space.dim
+    graph_verdict = space.classes == graph.components
+    rank_verdict = graph.edge_rank == space.dim
     if graph_verdict != rank_verdict:
         raise AssertionError(
             f"graph criterion ({graph_verdict}) and rank comparison ({rank_verdict}) "
             f"disagree for {stat_name(stat)} at degree {n}"
         )
-    return graph_verdict, graph, space, edge_rank
+    return graph_verdict, graph, space
 
 
 def check_spanning_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) -> bool:
@@ -346,8 +364,8 @@ def check_basis_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) ->
     equal to the kernel dimension; the rank that cross-checks spanning
     also cross-checks the forest verdict (independent exactly when the
     rank is the number of edges)."""
-    spanning, graph, space, edge_rank = _spanning_edges(stat, n, rels)
-    forest, independent = is_forest(graph), edge_rank == len(graph.edges)
+    spanning, graph, space = _spanning_edges(stat, n, rels)
+    forest, independent = is_forest(graph), graph.edge_rank == len(graph.edges)
     if forest != independent:
         raise AssertionError(
             f"forest criterion ({forest}) and independence ({independent}) disagree "

@@ -279,6 +279,22 @@ def test_usage_error_keeps_an_existing_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["pass"] is True
 
 
+def test_usage_error_creates_no_out_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "new.json"
+    for argv in (["verify", "thm2a", "--deg", "5..3"], ["verify", "thm2a", "--stat", "Nope"],
+                 ["verify", "ideal", "--stat", "Nope"], ["dims", "--stat", "Nope"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(target)])
+        assert info.value.code == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists(), argv
+    # a failing check is no usage error: its report is written
+    monkeypatch.setitem(cli.RELATION_SETS, "arrow12", frozenset({RelationId.Arrow1}))
+    code, out = run_cli(capsys, "verify", "thm2a", "--deg", "1..4", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert json.loads(target.read_text())["pass"] is False
+
+
 def test_failing_checks_report_witnesses(capsys, monkeypatch):
     # planted: the arrow1 splits alone are sound for Pk but span too little
     arrow1 = frozenset({RelationId.Arrow1})

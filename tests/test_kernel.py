@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from qsymk import cli, compositions, kernel, linalg, qsym, statistics
+from qsymk import cli, compositions, config, kernel, linalg, qsym, statistics
 from qsymk.compositions import (
     Composition,
     complement_mask,
@@ -16,7 +17,7 @@ from qsymk.compositions import (
     reverse_mask,
     set_to_mask,
 )
-from qsymk.errors import RelationUnsoundError
+from qsymk.errors import DegreeLimitError, RelationUnsoundError
 from qsymk.kernel import (
     RelationGraph,
     RelationId,
@@ -45,6 +46,18 @@ from conftest import psi_vector, rho_vector
 C = Composition
 R = RelationId
 S = StatisticId
+
+
+@pytest.fixture
+def cold_graphs():
+    """Empty the relation-graph cache before and after the test, and hand
+    the test the call that empties it: a check run right after that call
+    builds its graph and eliminates, and no graph built under a patch
+    outlives the test."""
+    clear = kernel._relation_edges.cache_clear
+    clear()
+    yield clear
+    clear()
 
 
 def max_part(comp: Composition) -> int:
@@ -608,7 +621,89 @@ def test_edge_checks_match_elimination_routes():
             assert check_basis_F(stat, n, rels) == basis, (stat, relname, n)
 
 
-def test_edge_and_monomial_checks_eliminate_once(monkeypatch):
+def test_cached_graphs_give_the_uncached_verdicts(cold_graphs):
+    # the uncached build is the oracle: the same graph, its components and
+    # the rank of a freshly built edge_vectors list, and the same verdicts
+    # whether the cache is cold or warm
+    build = kernel._relation_edges.__wrapped__
+    for stat, relname in cli.THM1_SUITE:
+        rels = cli.RELATION_SETS[relname]
+        for n in range(0, 10):
+            cold_graphs()
+            cold = check_spanning_F(stat, n, rels), check_basis_F(stat, n, rels)
+            cold_graphs()
+            cold_basis_first = check_basis_F(stat, n, rels)
+            warm = check_spanning_F(stat, n, rels), check_basis_F(stat, n, rels)
+            assert cold == warm and cold[1] == cold_basis_first, (stat, relname, n)
+
+            graph, fresh = relation_edges(rels, n), build(rels, n)
+            assert graph == fresh and graph is not fresh
+            assert graph.components == kernel.connected_components(fresh)
+            fresh_rank = rank(edge_vectors(fresh), n)
+            assert graph.edge_rank == fresh_rank
+            dim = kernel_space(stat, n).dim
+            assert cold == (fresh_rank == dim, fresh_rank == dim == len(fresh.edges))
+
+
+def test_relation_graphs_are_shared_per_relation_set(cold_graphs):
+    rels = [R.Arrow1, R.Arrow2, R.CTilde]
+    graph = relation_edges(rels, 6)
+    for same in (set(rels), tuple(reversed(rels)), frozenset(rels), iter(rels), rels + rels):
+        assert relation_edges(same, 6) is graph
+    assert relation_edges(rels, 5) is not graph
+    assert relation_edges(rels[:2], 6) is not graph
+
+
+def test_cached_graphs_keep_the_degree_limit(cold_graphs):
+    rels = {R.Arrow1, R.Arrow2}
+    relation_edges(rels, 6)
+    assert check_spanning_F(S.Pk, 6, rels)
+    previous = config.set_max_degree(5)
+    try:
+        with pytest.raises(DegreeLimitError):
+            relation_edges(rels, 6)
+        with pytest.raises(DegreeLimitError):
+            check_spanning_F(S.Pk, 6, rels)
+    finally:
+        config.set_max_degree(previous)
+    assert relation_edges(rels, 6).n == 6
+
+
+def test_relation_graph_cache_is_bounded(cold_graphs):
+    requests = list(itertools.islice(
+        ((pair, n) for n in range(0, 4) for pair in itertools.combinations(RelationId, 2)), 200
+    ))
+    for rels, n in requests:
+        relation_edges(rels, n)
+    info = kernel._relation_edges.cache_info()
+    assert (info.misses, info.hits) == (200, 0)
+    assert info.currsize <= 128
+
+
+def test_unknown_relations_are_refused(cold_graphs):
+    # a bare string is iterated letter by letter, so its first letter is named
+    for rels, named in ((["nonsense"], "'nonsense'"), ("arrow1", "'a'"), ({R.Arrow1, None}, "None")):
+        for call in (
+            lambda: relation_edges(rels, 4),
+            lambda: check_spanning_F(S.Pk, 4, rels),
+            lambda: check_basis_F(S.Pk, 4, rels),
+        ):
+            with pytest.raises(ValueError, match=f"got {re.escape(named)}$"):
+                call()
+    # refused before the cache is consulted
+    info = kernel._relation_edges.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def test_check_basis_F_finds_the_components_once(monkeypatch, cold_graphs):
+    calls = []
+    real = kernel.connected_components
+    monkeypatch.setattr(kernel, "connected_components", lambda graph: calls.append(graph) or real(graph))
+    assert check_basis_F(S.Pk, 9, {R.PkBasisArrow})
+    assert len(calls) == 1
+
+
+def test_edge_and_monomial_checks_eliminate_once(monkeypatch, cold_graphs):
     calls, building = [], []
     echelon, remainder = linalg._echelon, linalg._remainder
 
@@ -628,46 +723,63 @@ def test_edge_and_monomial_checks_eliminate_once(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", counted)
     monkeypatch.setattr(linalg, "_remainder", remainder_in_echelon)
     monkeypatch.setattr(linalg, "_row_basis", _refuse)  # only reduce
-    checks = [
+    edge_checks = [
         lambda n: check_spanning_F(S.pk, n, {R.Arrow1, R.Arrow2, R.Arrow3}),
         lambda n: check_spanning_F(S.pk, n, {R.Arrow1, R.Arrow2}),
         lambda n: check_basis_F(S.Pk, n, {R.PkBasisArrow}),
         lambda n: check_basis_F(S.Pk, n, {R.Arrow1, R.Arrow2}),
+    ]
+    monomial_checks = [
         lambda n: check_spanning_M(S.pk, n),
         lambda n: check_spanning_M(S.Epk, n),
     ]
-    for check in checks:
-        for n in range(0, 8):
-            calls.clear()
-            check(n)
-            assert len(calls) == 1, (check, n)
+    # the edge rank is kept with the cached graph, so a repeated edge
+    # check eliminates no more; a monomial check eliminates on every call
+    for checks, repeated in ((edge_checks, 0), (monomial_checks, 1)):
+        for check in checks:
+            for n in range(0, 8):
+                cold_graphs()
+                calls.clear()
+                check(n)
+                assert len(calls) == 1, (check, n)
+                calls.clear()
+                check(n)
+                assert len(calls) == repeated, (check, n)
 
 
-def test_edge_cross_checks_are_live(monkeypatch):
+def test_edge_cross_checks_are_live(monkeypatch, cold_graphs):
     # a wrong rank or a flipped forest verdict must raise, and thm1a/thm1b
-    # turn that into failing rows
+    # turn that into failing rows; the cache is emptied before each check,
+    # so every graph takes its edge rank from the patched `rank`
     real_rank, real_forest = kernel.rank, kernel.is_forest
     spanning = {(stat, relname) for stat, relname in cli.THM1_SUITE
                 if check_spanning_F(stat, 5, cli.RELATION_SETS[relname])}
     assert (S.Pk, "arrow12") in spanning and (S.Pk, "arrow2") not in spanning
 
     monkeypatch.setattr(kernel, "rank", lambda vs, n=None: real_rank(vs, n) + 1)
+    cold_graphs()
     with pytest.raises(AssertionError, match="rank comparison"):
         check_spanning_F(S.Pk, 5, {R.Arrow1, R.Arrow2})
+    cold_graphs()
     with pytest.raises(AssertionError, match="rank comparison"):
         check_basis_F(S.Pk, 5, {R.PkBasisArrow})
     for which in ("thm1a", "thm1b"):
+        cold_graphs()
         failed = {(S(row["stat"]), row["rels"]) for row in cli._thm1_rows(which, 5)
                   if not row["pass"] and "rank comparison" in row["witness"]}
         assert spanning <= failed
 
     monkeypatch.setattr(kernel, "rank", real_rank)
     monkeypatch.setattr(kernel, "is_forest", lambda graph: not real_forest(graph))
+    cold_graphs()
     assert check_spanning_F(S.Pk, 5, {R.PkBasisArrow})
+    cold_graphs()
     with pytest.raises(AssertionError, match="forest criterion"):
         check_basis_F(S.Pk, 5, {R.PkBasisArrow})
+    cold_graphs()
     with pytest.raises(AssertionError, match="forest criterion"):
         check_basis_F(S.Pk, 5, {R.Arrow1, R.Arrow2})
+    cold_graphs()
     rows = cli._thm1_rows("thm1b", 5)
     assert not any(row["pass"] for row in rows)
     assert all("forest criterion" in row["witness"] for row in rows)
