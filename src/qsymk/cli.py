@@ -43,24 +43,13 @@ from .statistics import StatisticId, check_shuffle_compatible, parse_statistic
 SCHEMA_VERSION = 1
 
 RELATION_SETS: dict[str, frozenset[RelationId]] = {
-    "arrow1": frozenset({RelationId.Arrow1}),
-    "arrow2": frozenset({RelationId.Arrow2}),
-    "arrow3": frozenset({RelationId.Arrow3}),
+    **{rel.value: frozenset({rel}) for rel in RelationId if rel is not RelationId.CTilde},
     "arrow12": frozenset({RelationId.Arrow1, RelationId.Arrow2}),
     "arrow123": frozenset({RelationId.Arrow1, RelationId.Arrow2, RelationId.Arrow3}),
-    "tri1": frozenset({RelationId.Tri1}),
-    "tri2": frozenset({RelationId.Tri2}),
     "tri12": frozenset({RelationId.Tri1, RelationId.Tri2}),
     "tri12ctilde": frozenset({RelationId.Tri1, RelationId.Tri2, RelationId.CTilde}),
-    "pkbasis": frozenset({RelationId.PkBasisArrow}),
-    "pknumbasis": frozenset({RelationId.PkNumBasisArrow}),
-    "val1": frozenset({RelationId.ValArrow1}),
-    "val2": frozenset({RelationId.ValArrow2}),
-    "val3": frozenset({RelationId.ValArrow3}),
     "val12": frozenset({RelationId.ValArrow1, RelationId.ValArrow2}),
     "val123": frozenset({RelationId.ValArrow1, RelationId.ValArrow2, RelationId.ValArrow3}),
-    "epkarrow": frozenset({RelationId.EpkArrow}),
-    "epktri": frozenset({RelationId.EpkTri}),
 }
 
 # (stat, relation-set name) pairs whose graph/rank and forest/independence
@@ -306,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qsymk",
         description="Exact verification of kernel subspaces of descent statistics.",
     )
-    parser.add_argument("--max-degree", type=int, default=None,
-                        help="override the configured maximum degree")
+    parser.add_argument("--max-degree", type=int, default=os.environ.get("QSYMK_MAX_DEGREE"),
+                        help="override the configured maximum degree "
+                             "(default: $QSYMK_MAX_DEGREE, if set)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a named check over a degree range")

@@ -168,11 +168,7 @@ def composition_of(n: int, positions: Iterable[int]) -> Composition:
     Composition(parts=(3, 5, 2))
     """
     check_degree(n)
-    pos = frozenset(positions)
-    for i in pos:
-        if not 1 <= i <= n - 1:
-            raise InvalidSubsetError(f"position {i} outside [{n - 1}] for degree {n}")
-    return from_index(n, set_to_mask(pos))
+    return from_index(n, DescentSet(n, positions).mask)
 
 
 @lru_cache(maxsize=None)

@@ -3,35 +3,22 @@
 Compositions of n are keyed by descent subsets encoded as integers in
 [0, 2^(n-1)), so every operation refuses degrees beyond a configured
 maximum instead of silently producing huge enumerations.  The limit
-defaults to 16 and can be overridden with the QSYMK_MAX_DEGREE
-environment variable or programmatically via :func:`set_max_degree`.
+defaults to 16 and is changed with :func:`set_max_degree`; the library
+reads no environment (the CLI's ``--max-degree`` takes its default from
+the QSYMK_MAX_DEGREE variable and sets the limit through this module).
 """
 
 from __future__ import annotations
 
-import os
-
 from .errors import DegreeLimitError
 
 DEFAULT_MAX_DEGREE = 16
-ENV_MAX_DEGREE = "QSYMK_MAX_DEGREE"
 
 _override: int | None = None
 
 
 def max_degree() -> int:
-    if _override is not None:
-        return _override
-    raw = os.environ.get(ENV_MAX_DEGREE)
-    if raw is not None:
-        try:
-            limit = int(raw)
-            if limit >= 0:
-                return limit
-        except ValueError:
-            pass
-        raise DegreeLimitError(f"{ENV_MAX_DEGREE} must be a nonnegative integer, got {raw!r}")
-    return DEFAULT_MAX_DEGREE
+    return DEFAULT_MAX_DEGREE if _override is None else _override
 
 
 def set_max_degree(limit: int | None) -> int | None:
@@ -58,5 +45,5 @@ def check_degree(n: int) -> None:
     if n > max_degree():
         raise DegreeLimitError(
             f"degree {n} exceeds the configured maximum {max_degree()}; "
-            f"raise it via {ENV_MAX_DEGREE} or set_max_degree()"
+            "raise it via set_max_degree() or the CLI's --max-degree"
         )

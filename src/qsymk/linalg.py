@@ -111,8 +111,6 @@ def _integral(v: SparseVector) -> dict[int, int]:
 
 def _normalized(vec: dict[int, int]) -> dict[int, int]:
     """Divide by the content and make the leading coefficient positive."""
-    if not vec:
-        return vec
     g = 0
     for value in vec.values():
         g = gcd(g, value)

@@ -126,33 +126,31 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def _superset_sums(elem: QSymElement, basis: str, signed: bool) -> QSymElement:
+    """Send each basis element C to the sum over supersets B of C, with
+    sign (-1)^{|B - C|} when `signed`, written in `basis`."""
+    check_degree(elem.n)
+    full = full_mask(elem.n)
+    out: dict[int, Fraction | int] = defaultdict(int)
+    for mask, value in elem.coeffs.items():
+        for extra in _submasks(full & ~mask):
+            out[mask | extra] += -value if signed and extra.bit_count() & 1 else value
+    return QSymElement(elem.n, basis, out)
+
+
 def f_to_m(elem: QSymElement) -> QSymElement:
     """Rewrite an F-basis element in the monomial basis: each F_{n,C}
     expands as the sum of M_{n,B} over supersets B of C."""
     if elem.basis != "F":
         raise BasisTagError(f"f_to_m needs an F-basis element, got {elem.basis}")
-    check_degree(elem.n)
-    full = full_mask(elem.n)
-    out: dict[int, Fraction | int] = defaultdict(int)
-    for mask, value in elem.coeffs.items():
-        free = full & ~mask
-        for extra in _submasks(free):
-            out[mask | extra] += value
-    return QSymElement(elem.n, "M", out)
+    return _superset_sums(elem, "M", signed=False)
 
 
 def m_to_f(elem: QSymElement) -> QSymElement:
     """Inverse of :func:`f_to_m`, by inclusion-exclusion over supersets."""
     if elem.basis != "M":
         raise BasisTagError(f"m_to_f needs an M-basis element, got {elem.basis}")
-    check_degree(elem.n)
-    full = full_mask(elem.n)
-    out: dict[int, Fraction | int] = defaultdict(int)
-    for mask, value in elem.coeffs.items():
-        free = full & ~mask
-        for extra in _submasks(free):
-            out[mask | extra] += -value if extra.bit_count() & 1 else value
-    return QSymElement(elem.n, "F", out)
+    return _superset_sums(elem, "F", signed=True)
 
 
 def to_f(elem: QSymElement) -> QSymElement:

@@ -9,7 +9,9 @@ import pytest
 import figure_data
 from qsymk import cli, config
 from qsymk.cli import CHECK_NAMES, main
+from qsymk.compositions import compositions_of
 from qsymk.kernel import RelationId
+from qsymk.statistics import StatisticId
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -139,6 +141,39 @@ def test_negative_max_degree_is_usage_error(capsys):
         assert config.max_degree() == 12
     finally:
         config.set_max_degree(previous)
+
+
+def test_max_degree_defaults_to_the_environment(capsys, monkeypatch):
+    before = config.max_degree()
+    monkeypatch.setenv("QSYMK_MAX_DEGREE", "3")
+    with pytest.raises(SystemExit) as info:
+        main(["dims", "--deg", "4..4"])
+    assert info.value.code == 2
+    assert "exceeds the configured maximum 3" in capsys.readouterr().err
+    # the flag wins over the variable
+    code, out = run_cli(capsys, "--max-degree", "5", "dims", "--stat", "Pk", "--deg", "5..5")
+    assert code == 0
+    assert out.splitlines()[1].startswith("Pk,5,")
+    assert config.max_degree() == before
+
+
+@pytest.mark.parametrize("raw", ["not-a-number", "-1", ""])
+def test_bad_max_degree_variable_is_usage_error(capsys, monkeypatch, raw):
+    previous = config.set_max_degree(12)
+    try:
+        monkeypatch.setenv("QSYMK_MAX_DEGREE", raw)
+        with pytest.raises(SystemExit) as info:
+            main(["dims", "--deg", "1..2"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert config.max_degree() == 12
+    finally:
+        config.set_max_degree(previous)
+
+
+def test_library_reads_no_environment(monkeypatch):
+    monkeypatch.setenv("QSYMK_MAX_DEGREE", "3")
+    assert len(compositions_of(4)) == 8
 
 
 def test_dims_table(capsys):
@@ -319,6 +354,21 @@ def test_failing_checks_report_witnesses(capsys, monkeypatch):
     assert [row["witness"] for row in json.loads(out)["rows"]] == [
         {"kernel_dim": dim} for dim in (0, 1, 2)
     ]
+
+    # planted: only Pk fails the ideal check; its row carries the violations
+    violations = [{"row_degree": 2, "factor": "(1)", "row": {"(2)": "1", "(1,1)": "-1"}}]
+
+    def planted_ideal(stat, total):
+        fails = stat is StatisticId.Pk
+        return {"ideal": not fails, "violations": violations if fails else []}
+
+    monkeypatch.setattr(cli, "is_ideal_upto", planted_ideal)
+    code, out = run_cli(capsys, "verify", "ideal", "--deg", "1..3")
+    assert code == 1
+    for row in json.loads(out)["rows"]:
+        fails = row["stat"] == "Pk"
+        assert row["pass"] is not fails
+        assert row.get("witness") == (violations if fails else None)
 
 
 def test_shufflecheck(capsys):

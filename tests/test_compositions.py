@@ -50,6 +50,13 @@ def test_composition_of_rejects_bad_positions():
         composition_of(-1, set())
 
 
+def test_from_index_rejects_out_of_range_masks():
+    assert from_index(3, 3) == Composition((1, 1, 1))
+    for mask in (4, -1):
+        with pytest.raises(InvalidSubsetError, match=f"index {mask} out of range for degree 3"):
+            from_index(3, mask)
+
+
 def test_descent_set_composition_of_inverse():
     for n in range(0, 13):
         seen = set()
@@ -239,16 +246,3 @@ def test_degree_limit_must_be_an_int_or_none():
     finally:
         assert set_max_degree(None) == 5
     assert max_degree() == before
-
-
-def test_degree_limit_env_override(monkeypatch):
-    from qsymk.config import max_degree
-
-    monkeypatch.setenv("QSYMK_MAX_DEGREE", "3")
-    assert max_degree() == 3
-    with pytest.raises(DegreeLimitError):
-        compositions_of(4)
-    for raw in ("not-a-number", "-1"):
-        monkeypatch.setenv("QSYMK_MAX_DEGREE", raw)
-        with pytest.raises(DegreeLimitError):
-            max_degree()

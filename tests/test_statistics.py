@@ -298,6 +298,8 @@ def test_shuffle_distribution_examples():
     assert pk_dist == Counter({0: 2, 1: 4})
     maj_dist = shuffle_distribution(S.maj, Permutation(()), parse_permutation("21"))
     assert maj_dist == Counter({1: 1})
+    with pytest.raises(DisjointnessError, match="share letters"):
+        shuffle_distribution(S.Des, parse_permutation("13"), parse_permutation("32"))
 
 
 def test_realize_permutation():
