@@ -5,10 +5,12 @@ the projection F_J -> [st-class of J]: a vector lies in it exactly when
 its coefficients sum to zero on every class.  A sound set S of
 equivalent pairs spans K^st_n exactly when the components of the graph
 with edge set S are the classes, and its differences are independent
-exactly when the graph is a forest.  Neither fact depends on st: one
-graph per (rels, n) is built once, kept in a bounded cache, and carries
-its components and the rank of its edge differences, and every spanning
-check cross-checks both criteria against that rank.
+exactly when the graph is a forest (Theorem 1).  Neither fact depends
+on st: one graph per (rels, n) is built once, kept in a bounded cache,
+and carries its components, so the spanning and basis checks read only
+the components and eliminate nothing.  The rank of the edge differences
+is |V| - #components (the graphic matroid); `verify thm1a/thm1b` checks
+both criteria against an elimination of `edge_vectors`.
 
 Relation graphs are keyed by composition index, the same vertex format
 as the kernel classes: an edge is an (index, index, label) triple and a
@@ -190,10 +192,11 @@ class RelationGraph:
         """`connected_components(self)`, found once per graph."""
         return connected_components(self)
 
-    @cached_property
+    @property
     def edge_rank(self) -> int:
-        """The rank of `edge_vectors(self)`, eliminated once per graph."""
-        return rank(edge_vectors(self), self.n)
+        """The rank of `edge_vectors(self)`: each component is spanned by a
+        tree of its edges, so the rank is |V| - #components."""
+        return len(self.vertices) - len(self.components)
 
 
 _ORDERED_RELATIONS = list(RelationId)
@@ -250,9 +253,9 @@ def connected_components(graph: RelationGraph) -> tuple[tuple[int, ...], ...]:
 
 def is_forest(graph: RelationGraph) -> bool:
     """True iff the underlying undirected multigraph is acyclic, i.e. every
-    edge joins two components: edges + components = vertices.  Loops and
-    parallel or antiparallel pairs count as cycles."""
-    return len(graph.edges) == len(graph.vertices) - len(graph.components)
+    edge joins two components: edges = vertices - components = edge rank.
+    Loops and parallel or antiparallel pairs count as cycles."""
+    return len(graph.edges) == graph.edge_rank
 
 
 # -- kernel spaces -----------------------------------------------------------
@@ -319,59 +322,38 @@ def quotient_dimension(stat: DescentStatistic, n: int) -> int:
     return len(kernel_space(stat, n).classes)
 
 
-def _check_sound(space: KernelSpace, graph: RelationGraph) -> None:
-    for a, b, _ in graph.edges:
-        if space.labels[a] != space.labels[b]:
-            j, k = from_index(graph.n, a), from_index(graph.n, b)
-            raise RelationUnsoundError(
-                f"edge {j} -> {k} joins non-{stat_name(space.stat)}-equivalent compositions"
-            )
-
-
 def edge_vectors(graph: RelationGraph) -> list[SparseVector]:
     """The differences F_J - F_K along the edges (zero for a loop)."""
     return [SparseVector(graph.n, {a: 1, b: -1} if a != b else {}) for a, b, _ in graph.edges]
 
 
-def _spanning_edges(stat: DescentStatistic, n: int, rels: Iterable[RelationId]):
-    """(spans, graph, K^st_n), the graph with its components and edge rank
-    found once per (rels, n).  Sound edges lie in K^st_n, so they span it
-    exactly when their rank is its dimension; disagreement with the graph
-    criterion raises."""
+def _spanning_graph(stat: DescentStatistic, n: int, rels: Iterable[RelationId]):
+    """(spans, graph): the relation graph, built once per call since `rels`
+    may be a one-shot iterator, and whether its components are the
+    st-classes.  An edge joining two st-classes is unsound and raises."""
     graph, space = relation_edges(rels, n), kernel_space(stat, n)
-    _check_sound(space, graph)
-    graph_verdict = space.classes == graph.components
-    rank_verdict = graph.edge_rank == space.dim
-    if graph_verdict != rank_verdict:
-        raise AssertionError(
-            f"graph criterion ({graph_verdict}) and rank comparison ({rank_verdict}) "
-            f"disagree for {stat_name(stat)} at degree {n}"
-        )
-    return graph_verdict, graph, space
+    for a, b, _ in graph.edges:
+        if space.labels[a] != space.labels[b]:
+            raise RelationUnsoundError(
+                f"edge {from_index(n, a)} -> {from_index(n, b)} "
+                f"joins non-{stat_name(stat)}-equivalent compositions"
+            )
+    return space.classes == graph.components, graph
 
 
 def check_spanning_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) -> bool:
-    """Do the F-differences along the relation edges span K^st_n?  The
-    components of the relation graph are compared with the st-classes and
-    cross-checked against the rank of the edge differences; the two
-    must agree (a theorem), disagreement raises."""
-    return _spanning_edges(stat, n, rels)[0]
+    """Do the F-differences along the relation edges span K^st_n?  By
+    Theorem 1, sound edges span it exactly when the components of the
+    relation graph are the st-classes; nothing is eliminated."""
+    return _spanning_graph(stat, n, rels)[0]
 
 
 def check_basis_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) -> bool:
     """Do the F-differences along the relation edges form a basis of
-    K^st_n?  Requires spanning, the forest property, and edge count
-    equal to the kernel dimension; the rank that cross-checks spanning
-    also cross-checks the forest verdict (independent exactly when the
-    rank is the number of edges)."""
-    spanning, graph, space = _spanning_edges(stat, n, rels)
-    forest, independent = is_forest(graph), graph.edge_rank == len(graph.edges)
-    if forest != independent:
-        raise AssertionError(
-            f"forest criterion ({forest}) and independence ({independent}) disagree "
-            f"for {stat_name(stat)} at degree {n}"
-        )
-    return spanning and forest and len(graph.edges) == space.dim
+    K^st_n?  By Theorem 1, exactly when they span and the relation graph
+    is a forest; a spanning forest has one edge per kernel dimension."""
+    spanning, graph = _spanning_graph(stat, n, rels)
+    return spanning and is_forest(graph)
 
 
 # -- monomial spanning sets ---------------------------------------------------
@@ -586,6 +568,8 @@ def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int 
     `max_witnesses` violations are listed, and projecting stops once the
     verdict is known and the list is full."""
     check_degree(total_degree)
+    if isinstance(max_witnesses, bool) or not isinstance(max_witnesses, int):
+        raise ValueError(f"max_witnesses must be an int, got {max_witnesses!r}")
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be nonnegative, got {max_witnesses}")
     found = list(islice(_ideal_violations(stat, total_degree), max(max_witnesses, 1)))

@@ -20,13 +20,16 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # checks moved to the quotient map, the tri12ctilde graph exports before
 # relation graphs moved to composition indices, the pkbasis and degree
 # 8..10 pknumbasis exports before the trimmed relations became their
-# parents' first move, and the monomial checks and props4 at higher
-# degrees before those checks moved to M coordinates.  A change to how
-# the checks or graphs are computed must reproduce them byte for byte.
+# parents' first move, the monomial checks and props4 at higher degrees
+# before those checks moved to M coordinates, and the edge spanning,
+# basis and Theorem 1 checks at higher degrees before the edge rank came
+# from the components.  A change to how the checks or graphs are computed
+# must reproduce them byte for byte.
 GOLDEN_REPORTS = [
     *((f"verify_{check}_deg1-6.json", ("verify", check, "--deg", "1..6")) for check in CHECK_NAMES),
     *((f"verify_{check}_deg1-{hi}.json", ("verify", check, "--deg", f"1..{hi}"))
-      for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9))),
+      for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9),
+                        ("thm2b", 12), ("thm35", 11), ("thm53b", 11), ("thm1a", 9), ("thm1b", 9))),
     ("dims_deg1-8.csv", ("dims", "--deg", "1..8")),
     ("graph_pknumbasis_deg1-7.json",
      ("graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json")),

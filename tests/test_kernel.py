@@ -52,8 +52,8 @@ S = StatisticId
 def cold_graphs():
     """Empty the relation-graph cache before and after the test, and hand
     the test the call that empties it: a check run right after that call
-    builds its graph and eliminates, and no graph built under a patch
-    outlives the test."""
+    builds its graph and finds its components, and no graph built under a
+    patch outlives the test."""
     clear = kernel._relation_edges.cache_clear
     clear()
     yield clear
@@ -545,6 +545,14 @@ def test_is_ideal_refuses_a_negative_witness_cap():
             is_ideal_upto(max_part, 5, cap)
 
 
+def test_is_ideal_refuses_a_non_int_witness_cap():
+    # True once counted as a cap of 1, "2" raised a bare TypeError and 2.5
+    # an islice message
+    for cap in (True, False, "2", 2.5, 2.0, None):
+        with pytest.raises(ValueError, match=f"max_witnesses must be an int, got {re.escape(repr(cap))}$"):
+            is_ideal_upto(max_part, 5, cap)
+
+
 def test_degrees_must_be_ints():
     for bad in (3.5, 2.0, True, False, "3", None):
         with pytest.raises(ValueError, match="degree must be an int"):
@@ -606,19 +614,60 @@ def test_kernel_transport_matches_span_equality():
         assert all(verdicts) == bridge, (src, dst, verdicts)
 
 
+# relation sets beyond THM1_SUITE, one relation or a pair short of a
+# spanning set
+MIXED_SUITE = [
+    (S.Pk, {R.Arrow1}),
+    (S.Pk, {R.Arrow2}),
+    (S.pk, {R.Arrow3}),
+    (S.pk, {R.Arrow1, R.Arrow2}),
+    (S.Val, {R.ValArrow1}),
+    (S.val, {R.ValArrow2, R.ValArrow3}),
+]
+
+
 def test_edge_checks_match_elimination_routes():
-    # the one-elimination routes against span equality with the written-down
+    # the component routes against span equality with the written-down
     # kernel rows and a separate independence test, on the suite behind
-    # thm1a/thm1b (spanning and non-spanning, forest and non-forest cases)
-    for stat, relname in cli.THM1_SUITE:
-        rels = cli.RELATION_SETS[relname]
+    # thm1a/thm1b and the mixed suite (spanning and non-spanning, forest
+    # and non-forest cases)
+    suite = [(stat, cli.RELATION_SETS[relname]) for stat, relname in cli.THM1_SUITE] + MIXED_SUITE
+    verdicts = set()
+    for stat, rels in suite:
         for n in range(0, 10):
             vectors = edge_vectors(relation_edges(rels, n))
             space = kernel_space(stat, n)
             spanning = spans_equal(vectors, space.basis.rows, n)
-            assert check_spanning_F(stat, n, rels) == spanning, (stat, relname, n)
+            assert check_spanning_F(stat, n, rels) == spanning, (stat, rels, n)
             basis = spanning and is_independent(vectors, n) and len(vectors) == space.dim
-            assert check_basis_F(stat, n, rels) == basis, (stat, relname, n)
+            assert check_basis_F(stat, n, rels) == basis, (stat, rels, n)
+            verdicts.add((spanning, basis))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_edge_rank_is_the_graphic_matroid_rank():
+    # |V| - #components and the edge-count forest test against elimination,
+    # on every named relation set
+    for rels in cli.RELATION_SETS.values():
+        for n in range(0, 11):
+            graph = relation_edges(rels, n)
+            vectors = edge_vectors(graph)
+            assert graph.edge_rank == rank(vectors, n), (rels, n)
+            assert kernel.is_forest(graph) == is_independent(vectors, n), (rels, n)
+
+
+@pytest.mark.parametrize("edges, edge_rank, forest", [
+    (((2, 2, "1"),), 0, False),                                 # a loop
+    (((0, 1, "1"), (1, 0, "1")), 1, False),                     # an antiparallel pair
+    (((0, 1, "1"), (0, 3, "1"), (2, 1, "3"), (1, 3, "2")), 3, False),  # a cycle
+    (((0, 1, "1"), (0, 3, "1"), (2, 1, "3")), 3, True),         # a spanning tree
+    (((0, 1, "1"), (2, 1, "3")), 2, True),                      # an edge dropped from it
+], ids=["loop", "antiparallel", "cycle", "tree", "dropped-edge"])
+def test_edge_rank_formula_on_planted_graphs(edges, edge_rank, forest):
+    graph = RelationGraph(3, edges)
+    vectors = edge_vectors(graph)
+    assert graph.edge_rank == rank(vectors, 3) == edge_rank
+    assert kernel.is_forest(graph) == is_independent(vectors, 3) == forest
 
 
 def test_cached_graphs_give_the_uncached_verdicts(cold_graphs):
@@ -703,7 +752,7 @@ def test_check_basis_F_finds_the_components_once(monkeypatch, cold_graphs):
     assert len(calls) == 1
 
 
-def test_edge_and_monomial_checks_eliminate_once(monkeypatch, cold_graphs):
+def test_edge_checks_never_eliminate_monomial_checks_once(monkeypatch, cold_graphs):
     calls, building = [], []
     echelon, remainder = linalg._echelon, linalg._remainder
 
@@ -733,69 +782,44 @@ def test_edge_and_monomial_checks_eliminate_once(monkeypatch, cold_graphs):
         lambda n: check_spanning_M(S.pk, n),
         lambda n: check_spanning_M(S.Epk, n),
     ]
-    # the edge rank is kept with the cached graph, so a repeated edge
-    # check eliminates no more; a monomial check eliminates on every call
-    for checks, repeated in ((edge_checks, 0), (monomial_checks, 1)):
+    # an edge check reads the components of the graph and eliminates
+    # nothing, cold or warm; a monomial check ranks once on every call
+    for checks, eliminations in ((edge_checks, 0), (monomial_checks, 1)):
         for check in checks:
             for n in range(0, 8):
                 cold_graphs()
-                calls.clear()
-                check(n)
-                assert len(calls) == 1, (check, n)
-                calls.clear()
-                check(n)
-                assert len(calls) == repeated, (check, n)
+                for _ in ("cold", "warm"):
+                    calls.clear()
+                    check(n)
+                    assert len(calls) == eliminations, (check, n)
 
 
-def test_edge_cross_checks_are_live(monkeypatch, cold_graphs):
-    # a wrong rank or a flipped forest verdict must raise, and thm1a/thm1b
-    # turn that into failing rows; the cache is emptied before each check,
-    # so every graph takes its edge rank from the patched `rank`
-    real_rank, real_forest = kernel.rank, kernel.is_forest
+def test_edge_cross_checks_are_live(monkeypatch):
+    # thm1a/thm1b compare the graph verdicts with elimination: a planted
+    # wrong rank or flipped forest verdict in that route makes failing rows
+    # that name the disagreement
+    real_rank, real_forest = cli.rank, cli.is_forest
     spanning = {(stat, relname) for stat, relname in cli.THM1_SUITE
                 if check_spanning_F(stat, 5, cli.RELATION_SETS[relname])}
     assert (S.Pk, "arrow12") in spanning and (S.Pk, "arrow2") not in spanning
 
-    monkeypatch.setattr(kernel, "rank", lambda vs, n=None: real_rank(vs, n) + 1)
-    cold_graphs()
-    with pytest.raises(AssertionError, match="rank comparison"):
-        check_spanning_F(S.Pk, 5, {R.Arrow1, R.Arrow2})
-    cold_graphs()
-    with pytest.raises(AssertionError, match="rank comparison"):
-        check_basis_F(S.Pk, 5, {R.PkBasisArrow})
+    monkeypatch.setattr(cli, "rank", lambda vs, n=None: real_rank(vs, n) + 1)
     for which in ("thm1a", "thm1b"):
-        cold_graphs()
-        failed = {(S(row["stat"]), row["rels"]) for row in cli._thm1_rows(which, 5)
+        rows = cli._thm1_rows(which, 5)
+        failed = {(S(row["stat"]), row["rels"]) for row in rows
                   if not row["pass"] and "rank comparison" in row["witness"]}
         assert spanning <= failed
+        row = next(row for row in rows if row["rels"] == "arrow12")
+        assert row["witness"] == (
+            "graph criterion (True) and rank comparison (False) disagree for Pk at degree 5"
+        )
 
-    monkeypatch.setattr(kernel, "rank", real_rank)
-    monkeypatch.setattr(kernel, "is_forest", lambda graph: not real_forest(graph))
-    cold_graphs()
-    assert check_spanning_F(S.Pk, 5, {R.PkBasisArrow})
-    cold_graphs()
-    with pytest.raises(AssertionError, match="forest criterion"):
-        check_basis_F(S.Pk, 5, {R.PkBasisArrow})
-    cold_graphs()
-    with pytest.raises(AssertionError, match="forest criterion"):
-        check_basis_F(S.Pk, 5, {R.Arrow1, R.Arrow2})
-    cold_graphs()
+    monkeypatch.setattr(cli, "rank", real_rank)
+    monkeypatch.setattr(cli, "is_forest", lambda graph: not real_forest(graph))
+    assert all(row["pass"] for row in cli._thm1_rows("thm1a", 5))
     rows = cli._thm1_rows("thm1b", 5)
     assert not any(row["pass"] for row in rows)
     assert all("forest criterion" in row["witness"] for row in rows)
-
-
-def test_theorem1_criteria_agree_on_mixed_suite():
-    # check_spanning_F and check_basis_F raise internally if the graph
-    # criteria ever disagree with the rank computations
-    suite = [
-        (S.Pk, {R.Arrow1}),
-        (S.Pk, {R.Arrow2}),
-        (S.pk, {R.Arrow3}),
-        (S.pk, {R.Arrow1, R.Arrow2}),
-        (S.Val, {R.ValArrow1}),
-        (S.val, {R.ValArrow2, R.ValArrow3}),
-    ]
-    for stat, rels in suite:
-        for n in range(0, 8):
-            check_basis_F(stat, n, rels)
+    assert rows[0]["witness"] == (
+        "forest criterion (True) and independence (False) disagree for Pk at degree 5"
+    )
