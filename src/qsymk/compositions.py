@@ -69,10 +69,8 @@ class DescentSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", frozenset(self.positions))
         for i in self.positions:
-            if not 1 <= i <= self.n - 1:
-                raise InvalidSubsetError(
-                    f"position {i} outside [{self.n - 1}] for degree {self.n}"
-                )
+            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i < self.n:
+                raise InvalidSubsetError(f"position {i!r} is not in [{self.n - 1}] for degree {self.n}")
 
     @property
     def mask(self) -> int:

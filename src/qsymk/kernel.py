@@ -10,7 +10,10 @@ on st: one graph per (rels, n) is built once, kept in a bounded cache,
 and carries its components, so the spanning and basis checks read only
 the components and eliminate nothing.  The rank of the edge differences
 is |V| - #components (the graphic matroid); `verify thm1a/thm1b` checks
-both criteria against an elimination of `edge_vectors`.
+both criteria against an elimination of `edge_vectors`.  M-combinations
+span the kernel of a partition exactly when each has zero class sums and
+their rank is its dimension: the monomial spanning sets and Section 4's
+F-vs-M propositions (on their F-family graph's components) share this.
 
 Relation graphs are keyed by composition index, the same vertex format
 as the kernel classes: an edge is an (index, index, label) triple and a
@@ -285,11 +288,16 @@ class KernelSpace:
     @cached_property
     def labels(self) -> list[int]:
         """The class number of each composition index: the quotient map."""
-        labels = [0] * (1 << max(self.n - 1, 0))
-        for label, block in enumerate(self.classes):
-            for c in block:
-                labels[c] = label
-        return labels
+        return _labels(self.classes)
+
+
+def _labels(blocks: Sequence[Sequence[int]]) -> list[int]:
+    """The quotient map of a partition of the indices: each index's block number."""
+    labels = [0] * sum(map(len, blocks))
+    for label, block in enumerate(blocks):
+        for c in block:
+            labels[c] = label
+    return labels
 
 
 def _class_sums(labels: Sequence[int], terms: Iterable[tuple[int, object]]) -> dict:
@@ -301,18 +309,13 @@ def _class_sums(labels: Sequence[int], terms: Iterable[tuple[int, object]]) -> d
     return sums
 
 
-def _in_kernel(space: KernelSpace, v: SparseVector) -> bool:
-    """v lies in K exactly when every class sum of v vanishes."""
-    return not any(_class_sums(space.labels, v.entries.items()).values())
-
-
 def kernel_space(stat: DescentStatistic, n: int) -> KernelSpace:
-    """K^st_n as the st-classes of the compositions of n."""
+    """K^st_n as the st-classes of the compositions of n, from a cache of 256."""
     check_degree(n)
     return _kernel_space(stat, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _kernel_space(stat: DescentStatistic, n: int) -> KernelSpace:
     return KernelSpace(stat, n, equivalence_classes(stat, n))
 
@@ -382,12 +385,13 @@ def monomial_span_vectors(stat: StatisticId, n: int) -> list[SparseVector]:
     return [f_sparse(QSymElement(n, "M", terms)) for terms in monomial_span_terms(stat, n)]
 
 
-def _projected_m(space: KernelSpace) -> list[dict[int, int]]:
-    """The class sums of M_C for every index C: m_to_f(M_C) is the sum over
-    B containing C of (-1)^|B - C| F_B, so P(M_C) is the superset Moebius
-    transform of the labels, one pass per position."""
-    proj = [{label: 1} for label in space.labels]
-    for bit in (1 << i for i in range(space.n - 1)):
+def _projected_m(labels: Sequence[int]) -> list[dict[int, int]]:
+    """The class sums of M_C for every index C under the quotient map
+    `labels`: m_to_f(M_C) is the sum over B containing C of
+    (-1)^|B - C| F_B, so P(M_C) is the superset Moebius transform of the
+    labels, one pass per position."""
+    proj = [{label: 1} for label in labels]
+    for bit in (1 << i for i in range(len(labels).bit_length() - 1)):
         for c, low in enumerate(proj):
             if not c & bit:
                 for label, value in proj[c | bit].items():
@@ -399,13 +403,13 @@ def _projected_m(space: KernelSpace) -> list[dict[int, int]]:
     return proj
 
 
-def check_spanning_M(stat: StatisticId, n: int) -> bool:
-    """The monomial combinations X span K^st_n iff every class sum of each
-    vector of X vanishes (X lies in K^st_n) and rank X = dim K^st_n.  Both
-    are read in M coordinates: the class sums of a combination are those
-    of its P(M_C), and m_to_f is invertible, so the rank is unchanged."""
-    terms, space = monomial_span_terms(stat, n), kernel_space(stat, n)
-    proj = _projected_m(space)
+def _m_spans_kernel(terms: list[dict[int, int]], blocks: Sequence[Sequence[int]], n: int) -> bool:
+    """Do the M-combinations `terms` span the kernel of the projection onto
+    a partition of the indices?  Exactly when every class sum of each
+    vanishes and their rank is 2^(n-1) - #blocks, both read in M
+    coordinates: a combination's class sums are those of its P(M_C), and
+    m_to_f is invertible, so the rank is unchanged."""
+    proj = _projected_m(_labels(blocks))
     for combination in terms:
         sums: dict[int, int] = {}
         for c, coeff in combination.items():
@@ -413,7 +417,13 @@ def check_spanning_M(stat: StatisticId, n: int) -> bool:
                 sums[label] = sums.get(label, 0) + coeff * value
         if any(sums.values()):
             return False
-    return rank([SparseVector(n, t) for t in terms], n) == space.dim
+    return rank([SparseVector(n, t) for t in terms], n) == (1 << max(n - 1, 0)) - len(blocks)
+
+
+def check_spanning_M(stat: StatisticId, n: int) -> bool:
+    """Do the combinations of `monomial_span_terms` span K^st_n, the kernel
+    of the projection onto the st-classes?"""
+    return _m_spans_kernel(monomial_span_terms(stat, n), kernel_space(stat, n).classes, n)
 
 
 # -- the indexed families over subsets ---------------------------------------
@@ -460,6 +470,15 @@ def _region(n: int, c_mask: int, k: int) -> int | None:
     return None
 
 
+def _omega(n: int) -> Iterator[tuple[int, int, int]]:
+    """(region, C mask, k) for each (C, k) in a region, C by mask ascending, then k."""
+    for c_mask in range(1 << max(n - 1, 0)):
+        for k in range(1, n):
+            region = _region(n, c_mask, k)
+            if region is not None:
+                yield region, c_mask, k
+
+
 def omega_sets(n: int) -> OmegaSets:
     """The pairs (C, k) of each region, C by mask ascending, then k.
 
@@ -468,17 +487,22 @@ def omega_sets(n: int) -> OmegaSets:
     """
     check_degree(n)
     regions: tuple[list, ...] = ([], [], [], [])
-    for c_mask in range(1 << max(n - 1, 0)):
-        for k in range(1, n):
-            r = _region(n, c_mask, k)
-            if r is not None:
-                regions[r - 1].append((mask_to_set(c_mask), k))
+    for region, c_mask, k in _omega(n):
+        regions[region - 1].append((mask_to_set(c_mask), k))
     return OmegaSets(n, *map(tuple, regions))
 
 
-def _swap(c_mask: int, k: int) -> int:
-    """The region-4 partner C - {k} u {k+1} of (C, k)."""
-    return c_mask & ~(1 << (k - 1)) | 1 << k
+def _members(region: int, c_mask: int, k: int, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(F terms, M terms) of the members indexed by (C, k) in the region:
+    F_C - F_C' and M_C - M_C' with C' = C - {k} u {k+1} in region 4, else
+    F_C - F_C' with C' = C u {k-1} (region 1) or C u {n-1} (regions 2, 3)
+    and M_C + M_(C u {k}) (regions 1, 2) or M_C (region 3)."""
+    if region == 4:
+        swap = {c_mask: 1, c_mask & ~(1 << (k - 1)) | 1 << k: -1}
+        return swap, dict(swap)
+    other = c_mask | 1 << (k - 2 if region == 1 else n - 2)
+    m_terms = {c_mask: 1} if region == 3 else {c_mask: 1, c_mask | 1 << (k - 1): 1}
+    return {c_mask: 1, other: -1}, m_terms
 
 
 def _member_mask(region: int, c: frozenset[int], k: int, n: int) -> int:
@@ -486,8 +510,8 @@ def _member_mask(region: int, c: frozenset[int], k: int, n: int) -> int:
     check_degree(n)
     if region not in (1, 2, 3, 4):
         raise ValueError(f"region must be 1..4, got {region}")
-    # positions first: set_to_mask takes only ints, and no 0
-    inside = all(isinstance(j, int) and 1 <= j <= n - 1 for j in (*c, k))
+    # positions first: set_to_mask takes only ints (no bools), and no 0
+    inside = all(type(j) is int and 1 <= j <= n - 1 for j in (*c, k))
     if not (inside and _region(n, set_to_mask(c), k) == region):
         raise ValueError(f"({set(c)}, {k}) is not in region {region} at degree {n}")
     return set_to_mask(c)
@@ -495,63 +519,39 @@ def _member_mask(region: int, c: frozenset[int], k: int, n: int) -> int:
 
 def f_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:
     """The F-side family member indexed by (C, k) in the given region."""
-    c_mask = _member_mask(region, c, k, n)
-    if region == 1:
-        other = c_mask | (1 << (k - 2))
-    elif region in (2, 3):
-        other = c_mask | (1 << (n - 2))
-    else:
-        other = _swap(c_mask, k)
-    return QSymElement(n, "F", {c_mask: 1, other: -1})
+    return QSymElement(n, "F", _members(region, _member_mask(region, c, k, n), k, n)[0])
 
 
 def m_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:
     """The M-side family member indexed by (C, k) in the given region."""
-    c_mask = _member_mask(region, c, k, n)
-    if region in (1, 2):
-        return QSymElement(n, "M", {c_mask: 1, c_mask | (1 << (k - 1)): 1})
-    if region == 3:
-        return QSymElement(n, "M", {c_mask: 1})
-    return QSymElement(n, "M", {c_mask: 1, _swap(c_mask, k): -1})
+    return QSymElement(n, "M", _members(region, _member_mask(region, c, k, n), k, n)[1])
 
 
 def check_section4_props(n: int) -> dict:
     """Verify the six span equalities linking the subset-indexed families
-    to the relation spanning sets, plus the region-4 characterization of
-    the arrow3 edges."""
+    to the relation spanning sets, and the region-4 characterization of
+    the arrow3 edges, on index masks: regions 1-3 against Pk's sets
+    (Props 4.1-4.3), all four against pk's (Props 4.4-4.6).  The F side
+    compares components of graphs, the M side spans by elimination in M
+    coordinates, and F-vs-M is the monomial criterion on the F-family
+    graph's components."""
     check_degree(n)
-    om = omega_sets(n)
-    f_omega = [f_sparse(f_family(r, c, k, n)) for r, c, k in om.omega()]
-    f_theta = f_omega + [f_sparse(f_family(4, c, k, n)) for c, k in om.om4]
-    # the M-side families in M coordinates (prop42/45) and as F images (prop43/46)
-    m_members = [m_family(r, c, k, n) for r, c, k in om.omega()]
-    m4_members = [m_family(4, c, k, n) for c, k in om.om4]
-    m_omega = [SparseVector(n, m.coeffs) for m in m_members]
-    m_theta = m_omega + [SparseVector(n, m.coeffs) for m in m4_members]
-    fm_omega = list(map(f_sparse, m_members))
-    fm_theta = fm_omega + list(map(f_sparse, m4_members))
-
-    pk_graph = relation_edges({RelationId.Arrow1, RelationId.Arrow2}, n)
-    pknum_graph = relation_edges(
-        {RelationId.Arrow1, RelationId.Arrow2, RelationId.Arrow3}, n
-    )
-    fn_pk = edge_vectors(pk_graph)
-    fn_pknum = edge_vectors(pknum_graph)
-    mn_pk = [SparseVector(n, t) for t in monomial_span_terms(StatisticId.Pk, n)]
-    mn_pknum = [SparseVector(n, t) for t in monomial_span_terms(StatisticId.pk, n)]
-
-    arrow3_edges = {(a, b) for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges}
-    om4_pairs = {(set_to_mask(c), _swap(set_to_mask(c), k)) for c, k in om.om4}
-
-    results = {
-        "prop41_f_family_spans_FPk": spans_equal(f_omega, fn_pk, n),
-        "prop42_m_family_spans_MPk": spans_equal(m_omega, mn_pk, n),
-        "prop43_f_equals_m_on_omega": spans_equal(f_omega, fm_omega, n),
-        "prop44_f_family_spans_Fpk": spans_equal(f_theta, fn_pknum, n),
-        "prop45_m_family_spans_Mpk": spans_equal(m_theta, mn_pknum, n),
-        "prop46_f_equals_m_on_theta": spans_equal(f_theta, fm_theta, n),
-        "lemma_om4_matches_arrow3": arrow3_edges == om4_pairs,
-    }
+    family = [(region, *_members(region, c_mask, k, n)) for region, c_mask, k in _omega(n)]
+    results = {}
+    for last, rels, stat, (f_key, m_key, fm_key) in (
+        (3, (RelationId.Arrow1, RelationId.Arrow2), StatisticId.Pk,
+         ("prop41_f_family_spans_FPk", "prop42_m_family_spans_MPk", "prop43_f_equals_m_on_omega")),
+        (4, (RelationId.Arrow1, RelationId.Arrow2, RelationId.Arrow3), StatisticId.pk,
+         ("prop44_f_family_spans_Fpk", "prop45_m_family_spans_Mpk", "prop46_f_equals_m_on_theta")),
+    ):
+        members = [(f, m) for region, f, m in family if region <= last]
+        blocks = connected_components(RelationGraph(n, tuple((*f, "") for f, _ in members)))
+        spanning = [SparseVector(n, t) for t in monomial_span_terms(stat, n)]
+        results[f_key] = blocks == relation_edges(rels, n).components
+        results[m_key] = spans_equal([SparseVector(n, m) for _, m in members], spanning, n)
+        results[fm_key] = _m_spans_kernel([m for _, m in members], blocks, n)
+    arrow3 = {(a, b) for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges}
+    results["lemma_om4_matches_arrow3"] = arrow3 == {tuple(f) for region, f, _ in family if region == 4}
     return {"degree": n, "pass": all(results.values()), "results": results}
 
 

@@ -28,7 +28,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_REPORTS = [
     *((f"verify_{check}_deg1-6.json", ("verify", check, "--deg", "1..6")) for check in CHECK_NAMES),
     *((f"verify_{check}_deg1-{hi}.json", ("verify", check, "--deg", f"1..{hi}"))
-      for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9),
+      for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9), ("props4", 11),
                         ("thm2b", 12), ("thm35", 11), ("thm53b", 11), ("thm1a", 9), ("thm1b", 9))),
     ("dims_deg1-8.csv", ("dims", "--deg", "1..8")),
     ("graph_pknumbasis_deg1-7.json",

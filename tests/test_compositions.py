@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qsymk.compositions import (
     Composition,
+    DescentSet,
     complement,
     composition_of,
     compositions_of,
@@ -46,6 +47,12 @@ def test_composition_of_rejects_bad_positions():
         composition_of(5, {5})
     with pytest.raises(InvalidSubsetError):
         composition_of(5, {0})
+    # positions are ints: not bools (True == 1), floats or strings
+    for bad in ({True}, {1.0}, {"1"}, {2, False}):
+        with pytest.raises(InvalidSubsetError, match="is not in"):
+            composition_of(4, bad)
+        with pytest.raises(InvalidSubsetError):
+            DescentSet(4, bad)
     with pytest.raises(ValueError):
         composition_of(-1, set())
 

@@ -154,7 +154,7 @@ def test_in_span_matches_class_sum_oracle():
                 for block in classes
             )
             assert in_span(v, ks.basis) == class_sums_vanish
-            assert kernel._in_kernel(ks, v) == class_sums_vanish
+            assert (not any(kernel._class_sums(ks.labels, v.entries.items()).values())) == class_sums_vanish
 
 
 def test_membership_example_from_spanning_set():
@@ -252,7 +252,7 @@ def test_projected_m_is_the_class_sums_of_m_to_f():
     for stat in StatisticId:
         for n in range(0, 10):
             space = kernel_space(stat, n)
-            proj = kernel._projected_m(space)
+            proj = kernel._projected_m(space.labels)
             assert len(proj) == 1 << max(n - 1, 0)
             for c, got in enumerate(proj):
                 image = m_to_f(QSymElement(n, "M", {c: 1})).coeffs
@@ -263,7 +263,8 @@ def test_projected_m_is_the_class_sums_of_m_to_f():
 def _check_spanning_M_via_F(stat, n) -> bool:
     """The F-coordinate route: membership and rank of the F images."""
     vectors, space = monomial_span_vectors(stat, n), kernel_space(stat, n)
-    return all(kernel._in_kernel(space, v) for v in vectors) and rank(vectors, n) == space.dim
+    in_kernel = not any(any(kernel._class_sums(space.labels, v.entries.items()).values()) for v in vectors)
+    return in_kernel and rank(vectors, n) == space.dim
 
 
 def test_check_spanning_M_agrees_with_the_F_route(monkeypatch):
@@ -429,10 +430,15 @@ def test_family_examples():
     # positions of C and k that are not ints in [n-1] are in no region
     n = 4
     outside = ((frozenset({0}), 2), (frozenset({n}), 2), (frozenset(), 0), (frozenset(), n))
-    for c, k in (*outside, (frozenset({"1"}), 2), (frozenset({1.0}), 3), (frozenset(), 2.0)):
+    not_ints = ((frozenset({"1"}), 2), (frozenset({1.0}), 3), (frozenset(), 2.0), (frozenset({True}), 3))
+    for c, k in (*outside, *not_ints):
         for family in (f_family, m_family):
             with pytest.raises(ValueError, match="not in region"):
                 family(1, c, k, n)
+    # bools are not positions, though True == 1 would place them in a region
+    for family in (f_family, m_family):
+        with pytest.raises(ValueError, match="not in region"):
+            family(3, frozenset(), True, 2)
 
 
 def test_section4_props():
@@ -469,6 +475,129 @@ def test_section4_props_planted_negatives(monkeypatch):
     report = check_section4_props(n)
     assert not report["pass"]
     assert not report["results"]["prop42_m_family_spans_MPk"]
+
+
+def _honest_family(n: int) -> list[tuple[int, dict, dict]]:
+    """(region, F terms, M terms) of every member, through the public
+    `omega_sets`, `f_family` and `m_family`: regions 1-3, then region 4."""
+    om = omega_sets(n)
+    indexed = [*om.omega(), *((4, c, k) for c, k in om.om4)]
+    return [(r, f_family(r, c, k, n).coeffs, m_family(r, c, k, n).coeffs) for r, c, k in indexed]
+
+
+def _section4_via_F(n: int, family) -> dict:
+    """The spans_equal route: the F members and the F images of the M
+    members as F vectors, and every proposition an elimination."""
+    def f_vectors(last):
+        return [f_sparse(QSymElement(n, "F", f)) for r, f, _ in family if r <= last]
+
+    def m_vectors(last):
+        return [SparseVector(n, m) for r, _, m in family if r <= last]
+
+    def m_images(last):
+        return [f_sparse(QSymElement(n, "M", m)) for r, _, m in family if r <= last]
+
+    def spanning(stat):
+        return [SparseVector(n, t) for t in monomial_span_terms(stat, n)]
+
+    fn_pk = edge_vectors(relation_edges({R.Arrow1, R.Arrow2}, n))
+    fn_pknum = edge_vectors(relation_edges({R.Arrow1, R.Arrow2, R.Arrow3}, n))
+    arrow3 = {(a, b) for a, b, _ in relation_edges({R.Arrow3}, n).edges}
+    return {
+        "prop41_f_family_spans_FPk": spans_equal(f_vectors(3), fn_pk, n),
+        "prop42_m_family_spans_MPk": spans_equal(m_vectors(3), spanning(S.Pk), n),
+        "prop43_f_equals_m_on_omega": spans_equal(f_vectors(3), m_images(3), n),
+        "prop44_f_family_spans_Fpk": spans_equal(f_vectors(4), fn_pknum, n),
+        "prop45_m_family_spans_Mpk": spans_equal(m_vectors(4), spanning(S.pk), n),
+        "prop46_f_equals_m_on_theta": spans_equal(f_vectors(4), m_images(4), n),
+        "lemma_om4_matches_arrow3": arrow3 == {tuple(f) for r, f, _ in family if r == 4},
+    }
+
+
+def _plant(monkeypatch, family) -> None:
+    """Make `check_section4_props` read exactly the given members."""
+    monkeypatch.setattr(kernel, "_omega", lambda n: ((r, i, 0) for i, (r, _, _) in enumerate(family)))
+    monkeypatch.setattr(kernel, "_members", lambda r, i, k, n: family[i][1:])
+
+
+def test_section4_props_match_the_spans_equal_route():
+    for n in range(0, 9):
+        family = _honest_family(n)
+        # the check reads the same members, in the order of `_omega`
+        on_masks = [(r, *kernel._members(r, c, k, n)) for r, c, k in kernel._omega(n)]
+        assert sorted(map(repr, on_masks)) == sorted(map(repr, family)), n
+        want = _section4_via_F(n, family)
+        assert all(want.values()), n
+        assert check_section4_props(n)["results"] == want, n
+
+
+def test_section4_props_planted_families_fail_in_both_routes(monkeypatch):
+    def replaced(family, i, f=None, m=None):
+        r, f_old, m_old = family[i]
+        return family[:i] + [(r, f_old if f is None else f, m_old if m is None else m)] + family[i + 1:]
+
+    def flipped(terms):
+        first, *rest = terms.items()
+        return dict([first, *((c, -v) for c, v in rest)])
+
+    for n in (5, 7):
+        family = _honest_family(n)
+        first = next(i for i, (r, _, _) in enumerate(family) if r == 1)
+        swap = next(i for i, (r, _, _) in enumerate(family) if r == 4)
+        outside = f_to_m(QSymElement(n, "F", {0: 1})).coeffs  # F_(n), in no kernel
+        planted = [
+            # the F-vs-M props: a sign flipped, a combination outside the kernel added
+            (replaced(family, first, m=flipped(family[first][2])), ("prop43", "prop46")),
+            (replaced(family, swap, m=flipped(family[swap][2])), ("prop46",)),
+            (family + [(1, family[first][1], outside)], ("prop43", "prop46")),
+        ]
+        if n == 5:  # both families are bases here, so nothing can be dropped
+            planted += [
+                # an M member dropped (made zero), and an F pair dropped with its member
+                (replaced(family, first, m={}), ("prop43", "prop46")),
+                (replaced(family, swap, m={}), ("prop46",)),
+                (family[:first] + family[first + 1:], ("prop41", "prop44")),
+                (family[:swap] + family[swap + 1:], ("prop44",)),
+            ]
+        for members, failing in planted:
+            want = _section4_via_F(n, members)
+            with monkeypatch.context() as patch:
+                _plant(patch, members)
+                got = check_section4_props(n)["results"]
+            assert got == want, (n, failing)
+            assert not any(value for key, value in got.items() if key.startswith(failing)), (n, failing)
+    # the plant itself changes nothing
+    with monkeypatch.context() as patch:
+        _plant(patch, _honest_family(7))
+        assert check_section4_props(7)["pass"]
+
+
+def test_section4_props_make_no_f_expansion(monkeypatch):
+    monkeypatch.setattr(qsym, "m_to_f", _refuse)
+    monkeypatch.setattr(kernel, "f_sparse", _refuse)
+    monkeypatch.setattr(kernel, "QSymElement", _refuse)
+    for n in range(0, 10):
+        assert check_section4_props(n)["pass"]
+
+
+def test_section4_props_eliminate_only_the_m_spans(monkeypatch):
+    spans, ranks, echelons = [], [], []
+    real_spans, real_rank, echelon = kernel.spans_equal, kernel.rank, linalg._echelon
+    monkeypatch.setattr(kernel, "spans_equal", lambda a, b, n=None: spans.append(a) or real_spans(a, b, n))
+    monkeypatch.setattr(kernel, "rank", lambda vs, n=None: ranks.append(vs) or real_rank(vs, n))
+    monkeypatch.setattr(linalg, "_echelon", lambda vs: echelons.append(vs) or echelon(vs))
+    monkeypatch.setattr(linalg, "_row_basis", _refuse)  # no reduce
+    for n in range(0, 9):
+        for calls in (spans, ranks, echelons):
+            calls.clear()
+        assert check_section4_props(n)["pass"]
+        # two span equalities of M vectors in M coordinates, one rank each
+        # for Props 4.3 and 4.6, and no other elimination
+        assert (len(spans), len(ranks), len(echelons)) == (2, 2, 6), n
+        family = _honest_family(n)
+        for got, last in zip(spans, (3, 4)):
+            want = [SparseVector(n, m) for r, _, m in family if r <= last]
+            assert sorted(map(repr, got)) == sorted(map(repr, want)), n
 
 
 def _row_times_basis(row: SparseVector, a: int, b: int, k_mask: int) -> SparseVector:
@@ -729,6 +858,20 @@ def test_relation_graph_cache_is_bounded(cold_graphs):
     assert info.currsize <= 128
 
 
+def test_kernel_space_cache_is_bounded():
+    # planted statistics are fresh callables, so each one is a new key
+    kernel._kernel_space.cache_clear()
+    try:
+        planted = [lambda comp, i=i: len(comp) % (i + 1) for i in range(300)]
+        for stat in planted:
+            kernel_space(stat, 3)
+        info = kernel._kernel_space.cache_info()
+        assert (info.misses, info.hits) == (300, 0)
+        assert info.currsize <= 256
+    finally:
+        kernel._kernel_space.cache_clear()
+
+
 def test_unknown_relations_are_refused(cold_graphs):
     # a bare string is iterated letter by letter, so its first letter is named
     for rels, named in ((["nonsense"], "'nonsense'"), ("arrow1", "'a'"), ({R.Arrow1, None}, "None")):
@@ -792,6 +935,20 @@ def test_edge_checks_never_eliminate_monomial_checks_once(monkeypatch, cold_grap
                     calls.clear()
                     check(n)
                     assert len(calls) == eliminations, (check, n)
+
+
+def test_thm1_ranks_each_relation_set_once(monkeypatch):
+    ranked = []
+    real_rank = cli.rank
+    monkeypatch.setattr(cli, "rank", lambda vs, n=None: ranked.append(len(vs)) or real_rank(vs, n))
+    relnames = {relname for _, relname in cli.THM1_SUITE}
+    assert len(relnames) == len(cli.THM1_SUITE) - 1  # arrow12 serves Pk and pk
+    for which in ("thm1a", "thm1b"):
+        ranked.clear()
+        rows = cli._thm1_rows(which, 6)
+        assert [row["rels"] for row in rows] == [relname for _, relname in cli.THM1_SUITE]
+        assert all(row["pass"] for row in rows)
+        assert len(ranked) == len(relnames)
 
 
 def test_edge_cross_checks_are_live(monkeypatch):
