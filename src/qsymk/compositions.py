@@ -15,7 +15,6 @@ enumerates them in ascending index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -23,9 +22,47 @@ from .config import check_degree
 from .errors import InvalidSubsetError
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An immutable composition: a tuple of positive integer parts.
+class Frozen:
+    """Base of the immutable value classes: the constructor arguments, named
+    in `__match_args__` (so class patterns take them by position), live in
+    slots written once by `object.__setattr__`.  As in a frozen dataclass,
+    the repr lists them, equality (same class only) and hashing use their
+    tuple, and assignment and deletion raise AttributeError; pickling and
+    copying call the constructor again."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _init_fields(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Composition(Frozen):
+    """An immutable composition: a tuple of positive integer parts, and
+    its degree `n`, their sum.
 
     >>> Composition((3, 1, 2)).n
     6
@@ -33,20 +70,22 @@ class Composition:
     '()'
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts", "n")
+    __match_args__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        parts = tuple(parts)
         for p in parts:
             if isinstance(p, bool) or not isinstance(p, int) or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {parts!r}")
-        object.__setattr__(self, "_n", sum(parts))
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "n", sum(parts))
 
-    @property
-    def n(self) -> int:
-        """The degree: sum of the parts (cached)."""
-        return self._n  # type: ignore[attr-defined]
+    def __eq__(self, other: object) -> bool:  # direct, as equality and hashing are hot
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -58,19 +97,20 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class DescentSet:
+class DescentSet(Frozen):
     """A degree n together with a subset of [n-1]; the dual encoding of
     a composition of n."""
 
-    n: int
-    positions: frozenset[int]
+    __slots__ = __match_args__ = ("n", "positions")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", frozenset(self.positions))
-        for i in self.positions:
-            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i < self.n:
-                raise InvalidSubsetError(f"position {i!r} is not in [{self.n - 1}] for degree {self.n}")
+    def __init__(self, n: int, positions: frozenset[int]) -> None:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"degree must be a nonnegative int, got {n!r}")
+        positions = frozenset(positions)
+        for i in positions:
+            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i < n:
+                raise InvalidSubsetError(f"position {i!r} is not in [{n - 1}] for degree {n}")
+        self._init_fields(n, positions)
 
     @property
     def mask(self) -> int:

@@ -46,13 +46,13 @@ The unary marker ctilde holds the compositions (1, ..., 1, 2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import (
     Composition,
+    Frozen,
     complement_mask,
     compositions_of,
     from_index,
@@ -176,15 +176,16 @@ def ctilde_member(n: int) -> Composition | None:
     return Composition((1,) * (n - 2) + (2,))
 
 
-@dataclass(frozen=True)
-class RelationGraph:
+class RelationGraph(Frozen):
     """Directed graph on the compositions of n, each vertex its index in
     [0, 2^(n-1)): `edges` are (index, index, label) triples, `marks` the
     indices of ctilde-marked vertices."""
 
-    n: int
-    edges: tuple[tuple[int, int, str], ...]
-    marks: tuple[int, ...] = ()
+    __match_args__ = ("n", "edges", "marks")
+    __slots__ = (*__match_args__, "__dict__")  # the dict holds the cached properties
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int, str], ...], marks: tuple[int, ...] = ()) -> None:
+        self._init_fields(n, edges, marks)
 
     @property
     def vertices(self) -> range:
@@ -263,17 +264,20 @@ def is_forest(graph: RelationGraph) -> bool:
 
 # -- kernel spaces -----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class KernelSpace:
+class KernelSpace(Frozen):
     """K^st_n, the kernel of the projection F_a -> [st-class of a], held as
     its classes of composition indices (ascending, ordered by least member),
-    exactly as `equivalence_classes` returns them.
+    exactly as `equivalence_classes` returns them.  Equal only to itself.
     The reduced echelon basis is written down, not eliminated for: one row
     F_c - F_top per non-top member c of each class, top its greatest index."""
 
-    stat: DescentStatistic
-    n: int
-    classes: tuple[tuple[int, ...], ...]
+    __match_args__ = ("stat", "n", "classes")
+    __slots__ = (*__match_args__, "__dict__")  # the dict holds the cached properties
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, stat: DescentStatistic, n: int, classes: tuple[tuple[int, ...], ...]) -> None:
+        self._init_fields(stat, n, classes)
 
     @property
     def dim(self) -> int:
@@ -428,16 +432,17 @@ def check_spanning_M(stat: StatisticId, n: int) -> bool:
 
 # -- the indexed families over subsets ---------------------------------------
 
-@dataclass(frozen=True)
-class OmegaSets:
+OmegaRegion = tuple[tuple[frozenset[int], int], ...]
+
+
+class OmegaSets(Frozen):
     """The four disjoint index regions inside 2^[n-1] x [n-1] together
     indexing the subset-level spanning families."""
 
-    n: int
-    om1: tuple[tuple[frozenset[int], int], ...]
-    om2: tuple[tuple[frozenset[int], int], ...]
-    om3: tuple[tuple[frozenset[int], int], ...]
-    om4: tuple[tuple[frozenset[int], int], ...]
+    __slots__ = __match_args__ = ("n", "om1", "om2", "om3", "om4")
+
+    def __init__(self, n: int, om1: OmegaRegion, om2: OmegaRegion, om3: OmegaRegion, om4: OmegaRegion) -> None:
+        self._init_fields(n, om1, om2, om3, om4)
 
     def omega(self) -> list[tuple[int, frozenset[int], int]]:
         """Regions 1-3 flattened as (region, C, k), in region order."""

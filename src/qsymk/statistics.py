@@ -28,32 +28,36 @@ from __future__ import annotations
 import enum
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Hashable, Union
 
-from .compositions import Composition, compositions_of, full_mask, index_of, mask_to_set
+from .compositions import Composition, Frozen, compositions_of, full_mask, index_of, mask_to_set
 from .config import check_degree
 from .errors import DisjointnessError
 
 StatValue = Union[int, frozenset]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A sequence of distinct positive integers."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+    def __init__(self, letters: tuple[int, ...] = ()) -> None:
+        letters = tuple(letters)
         for x in letters:
             if isinstance(x, bool) or not isinstance(x, int) or x < 1:
                 raise ValueError(f"letters must be positive integers, got {letters!r}")
         if len(set(letters)) != len(letters):
             raise ValueError(f"letters must be distinct, got {letters!r}")
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:  # direct, as equality and hashing are hot
+        return self.letters == other.letters if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -222,15 +226,15 @@ def equivalence_classes(stat: DescentStatistic, n: int) -> tuple[tuple[int, ...]
     """Partition of the composition indices of n into blocks of equal
     statistic value, in the form of `KernelSpace.classes`: members
     ascending, blocks ordered by least member (the indices are met in
-    ascending order).  A `StatisticId` is evaluated on the index, any
-    other callable on the `Composition` (used for planted control
-    statistics)."""
-    comps = compositions_of(n)
+    ascending order).  A `StatisticId` is evaluated on the index, with
+    no `Composition` built; any other callable on the `Composition`
+    (used for planted control statistics)."""
+    check_degree(n)
     if isinstance(stat, StatisticId):
         evaluate = _COMP_EVAL[stat]
-        values = (evaluate(n, mask) for mask in range(len(comps)))
+        values = (evaluate(n, mask) for mask in range(1 << max(n - 1, 0)))
     else:
-        values = map(stat, comps)
+        values = map(stat, compositions_of(n))
     blocks: dict[Hashable, list[int]] = {}
     for mask, value in enumerate(values):
         blocks.setdefault(value, []).append(mask)
@@ -335,12 +339,11 @@ def _random_representatives(
     )
 
 
-@dataclass(frozen=True)
-class ShuffleCompatibilityReport:
-    statistic: str
-    max_total_length: int
-    compatible: bool
-    witness: dict | None = None
+class ShuffleCompatibilityReport(Frozen):
+    __slots__ = __match_args__ = ("statistic", "max_total_length", "compatible", "witness")
+
+    def __init__(self, statistic: str, max_total_length: int, compatible: bool, witness: dict | None = None) -> None:
+        self._init_fields(statistic, max_total_length, compatible, witness)
 
     def as_dict(self) -> dict:
         out = {

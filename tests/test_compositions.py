@@ -55,6 +55,14 @@ def test_composition_of_rejects_bad_positions():
             DescentSet(4, bad)
     with pytest.raises(ValueError):
         composition_of(-1, set())
+    # the degree is a nonnegative int: not a bool, float or string
+    for n, positions in ((-2, []), ("a", []), (True, []), (2.0, [1]), (False, [])):
+        with pytest.raises(ValueError, match="degree must be a nonnegative int"):
+            DescentSet(n, positions)
+    # with no degree limit: every composition has a descent set
+    big = Composition((40, 2))
+    assert descent_set(big) == DescentSet(42, {40})
+    assert DescentSet(0, ()).mask == 0
 
 
 def test_from_index_rejects_out_of_range_masks():
