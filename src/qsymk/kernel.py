@@ -14,14 +14,18 @@ both criteria against an elimination of `edge_vectors`.  M-combinations
 span the kernel of a partition exactly when each has zero class sums and
 their rank is its dimension: the monomial spanning sets and Section 4's
 F-vs-M propositions (on their F-family graph's components) share this.
+Those combinations have one or two terms with coefficients +-1, so they
+form a signed graph, whose rank is the indices it touches less its
+balanced components (Zaslavsky); Props 4.2/4.5 compare two such spans by
+membership and rank.  Nothing here eliminates; `linalg` is the oracle.
 
 Relation graphs are keyed by composition index, the same vertex format
 as the kernel classes: an edge is an (index, index, label) triple and a
 component a tuple of indices.  The moves below are stated on parts, and
-each changes the descent set by one or two positions, so `_moves`
-computes them as bit operations on the index; a `Composition` is built
-only where a public function takes or returns one, or to name a vertex
-in an export or an error message.
+each changes the descent set by one or two positions, so each is a bit
+formula on the descent mask (`_RULES`), looked up once per graph build;
+a `Composition` is built only where a public function takes or returns
+one, or to name a vertex in an export or an error message.
 
 Binary relation families (parts written 1-based; all preserve degree):
 
@@ -47,7 +51,8 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import (
@@ -64,7 +69,7 @@ from .compositions import (
 )
 from .config import check_degree
 from .errors import RelationUnsoundError
-from .linalg import RowBasis, SparseVector, rank, spans_equal
+from .linalg import RowBasis, SparseVector
 from .qsym import QSymElement, f_sparse, _f_basis_product
 from .statistics import DescentStatistic, StatisticId, equivalence_classes, stat_name
 
@@ -85,77 +90,91 @@ class RelationId(enum.Enum):
     EpkTri = "epktri"
 
 
-# (first eligible part, letters split off) of the moves that split a part > 2
-_SPLITS = {
-    RelationId.Arrow1: (0, 1),
-    RelationId.Tri1: (0, 2),
-    RelationId.EpkArrow: (1, 1),
-    RelationId.EpkTri: (1, 2),
-}
-
-# the trimmed relations: the first move of the first parent that has one
-_FIRST_OF = {
-    RelationId.PkBasisArrow: (RelationId.Arrow1, RelationId.Arrow2),
-    RelationId.PkNumBasisArrow: (RelationId.Arrow1, RelationId.Arrow2, RelationId.Arrow3),
-}
+def _lows(x: int) -> Iterator[int]:
+    """The set bits of x as powers of two, ascending."""
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
 
 
-def _moves(rel: RelationId, mask: int, parts: tuple[int, ...]) -> list[tuple[int, str]]:
-    """Successor indices of the composition with index `mask` and the given
-    parts under one relation, with edge labels 1/2/3 naming the move.
+# Each move is a bit formula on the descent mask d of a composition of n,
+# given full = full_mask(n) and top = full ^ full >> 1 (position n - 1).
+# Bit q of starts = d << 1 | 1 says a part starts after q (q is 0 or a
+# cut), of free = ~d & full that q + 1 is no cut, of ends = d >> 1 | top
+# that q + 2 is a cut or n.  So parts of more than 2 letters start after
+# the bits of starts & free & free >> 1, parts of 2 after starts & free &
+# ends, and a part of 1 follows the cut q + 1 at a bit of d & ends.  A rule
+# maps (d, full, top) to the successors and labels, ordered by part.
 
-    Part l starts after position cuts[l], so splitting it after h letters
-    sets the bit of position cuts[l] + h (bit cuts[l] + h - 1); a merge
-    clears the bit of a cut, and a swap or unit move shifts one cut by one
-    position."""
-    if rel in _FIRST_OF:
-        for parent in _FIRST_OF[rel]:
-            out = _moves(parent, mask, parts)
-            if out:
-                return out[:1]
+def _long_parts(d: int, full: int) -> int:
+    free = ~d & full
+    return (d << 1 | 1) & free & free >> 1
+
+
+def _split(head: int, allowed: int):
+    """Split each part of more than 2 letters starting at a bit of `allowed` after `head` letters."""
+    return lambda d, full, top: [(d | low << head - 1, "1") for low in _lows(_long_parts(d, full) & allowed)]
+
+
+def _arrow2(d: int, full: int, top: int) -> list[tuple[int, str]]:
+    return [(d | top, "2")] if (d << 1 | 1) & ~d & top else []
+
+
+def _arrow3(d: int, full: int, top: int) -> list[tuple[int, str]]:
+    # all parts <= 2 and the last 1: a part 1 after q and a part 2 after
+    # q + 1 swap, moving the cut q + 1 to q + 2
+    if _long_parts(d, full) or not d & top:
         return []
-    cuts = (0, *accumulate(parts))
-    m = len(parts)
-    if rel in _SPLITS:
-        first, head = _SPLITS[rel]
-        return [(mask | 1 << (cuts[l] + head - 1), "1") for l in range(first, m) if parts[l] > 2]
-    out: list[tuple[int, str]] = []
-    if rel is RelationId.Arrow2:
-        if m >= 1 and parts[-1] == 2:
-            out.append((mask | 1 << (cuts[m] - 2), "2"))
-    elif rel is RelationId.Arrow3:
-        if m >= 1 and parts[-1] == 1 and all(p <= 2 for p in parts):
-            for i in range(m - 2):
-                if parts[i] == 1 and parts[i + 1] == 2:
-                    # (1, 2) -> (2, 1): the cut after part i moves one right
-                    out.append((mask ^ 3 << (cuts[i + 1] - 1), "3"))
-    elif rel is RelationId.Tri2:
-        if m >= 1 and parts[-1] == 2:
-            for i in range(m - 1):
-                if parts[i] == 2:
-                    out.append((mask | 1 << cuts[i], "2"))
-    elif rel is RelationId.ValArrow1:
-        for i in range(m - 1):
-            if parts[i] >= 2 and parts[i + 1] == 1:
-                out.append((mask & ~(1 << (cuts[i + 1] - 1)), "1"))
-    elif rel is RelationId.ValArrow2:
-        if m >= 2 and parts[0] == 1 and parts[1] == 1:
-            out.append((mask & ~1, "2"))
-    elif rel is RelationId.ValArrow3:
-        if all(p >= 2 for p in parts[1:]):
-            for i in range(m - 1):
-                if parts[i] >= 2 and (i == 0 or parts[i] > 2):
-                    # a unit from part i to part i + 1: the cut moves one left
-                    out.append((mask ^ 3 << (cuts[i + 1] - 2), "3"))
-    else:
-        raise ValueError(f"{rel} is a unary marker, not a binary relation")
-    return out
+    return [(d ^ low * 3, "3") for low in _lows((d << 1 | 1) & d & (~d & full) >> 1)]
+
+
+def _tri2(d: int, full: int, top: int) -> list[tuple[int, str]]:
+    twos = (d << 1 | 1) & ~d & full & (d >> 1 | top)
+    return [(d | low, "2") for low in _lows(twos ^ top)] if twos & top else []
+
+
+def _val3(d: int, full: int, top: int) -> list[tuple[int, str]]:
+    # no part 1 after the first: a cut c > 1 with no cut at c - 1 or c - 2
+    # moves to c - 1
+    if d & (d >> 1 | top):
+        return []
+    return [(d ^ (low | low >> 1), "3") for low in _lows(d & ~(d << 1 | 1) & ~(d << 2))]
+
+
+def _first_of(*parents):
+    """A trimmed relation: the first move of the first parent that has one."""
+    return lambda d, full, top: next(filter(None, (parent(d, full, top) for parent in parents)), [])[:1]
+
+
+_arrow1 = _split(1, -1)
+
+# in RelationId order, which picks the label of a pair that two relations give
+_RULES = {
+    RelationId.Arrow1: _arrow1,
+    RelationId.Arrow2: _arrow2,
+    RelationId.Arrow3: _arrow3,
+    RelationId.Tri1: _split(2, -1),
+    RelationId.Tri2: _tri2,
+    RelationId.PkBasisArrow: _first_of(_arrow1, _arrow2),
+    RelationId.PkNumBasisArrow: _first_of(_arrow1, _arrow2, _arrow3),
+    # a cut with 2 or more letters before it and 1 after it is cleared
+    RelationId.ValArrow1: lambda d, full, top: [(d ^ low, "1") for low in _lows(d & ~(d << 1 | 1) & (d >> 1 | top))],
+    RelationId.ValArrow2: lambda d, full, top: [(d ^ 1, "2")] if d & (d >> 1 | top) & 1 else [],
+    RelationId.ValArrow3: _val3,
+    RelationId.EpkArrow: _split(1, ~1),  # ~1 skips the first part
+    RelationId.EpkTri: _split(2, ~1),
+}
 
 
 def labeled_successors(rel: RelationId, comp: Composition) -> list[tuple[Composition, str]]:
     """Successors of a composition under one relation, with edge labels
     1/2/3 naming the underlying move."""
-    return [(from_index(comp.n, b), label) for b, label in _moves(rel, index_of(comp), comp.parts)]
+    if not isinstance(rel, RelationId) or rel not in _RULES:
+        raise ValueError(f"{rel!r} is not a binary relation")
+    full = full_mask(comp.n)
+    moves = _RULES[rel](index_of(comp), full, full ^ full >> 1)
+    return [(from_index(comp.n, b), label) for b, label in moves]
 
 
 def successors(rel: RelationId, comp: Composition) -> set[Composition]:
@@ -179,12 +198,19 @@ def ctilde_member(n: int) -> Composition | None:
 class RelationGraph(Frozen):
     """Directed graph on the compositions of n, each vertex its index in
     [0, 2^(n-1)): `edges` are (index, index, label) triples, `marks` the
-    indices of ctilde-marked vertices."""
+    indices of ctilde-marked vertices.  The degree is checked, and an
+    endpoint or mark that is not an int vertex raises ValueError."""
 
     __match_args__ = ("n", "edges", "marks")
     __slots__ = (*__match_args__, "__dict__")  # the dict holds the cached properties
 
     def __init__(self, n: int, edges: tuple[tuple[int, int, str], ...], marks: tuple[int, ...] = ()) -> None:
+        check_degree(n)
+        size = 1 << max(n - 1, 0)
+        ends = [*map(itemgetter(0), edges), *map(itemgetter(1), edges), *marks]
+        if {*map(type, ends)} - {int} or ends and not 0 <= min(ends) <= max(ends) < size:
+            bad = next(v for v in ends if type(v) is not int or not 0 <= v < size)
+            raise ValueError(f"vertex {bad!r} is not a composition index of {n}, an int in [0, {size})")
         self._init_fields(n, edges, marks)
 
     @property
@@ -201,9 +227,6 @@ class RelationGraph(Frozen):
         """The rank of `edge_vectors(self)`: each component is spanned by a
         tree of its edges, so the rank is |V| - #components."""
         return len(self.vertices) - len(self.components)
-
-
-_ORDERED_RELATIONS = list(RelationId)
 
 
 def relation_edges(rels: Iterable[RelationId], n: int) -> RelationGraph:
@@ -226,12 +249,13 @@ def relation_edges(rels: Iterable[RelationId], n: int) -> RelationGraph:
 def _relation_edges(rels: frozenset[RelationId], n: int) -> RelationGraph:
     # (1, ..., 1, 2): every position but n - 1 is a descent
     marks = ((1 << (n - 2)) - 1,) if RelationId.CTilde in rels and n >= 2 else ()
-    ordered = [r for r in _ORDERED_RELATIONS if r in rels and r is not RelationId.CTilde]
+    rules = [rule for rel, rule in _RULES.items() if rel in rels]
+    full = full_mask(n)
+    top = full ^ full >> 1
     labels: dict[tuple[int, int], str] = {}
-    for a, comp in enumerate(compositions_of(n)):
-        parts = comp.parts
-        for rel in ordered:
-            for b, label in _moves(rel, a, parts):
+    for a in range(full + 1):
+        for rule in rules:
+            for b, label in rule(a, full, top):
                 labels.setdefault((a, b), label)
     return RelationGraph(n, tuple((a, b, labels[a, b]) for a, b in sorted(labels)), marks)
 
@@ -373,6 +397,8 @@ def monomial_span_terms(stat: StatisticId, n: int) -> list[dict[int, int]]:
     pk:  the Pk set, plus M_J - M_K over arrow3 edges.
     Epk: M_J + M_K over epktri edges.
     """
+    if not isinstance(stat, StatisticId):
+        raise ValueError(f"a monomial spanning set needs a StatisticId, got {stat!r}")
     if stat is StatisticId.Epk:
         return [{a: 1, b: 1} for a, b, _ in relation_edges({RelationId.EpkTri}, n).edges]
     if stat not in (StatisticId.Pk, StatisticId.pk):
@@ -407,12 +433,76 @@ def _projected_m(labels: Sequence[int]) -> list[dict[int, int]]:
     return proj
 
 
+def _signed_components(terms: Iterable[dict[int, int]]) -> tuple[dict[int, int], dict[int, int], set[int]]:
+    """The M-combinations `terms` as a signed graph on the indices they
+    touch: M_a - M_b a positive edge, M_a + M_b a negative one, M_a a
+    half-edge, and an empty combination nothing; any other shape raises
+    ValueError.  Returns (root, sign, balanced): each index's component
+    and switching sign, and the balanced components, with no half-edge
+    and an even number of negative edges on every cycle.  The span is the
+    vectors on the touched indices whose sum of sign[v] * x_v vanishes on
+    each balanced component (Zaslavsky, Signed graphs, 1982)."""
+    root: dict[int, int] = {}
+    sign: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+    unbalanced: set[int] = set()
+    for combination in terms:
+        if len(combination) > 2 or not {1, -1}.issuperset(combination.values()):
+            raise ValueError(f"not a signed-graph combination: {combination!r}")
+        for v in combination:
+            if v not in root:
+                root[v], sign[v], members[v] = v, 1, [v]
+        if len(combination) == 1:
+            unbalanced.add(root[next(iter(combination))])
+        elif combination:
+            (a, s), (b, t) = combination.items()
+            # the potential x of a balanced component has s x_a + t x_b = 0
+            flip = -s * t * sign[a] * sign[b]
+            ra, rb = root[a], root[b]
+            if ra == rb:
+                if flip != 1:
+                    unbalanced.add(ra)
+                continue
+            if len(members[ra]) < len(members[rb]):
+                ra, rb = rb, ra
+            for v in members[rb]:
+                root[v], sign[v] = ra, sign[v] * flip
+            members[ra] += members.pop(rb)
+            if rb in unbalanced:
+                unbalanced.remove(rb)
+                unbalanced.add(ra)
+    return root, sign, members.keys() - unbalanced
+
+
+def _signed_rank(terms: Iterable[dict[int, int]]) -> int:
+    """The rank of M-combinations with one or two terms, each coefficient
+    +-1: the touched indices less the balanced components."""
+    root, _, balanced = _signed_components(terms)
+    return len(root) - len(balanced)
+
+
+def _signed_spans_equal(xs: Sequence[dict[int, int]], ys: Sequence[dict[int, int]]) -> bool:
+    """Do the M-combinations xs and ys span the same space?  Exactly when
+    every x lies in the span of the signed graph ys (an x of any shape is
+    tested) and the ranks agree (so xs must then be a signed graph too)."""
+    root, sign, balanced = _signed_components(ys)
+    for x in xs:
+        if not x.keys() <= root.keys():
+            return False
+        sums = _class_sums(root, ((v, sign[v] * coeff) for v, coeff in x.items()))
+        if any(value for r, value in sums.items() if r in balanced):
+            return False
+    return _signed_rank(xs) == len(root) - len(balanced)
+
+
 def _m_spans_kernel(terms: list[dict[int, int]], blocks: Sequence[Sequence[int]], n: int) -> bool:
     """Do the M-combinations `terms` span the kernel of the projection onto
     a partition of the indices?  Exactly when every class sum of each
     vanishes and their rank is 2^(n-1) - #blocks, both read in M
     coordinates: a combination's class sums are those of its P(M_C), and
-    m_to_f is invertible, so the rank is unchanged."""
+    m_to_f is invertible, so the rank is unchanged.  Membership comes
+    first, so a combination of any shape outside the kernel gives False
+    before the signed rank is taken."""
     proj = _projected_m(_labels(blocks))
     for combination in terms:
         sums: dict[int, int] = {}
@@ -421,7 +511,7 @@ def _m_spans_kernel(terms: list[dict[int, int]], blocks: Sequence[Sequence[int]]
                 sums[label] = sums.get(label, 0) + coeff * value
         if any(sums.values()):
             return False
-    return rank([SparseVector(n, t) for t in terms], n) == (1 << max(n - 1, 0)) - len(blocks)
+    return _signed_rank(terms) == (1 << max(n - 1, 0)) - len(blocks)
 
 
 def check_spanning_M(stat: StatisticId, n: int) -> bool:
@@ -537,9 +627,9 @@ def check_section4_props(n: int) -> dict:
     to the relation spanning sets, and the region-4 characterization of
     the arrow3 edges, on index masks: regions 1-3 against Pk's sets
     (Props 4.1-4.3), all four against pk's (Props 4.4-4.6).  The F side
-    compares components of graphs, the M side spans by elimination in M
-    coordinates, and F-vs-M is the monomial criterion on the F-family
-    graph's components."""
+    compares components of graphs, the M side the spans of two signed
+    graphs in M coordinates, and F-vs-M is the monomial criterion on the
+    F-family graph's components; nothing is eliminated."""
     check_degree(n)
     family = [(region, *_members(region, c_mask, k, n)) for region, c_mask, k in _omega(n)]
     results = {}
@@ -551,9 +641,8 @@ def check_section4_props(n: int) -> dict:
     ):
         members = [(f, m) for region, f, m in family if region <= last]
         blocks = connected_components(RelationGraph(n, tuple((*f, "") for f, _ in members)))
-        spanning = [SparseVector(n, t) for t in monomial_span_terms(stat, n)]
         results[f_key] = blocks == relation_edges(rels, n).components
-        results[m_key] = spans_equal([SparseVector(n, m) for _, m in members], spanning, n)
+        results[m_key] = _signed_spans_equal([m for _, m in members], monomial_span_terms(stat, n))
         results[fm_key] = _m_spans_kernel([m for _, m in members], blocks, n)
     arrow3 = {(a, b) for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges}
     results["lemma_om4_matches_arrow3"] = arrow3 == {tuple(f) for region, f, _ in family if region == 4}

@@ -324,6 +324,80 @@ def test_check_spanning_M_matches_span_equality(monkeypatch):
         assert not check_spanning_M(S.Pk, n)
 
 
+def test_monomial_checks_need_a_statistic_id():
+    # a name used to be reported as a statistic with no monomial set
+    for call in (monomial_span_terms, monomial_span_vectors, check_spanning_M):
+        with pytest.raises(ValueError, match="needs a StatisticId, got 'Pk'$"):
+            call("Pk", 4)
+
+
+# -- the signed rank ------------------------------------------------------------
+
+def _m_families(n: int) -> list[list[dict[int, int]]]:
+    """The monomial spanning families of Pk, pk and Epk, and the M sides of
+    the Section 4 families (regions 1-3 and 1-4)."""
+    family = _honest_family(n)
+    return [monomial_span_terms(stat, n) for stat in (S.Pk, S.pk, S.Epk)] + [
+        [m for r, _, m in family if r <= last] for last in (3, 4)
+    ]
+
+
+def test_signed_rank_matches_elimination():
+    for n in range(0, 11):
+        for terms in _m_families(n):
+            assert kernel._signed_rank(terms) == rank([SparseVector(n, t) for t in terms], n), n
+
+
+@pytest.mark.parametrize("terms, want", [
+    ([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 0: 1}], 3),     # a cycle with an odd number of + edges
+    ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}], 2),    # a cycle with two + edges: balanced
+    ([{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: -1}], 2),  # a cycle with none: balanced
+    ([{0: 1, 1: -1}, {1: 1, 2: 1}, {2: 1}], 3),          # a 1-term vector joins a balanced component
+    ([{0: 1, 1: -1}, {1: 1, 2: 1}, {3: -1}, {3: 1, 0: 1}], 4),  # a small unbalanced one joins it
+    ([{0: 1}, {1: 1}, {0: 1, 1: 1}, {1: 1, 2: -1}], 3),  # two unbalanced components merged, then grown
+    ([{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 1}, {1: 1}], 2),   # repeated terms
+    ([{0: 1, 1: 1}, {}], 1),                             # the empty combination adds nothing
+    ([], 0),
+], ids=["odd-cycle", "even-cycle", "positive-cycle", "half-edge", "unbalanced-joins",
+        "unbalanced-merged", "repeated", "empty-term", "no-terms"])
+def test_signed_rank_on_planted_graphs(terms, want):
+    assert kernel._signed_rank(terms) == rank([SparseVector(3, t) for t in terms], 3) == want
+
+
+@pytest.mark.parametrize("terms", [
+    [{0: 1, 1: 1, 2: 1}],
+    [{0: 2}],
+    [{0: 1, 1: 0}],
+    [{0: 1, 1: 1}, {0: Fraction(1, 2), 1: 1}],
+], ids=["three-terms", "coefficient-2", "coefficient-0", "half"])
+def test_signed_rank_refuses_other_shapes(terms):
+    with pytest.raises(ValueError, match="not a signed-graph combination"):
+        kernel._signed_rank(terms)
+
+
+def test_signed_span_equality_matches_spans_equal():
+    cycle = [{0: 1, 1: -1}, {1: 1, 2: -1}]  # balanced: x0 + x1 + x2 = 0
+    pairs = [
+        (cycle, cycle, True),
+        ([{0: 1, 2: -1}, {1: 1, 2: -1}], cycle, True),  # another tree of the same cycle
+        ([{0: 1, 1: 1}, {1: 1, 2: -1}], cycle, False),  # a sign flipped
+        (cycle[:1], cycle, False),                      # a combination dropped
+        (cycle, cycle[:1], False),
+        (cycle + [{2: 1}], cycle, False),               # a half-edge added
+        ([{0: 1, 1: 1, 2: 1}], cycle, False),           # three terms, outside the span
+        ([{3: 1, 0: -1}], cycle, False),                # an untouched index
+        ([{0: 1}, {1: 1, 2: 1}, {1: 1, 2: -1}], [{0: 1}, {1: 1}, {2: 1}], True),
+        ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], [{0: 1}, {1: 1}, {2: 1}], True),  # odd cycle
+        ([{0: 1, 1: 1}, {}], [{0: 1, 1: 1}], True),
+    ]
+    for xs, ys, want in pairs:
+        spans = spans_equal([SparseVector(3, x) for x in xs], [SparseVector(3, y) for y in ys], 3)
+        assert kernel._signed_spans_equal(xs, ys) == spans == want, (xs, ys)
+    # a many-term x inside the span leaves xs no signed graph to rank
+    with pytest.raises(ValueError, match="not a signed-graph combination"):
+        kernel._signed_spans_equal([{0: 1, 1: 1, 2: -2}], cycle)
+
+
 # -- the subset-indexed regions ----------------------------------------------
 
 def _brute_regions(n: int):
@@ -580,24 +654,25 @@ def test_section4_props_make_no_f_expansion(monkeypatch):
         assert check_section4_props(n)["pass"]
 
 
-def test_section4_props_eliminate_only_the_m_spans(monkeypatch):
-    spans, ranks, echelons = [], [], []
-    real_spans, real_rank, echelon = kernel.spans_equal, kernel.rank, linalg._echelon
-    monkeypatch.setattr(kernel, "spans_equal", lambda a, b, n=None: spans.append(a) or real_spans(a, b, n))
-    monkeypatch.setattr(kernel, "rank", lambda vs, n=None: ranks.append(vs) or real_rank(vs, n))
-    monkeypatch.setattr(linalg, "_echelon", lambda vs: echelons.append(vs) or echelon(vs))
-    monkeypatch.setattr(linalg, "_row_basis", _refuse)  # no reduce
+def test_section4_props_eliminate_nothing(monkeypatch):
+    # Props 4.2/4.5 compare the spans of two signed graphs, Props 4.3/4.6
+    # take a signed rank: no echelon is built and nothing is reduced
+    assert not hasattr(kernel, "rank") and not hasattr(kernel, "spans_equal")
+    for name in ("_echelon", "_remainder", "_row_basis"):
+        monkeypatch.setattr(linalg, name, _refuse)
+    spans = []
+    real = kernel._signed_spans_equal
+    monkeypatch.setattr(kernel, "_signed_spans_equal", lambda xs, ys: spans.append((xs, ys)) or real(xs, ys))
     for n in range(0, 9):
-        for calls in (spans, ranks, echelons):
-            calls.clear()
+        spans.clear()
         assert check_section4_props(n)["pass"]
-        # two span equalities of M vectors in M coordinates, one rank each
-        # for Props 4.3 and 4.6, and no other elimination
-        assert (len(spans), len(ranks), len(echelons)) == (2, 2, 6), n
+        # the M members of regions 1-3 against Pk's set, of 1-4 against pk's
         family = _honest_family(n)
-        for got, last in zip(spans, (3, 4)):
-            want = [SparseVector(n, m) for r, _, m in family if r <= last]
-            assert sorted(map(repr, got)) == sorted(map(repr, want)), n
+        assert len(spans) == 2, n
+        for (xs, ys), last, stat in zip(spans, (3, 4), (S.Pk, S.pk)):
+            want = [m for r, _, m in family if r <= last]
+            assert sorted(sorted(x.items()) for x in xs) == sorted(sorted(m.items()) for m in want), n
+            assert ys == monomial_span_terms(stat, n), n
 
 
 def _row_times_basis(row: SparseVector, a: int, b: int, k_mask: int) -> SparseVector:
@@ -895,46 +970,25 @@ def test_check_basis_F_finds_the_components_once(monkeypatch, cold_graphs):
     assert len(calls) == 1
 
 
-def test_edge_checks_never_eliminate_monomial_checks_once(monkeypatch, cold_graphs):
-    calls, building = [], []
-    echelon, remainder = linalg._echelon, linalg._remainder
-
-    def counted(vectors):
-        calls.append(vectors)
-        building.append(True)
-        try:
-            return echelon(vectors)
-        finally:
-            building.pop()
-
-    def remainder_in_echelon(rows, vec):
-        # a remainder outside `_echelon` is a membership test (in_span, spans_equal)
-        assert building, "this route must not be taken"
-        return remainder(rows, vec)
-
-    monkeypatch.setattr(linalg, "_echelon", counted)
-    monkeypatch.setattr(linalg, "_remainder", remainder_in_echelon)
-    monkeypatch.setattr(linalg, "_row_basis", _refuse)  # only reduce
-    edge_checks = [
+def test_edge_and_monomial_checks_never_eliminate(monkeypatch, cold_graphs):
+    # an edge check reads the components of the graph, a monomial check
+    # the signed rank of its combinations; cold or warm, neither builds an
+    # echelon, tests membership by elimination or reduces
+    for name in ("_echelon", "_remainder", "_row_basis"):
+        monkeypatch.setattr(linalg, name, _refuse)
+    checks = [
         lambda n: check_spanning_F(S.pk, n, {R.Arrow1, R.Arrow2, R.Arrow3}),
         lambda n: check_spanning_F(S.pk, n, {R.Arrow1, R.Arrow2}),
         lambda n: check_basis_F(S.Pk, n, {R.PkBasisArrow}),
         lambda n: check_basis_F(S.Pk, n, {R.Arrow1, R.Arrow2}),
-    ]
-    monomial_checks = [
         lambda n: check_spanning_M(S.pk, n),
         lambda n: check_spanning_M(S.Epk, n),
     ]
-    # an edge check reads the components of the graph and eliminates
-    # nothing, cold or warm; a monomial check ranks once on every call
-    for checks, eliminations in ((edge_checks, 0), (monomial_checks, 1)):
-        for check in checks:
-            for n in range(0, 8):
-                cold_graphs()
-                for _ in ("cold", "warm"):
-                    calls.clear()
-                    check(n)
-                    assert len(calls) == eliminations, (check, n)
+    for check in checks:
+        for n in range(0, 8):
+            cold_graphs()
+            for _ in ("cold", "warm"):
+                check(n)
 
 
 def test_thm1_ranks_each_relation_set_once(monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import figure_data
+from qsymk import cli, compositions, kernel
 from qsymk.compositions import (
     Composition,
     complement,
@@ -13,6 +14,7 @@ from qsymk.compositions import (
     index_of,
     inversions,
 )
+from qsymk.errors import DegreeLimitError
 from qsymk.kernel import (
     RelationGraph,
     RelationId,
@@ -172,6 +174,36 @@ def test_is_forest():
     assert not is_forest(loop)
 
 
+def test_relation_graph_refuses_vertices_outside_its_degree():
+    # at degree 3 the vertices are the indices 0..3
+    for edges, marks in (
+        (((0, -1, "1"),), ()),  # -1 used to index from the end, joining 0 and 3
+        (((0, 4, "1"),), ()),
+        (((0, 9, "1"),), ()),  # used to raise an untyped IndexError
+        (((True, 2, "1"),), ()),  # True used to be taken as vertex 1
+        (((0, 1.0, "1"),), ()),
+        ((), (4,)),
+        ((), (True,)),
+        ((), ("0",)),
+    ):
+        with pytest.raises(ValueError, match=r"is not a composition index of 3, an int in \[0, 4\)"):
+            RelationGraph(3, edges, marks)
+    for n in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="degree must be"):
+            RelationGraph(n, ())
+    with pytest.raises(DegreeLimitError):
+        RelationGraph(17, ())
+    graph = RelationGraph(3, ((0, 3, "1"), (2, 2, "x")), (1,))
+    assert graph.components == ((0, 3), (1,), (2,))
+
+
+def test_labeled_successors_refuses_a_non_binary_relation():
+    # a list used to raise an untyped TypeError
+    for rel in (R.CTilde, "arrow1", None, [R.Arrow1]):
+        with pytest.raises(ValueError, match="is not a binary relation"):
+            labeled_successors(rel, C((2, 1)))
+
+
 _SOUNDNESS_CASES = [
     ({R.Arrow1, R.Arrow2}, StatisticId.Pk),
     ({R.Arrow1, R.Arrow2, R.Arrow3}, StatisticId.pk),
@@ -317,17 +349,24 @@ def _oracle_edges(rels, n):
 
 
 def test_relation_edges_match_parts_oracle():
+    # the 12 singletons and 6 unions the CLI names, and every relation at
+    # once; where several relations give a pair, the first label wins
+    sets = [*cli.RELATION_SETS.values(), frozenset(R)]
+    assert len(set(sets)) == 19 and all(frozenset({rel}) in sets for rel in _BINARY)
     for n in range(0, 10):
-        for rels in [{rel} for rel in _BINARY] + [set(R)]:
+        member = ctilde_member(n)
+        for rels in sets:
             graph = relation_edges(rels, n)
             assert graph.edges == _oracle_edges(rels, n), (n, rels)
-        member = ctilde_member(n)
-        expected_marks = (index_of(member),) if member is not None else ()
-        assert relation_edges({R.CTilde}, n).marks == expected_marks
+            marked = R.CTilde in rels and member is not None
+            assert graph.marks == ((index_of(member),) if marked else ()), (n, rels)
+        assert relation_edges({R.CTilde}, n).marks == ((index_of(member),) if member is not None else ())
 
 
 def test_moves_and_psi_build_no_composition(monkeypatch):
-    compositions_of(9)  # the enumeration is cached; warm it first
+    # cold: no cached graph and no cached enumeration to lean on
+    kernel._relation_edges.cache_clear()
+    compositions._compositions_of.cache_clear()
     rng = random.Random(0)
     elem = QSymElement(9, "M", {mask: rng.choice((-2, -1, 1, 2)) for mask in rng.sample(range(256), 37)})
     assert len(elem.coeffs) == 37
