@@ -310,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named check over a degree range")
     p_verify.add_argument("check", choices=CHECK_NAMES)
-    p_verify.add_argument("--deg", default=None, help="degree range LO..HI (default 1..8)")
+    p_verify.add_argument("--deg", default=None,
+                          help="degree range LO..HI (default 1..8); ideal checks every total degree up to HI")
     p_verify.add_argument("--deep", action="store_true", help="default range becomes 1..10")
     p_verify.add_argument("--stat", default=None, help="restrict the ideal check to one statistic")
     p_verify.add_argument("--out", default=None)

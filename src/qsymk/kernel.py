@@ -7,17 +7,15 @@ equivalent pairs spans K^st_n exactly when the components of the graph
 with edge set S are the classes, and its differences are independent
 exactly when the graph is a forest (Theorem 1).  Neither fact depends
 on st: one graph per (rels, n) is built once, kept in a bounded cache,
-and carries its components, so the spanning and basis checks read only
-the components and eliminate nothing.  The rank of the edge differences
-is |V| - #components (the graphic matroid); `verify thm1a/thm1b` checks
-both criteria against an elimination of `edge_vectors`.  M-combinations
-span the kernel of a partition exactly when each has zero class sums and
-their rank is its dimension: the monomial spanning sets and Section 4's
-F-vs-M propositions (on their F-family graph's components) share this.
-Those combinations have one or two terms with coefficients +-1, so they
-form a signed graph, whose rank is the indices it touches less its
-balanced components (Zaslavsky); Props 4.2/4.5 compare two such spans by
-membership and rank.  Nothing here eliminates; `linalg` is the oracle.
+and carries its components, so the spanning and basis checks eliminate
+nothing; `verify thm1a/thm1b` checks both against `edge_vectors`.
+M-combinations span the kernel of a partition exactly when each has zero
+class sums and their rank is its dimension (the monomial spanning sets,
+and Section 4's F-vs-M propositions on their F family's components).
+Those combinations have one or two terms +-1: a signed graph, whose
+rank is read off its double cover (Zaslavsky).  One union-find finds
+the components of every graph here, relation graph or cover, and blocks
+take the class format of `equivalence_classes`.  `linalg` is the oracle.
 
 Relation graphs are keyed by composition index, the same vertex format
 as the kernel classes: an edge is an (index, index, label) triple and a
@@ -71,7 +69,7 @@ from .config import check_degree
 from .errors import RelationUnsoundError
 from .linalg import RowBasis, SparseVector
 from .qsym import QSymElement, f_sparse, _f_basis_product
-from .statistics import DescentStatistic, StatisticId, equivalence_classes, stat_name
+from .statistics import DescentStatistic, StatisticId, _blocks, equivalence_classes, stat_name
 
 
 class RelationId(enum.Enum):
@@ -260,23 +258,30 @@ def _relation_edges(rels: frozenset[RelationId], n: int) -> RelationGraph:
     return RelationGraph(n, tuple((a, b, labels[a, b]) for a, b in sorted(labels)), marks)
 
 
-def connected_components(graph: RelationGraph) -> tuple[tuple[int, ...], ...]:
-    """Partition of the composition indices of n by undirected
-    reachability, in the form of `KernelSpace.classes`: members ascending,
-    blocks ordered by least member."""
-    parent = list(graph.vertices)
+def _union_find(size: int, edges: Iterable[Sequence]) -> list[int]:
+    """The root of each int in range(size) once the first two entries of
+    each edge are joined (a relation-graph edge has its label third)."""
+    parent = list(range(size))
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
+        while (up := parent[x]) != x:
+            parent[x] = x = parent[up]  # path halving
         return x
 
-    for a, b, _ in graph.edges:
-        parent[find(b)] = find(a)
-    blocks: dict[int, list[int]] = {}
-    for c in graph.vertices:
-        blocks.setdefault(find(c), []).append(c)
-    return tuple(map(tuple, blocks.values()))
+    for edge in edges:  # find(a) and find(b) inlined, as this loop is hot
+        a, b = edge[0], edge[1]
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        parent[b] = a
+    return list(map(find, range(size)))
+
+
+def connected_components(graph: RelationGraph) -> tuple[tuple[int, ...], ...]:
+    """Partition of the composition indices of n by undirected
+    reachability, in the class format of `equivalence_classes`."""
+    return _blocks(_union_find(len(graph.vertices), graph.edges))
 
 
 def is_forest(graph: RelationGraph) -> bool:
@@ -316,16 +321,11 @@ class KernelSpace(Frozen):
     @cached_property
     def labels(self) -> list[int]:
         """The class number of each composition index: the quotient map."""
-        return _labels(self.classes)
-
-
-def _labels(blocks: Sequence[Sequence[int]]) -> list[int]:
-    """The quotient map of a partition of the indices: each index's block number."""
-    labels = [0] * sum(map(len, blocks))
-    for label, block in enumerate(blocks):
-        for c in block:
-            labels[c] = label
-    return labels
+        labels = [0] * (1 << max(self.n - 1, 0))
+        for label, block in enumerate(self.classes):
+            for c in block:
+                labels[c] = label
+        return labels
 
 
 def _class_sums(labels: Sequence[int], terms: Iterable[tuple[int, object]]) -> dict:
@@ -433,77 +433,66 @@ def _projected_m(labels: Sequence[int]) -> list[dict[int, int]]:
     return proj
 
 
-def _signed_components(terms: Iterable[dict[int, int]]) -> tuple[dict[int, int], dict[int, int], set[int]]:
-    """The M-combinations `terms` as a signed graph on the indices they
-    touch: M_a - M_b a positive edge, M_a + M_b a negative one, M_a a
-    half-edge, and an empty combination nothing; any other shape raises
-    ValueError.  Returns (root, sign, balanced): each index's component
-    and switching sign, and the balanced components, with no half-edge
-    and an even number of negative edges on every cycle.  The span is the
-    vectors on the touched indices whose sum of sign[v] * x_v vanishes on
-    each balanced component (Zaslavsky, Signed graphs, 1982)."""
-    root: dict[int, int] = {}
-    sign: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    unbalanced: set[int] = set()
+def _double_cover(terms: Iterable[dict[int, int]]) -> tuple[set[int], list[int], int]:
+    """(touched, root, rank) of the M-combinations `terms` as a signed
+    graph lifted to its double cover, where index v has the sheets 2v (+)
+    and 2v + 1 (-): s M_a + t M_b joins each lift of a to the lift of b of
+    -s t times its sign, M_a joins 2a and 2a + 1, {} adds nothing, and
+    another shape raises ValueError.  A component is balanced exactly
+    when its sheets stay apart, that is when the mirror x ^ 1 of its root
+    x has another root.  On the indices up to the greatest touched one,
+    each untouched index a balanced component of its own, the rank is the
+    indices less the balanced components (Zaslavsky, Signed graphs, 1982)."""
+    touched: set[int] = set()
+    pairs: list[tuple[int, int]] = []
     for combination in terms:
         if len(combination) > 2 or not {1, -1}.issuperset(combination.values()):
             raise ValueError(f"not a signed-graph combination: {combination!r}")
-        for v in combination:
-            if v not in root:
-                root[v], sign[v], members[v] = v, 1, [v]
+        touched.update(combination)
         if len(combination) == 1:
-            unbalanced.add(root[next(iter(combination))])
+            (a,) = combination
+            pairs.append((2 * a, 2 * a + 1))
         elif combination:
             (a, s), (b, t) = combination.items()
-            # the potential x of a balanced component has s x_a + t x_b = 0
-            flip = -s * t * sign[a] * sign[b]
-            ra, rb = root[a], root[b]
-            if ra == rb:
-                if flip != 1:
-                    unbalanced.add(ra)
-                continue
-            if len(members[ra]) < len(members[rb]):
-                ra, rb = rb, ra
-            for v in members[rb]:
-                root[v], sign[v] = ra, sign[v] * flip
-            members[ra] += members.pop(rb)
-            if rb in unbalanced:
-                unbalanced.remove(rb)
-                unbalanced.add(ra)
-    return root, sign, members.keys() - unbalanced
+            lift = 2 * b + (s == t)  # the lift of b that 2a joins
+            pairs += (2 * a, lift), (2 * a + 1, lift ^ 1)
+    root = _union_find(2 * max(touched, default=-1) + 2, pairs)
+    return touched, root, len(root) // 2 - sum(root[r ^ 1] != r for r in set(root)) // 2
 
 
 def _signed_rank(terms: Iterable[dict[int, int]]) -> int:
-    """The rank of M-combinations with one or two terms, each coefficient
-    +-1: the touched indices less the balanced components."""
-    root, _, balanced = _signed_components(terms)
-    return len(root) - len(balanced)
+    """The rank of M-combinations of one or two terms +-1, by `_double_cover`."""
+    return _double_cover(terms)[2]
 
 
 def _signed_spans_equal(xs: Sequence[dict[int, int]], ys: Sequence[dict[int, int]]) -> bool:
     """Do the M-combinations xs and ys span the same space?  Exactly when
-    every x lies in the span of the signed graph ys (an x of any shape is
-    tested) and the ranks agree (so xs must then be a signed graph too)."""
-    root, sign, balanced = _signed_components(ys)
+    each x, of any shape, lies in the span of the signed graph ys (on the
+    touched indices, its +x_v at 2v and -x_v at 2v + 1 cancel at each root
+    of the cover: a zero switched sum on each balanced component, and an
+    unbalanced one has a single root) and the ranks agree."""
+    touched, root, rank = _double_cover(ys)
     for x in xs:
-        if not x.keys() <= root.keys():
+        if not x.keys() <= touched:
             return False
-        sums = _class_sums(root, ((v, sign[v] * coeff) for v, coeff in x.items()))
-        if any(value for r, value in sums.items() if r in balanced):
+        sums: dict[int, int] = {}
+        for v, coeff in x.items():
+            for r, value in ((root[2 * v], coeff), (root[2 * v + 1], -coeff)):
+                sums[r] = sums.get(r, 0) + value
+        if any(sums.values()):
             return False
-    return _signed_rank(xs) == len(root) - len(balanced)
+    return _signed_rank(xs) == rank
 
 
-def _m_spans_kernel(terms: list[dict[int, int]], blocks: Sequence[Sequence[int]], n: int) -> bool:
-    """Do the M-combinations `terms` span the kernel of the projection onto
-    a partition of the indices?  Exactly when every class sum of each
-    vanishes and their rank is 2^(n-1) - #blocks, both read in M
+def _m_spans_kernel(terms: list[dict[int, int]], labels: Sequence[int]) -> bool:
+    """Do the M-combinations `terms` span the kernel of the quotient map
+    `labels` of the indices?  Exactly when every class sum of each
+    vanishes and their rank is the indices less the classes, both read in M
     coordinates: a combination's class sums are those of its P(M_C), and
     m_to_f is invertible, so the rank is unchanged.  Membership comes
     first, so a combination of any shape outside the kernel gives False
     before the signed rank is taken."""
-    proj = _projected_m(_labels(blocks))
+    proj = _projected_m(labels)
     for combination in terms:
         sums: dict[int, int] = {}
         for c, coeff in combination.items():
@@ -511,13 +500,13 @@ def _m_spans_kernel(terms: list[dict[int, int]], blocks: Sequence[Sequence[int]]
                 sums[label] = sums.get(label, 0) + coeff * value
         if any(sums.values()):
             return False
-    return _signed_rank(terms) == (1 << max(n - 1, 0)) - len(blocks)
+    return _signed_rank(terms) == len(labels) - len(set(labels))
 
 
 def check_spanning_M(stat: StatisticId, n: int) -> bool:
     """Do the combinations of `monomial_span_terms` span K^st_n, the kernel
     of the projection onto the st-classes?"""
-    return _m_spans_kernel(monomial_span_terms(stat, n), kernel_space(stat, n).classes, n)
+    return _m_spans_kernel(monomial_span_terms(stat, n), kernel_space(stat, n).labels)
 
 
 # -- the indexed families over subsets ---------------------------------------
@@ -640,10 +629,10 @@ def check_section4_props(n: int) -> dict:
          ("prop44_f_family_spans_Fpk", "prop45_m_family_spans_Mpk", "prop46_f_equals_m_on_theta")),
     ):
         members = [(f, m) for region, f, m in family if region <= last]
-        blocks = connected_components(RelationGraph(n, tuple((*f, "") for f, _ in members)))
-        results[f_key] = blocks == relation_edges(rels, n).components
+        root = _union_find(1 << max(n - 1, 0), (tuple(f) for f, _ in members))
+        results[f_key] = _blocks(root) == relation_edges(rels, n).components
         results[m_key] = _signed_spans_equal([m for _, m in members], monomial_span_terms(stat, n))
-        results[fm_key] = _m_spans_kernel([m for _, m in members], blocks, n)
+        results[fm_key] = _m_spans_kernel([m for _, m in members], root)
     arrow3 = {(a, b) for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges}
     results["lemma_om4_matches_arrow3"] = arrow3 == {tuple(f) for region, f, _ in family if region == 4}
     return {"degree": n, "pass": all(results.values()), "results": results}

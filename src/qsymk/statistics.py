@@ -28,9 +28,9 @@ from __future__ import annotations
 import enum
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
-from typing import Callable, Hashable, Union
+from typing import Callable, Hashable, Iterable, Union
 
 from .compositions import Composition, Frozen, compositions_of, full_mask, index_of, mask_to_set
 from .config import check_degree
@@ -222,23 +222,30 @@ def stat_name(stat: DescentStatistic) -> str:
     return getattr(stat, "__name__", str(stat))
 
 
+def _not_a_statistic(stat: object) -> ValueError:
+    return ValueError(f"{stat!r} is neither a StatisticId nor a callable; parse_statistic looks one up by name")
+
+
+def _blocks(keys: Iterable[Hashable]) -> tuple[tuple[int, ...], ...]:
+    """The indices 0, 1, ... grouped by their keys, in the class format:
+    members ascending, blocks ordered by least member."""
+    blocks: dict[Hashable, list[int]] = {}
+    for index, key in enumerate(keys):
+        blocks.setdefault(key, []).append(index)
+    return tuple(map(tuple, blocks.values()))
+
+
 def equivalence_classes(stat: DescentStatistic, n: int) -> tuple[tuple[int, ...], ...]:
     """Partition of the composition indices of n into blocks of equal
-    statistic value, in the form of `KernelSpace.classes`: members
-    ascending, blocks ordered by least member (the indices are met in
-    ascending order).  A `StatisticId` is evaluated on the index, with
-    no `Composition` built; any other callable on the `Composition`
-    (used for planted control statistics)."""
+    statistic value.  A `StatisticId` is evaluated on the index, with no
+    `Composition` built; any other callable on the `Composition` (used
+    for planted control statistics); anything else raises ValueError."""
     check_degree(n)
     if isinstance(stat, StatisticId):
-        evaluate = _COMP_EVAL[stat]
-        values = (evaluate(n, mask) for mask in range(1 << max(n - 1, 0)))
-    else:
-        values = map(stat, compositions_of(n))
-    blocks: dict[Hashable, list[int]] = {}
-    for mask, value in enumerate(values):
-        blocks.setdefault(value, []).append(mask)
-    return tuple(map(tuple, blocks.values()))
+        return _blocks(map(_COMP_EVAL[stat], repeat(n), range(1 << max(n - 1, 0))))
+    if callable(stat):
+        return _blocks(map(stat, compositions_of(n)))
+    raise _not_a_statistic(stat)
 
 
 # -- shuffles ---------------------------------------------------------------
@@ -271,7 +278,9 @@ def _word_evaluator(stat: PermStatistic) -> Callable[[tuple[int, ...]], Hashable
     """The statistic on letter tuples; any other callable gets a `Permutation`."""
     if isinstance(stat, StatisticId):
         return _PERM_EVAL[stat]
-    return lambda word: stat(Permutation(word))
+    if callable(stat):
+        return lambda word: stat(Permutation(word))
+    raise _not_a_statistic(stat)
 
 
 def _interleavings(a: int, b: int) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:

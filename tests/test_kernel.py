@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsymk import cli, compositions, config, kernel, linalg, qsym, statistics
 from qsymk.compositions import (
@@ -39,7 +41,14 @@ from qsymk.kernel import (
 )
 from qsymk.linalg import SparseVector, in_span, is_independent, rank, reduce, spans_equal
 from qsymk.qsym import QSymElement, _f_basis_product, f_sparse, f_to_m, m_to_f
-from qsymk.statistics import StatisticId, equivalence_classes, stat_name
+from qsymk.statistics import (
+    Permutation,
+    StatisticId,
+    check_shuffle_compatible,
+    equivalence_classes,
+    shuffle_distribution,
+    stat_name,
+)
 
 from conftest import psi_vector, rho_vector
 
@@ -331,6 +340,24 @@ def test_monomial_checks_need_a_statistic_id():
             call("Pk", 4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda stat: kernel_space(stat, 3),
+    lambda stat: equivalence_classes(stat, 3),
+    lambda stat: quotient_dimension(stat, 2),
+    lambda stat: check_spanning_F(stat, 3, {R.Arrow1, R.Arrow2}),
+    lambda stat: is_ideal_upto(stat, 3),
+    lambda stat: shuffle_distribution(stat, Permutation((1,)), Permutation((2, 3))),
+    lambda stat: check_shuffle_compatible(stat, 3),
+], ids=["kernel_space", "equivalence_classes", "quotient_dimension", "check_spanning_F",
+        "is_ideal_upto", "shuffle_distribution", "check_shuffle_compatible"])
+def test_a_name_or_none_is_no_statistic(call):
+    # both used to fail inside `map` with "'str' object is not callable"
+    for stat in ("Pk", None):
+        want = f"^{re.escape(repr(stat))} is neither a StatisticId nor a callable; parse_statistic"
+        with pytest.raises(ValueError, match=want):
+            call(stat)
+
+
 # -- the signed rank ------------------------------------------------------------
 
 def _m_families(n: int) -> list[list[dict[int, int]]]:
@@ -373,6 +400,73 @@ def test_signed_rank_on_planted_graphs(terms, want):
 def test_signed_rank_refuses_other_shapes(terms):
     with pytest.raises(ValueError, match="not a signed-graph combination"):
         kernel._signed_rank(terms)
+
+
+# one- and two-term +-1 combinations on the indices 0..6, repeats and {} included
+_signed_terms = st.lists(
+    st.one_of(
+        st.just({}),
+        st.builds(lambda a, s: {a: s}, st.integers(0, 6), st.sampled_from((1, -1))),
+        st.builds(
+            lambda ab, s, t: {ab[0]: s, ab[1]: t},
+            st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True),
+            st.sampled_from((1, -1)),
+            st.sampled_from((1, -1)),
+        ),
+    ),
+    max_size=9,
+)
+
+
+@given(_signed_terms)
+@settings(max_examples=200, deadline=None)
+def test_signed_rank_matches_rank_on_random_signed_graphs(terms):
+    assert kernel._signed_rank(terms) == rank([SparseVector(4, t) for t in terms], 4)
+
+
+@given(_signed_terms, _signed_terms)
+@settings(max_examples=200, deadline=None)
+def test_signed_span_equality_matches_spans_equal_on_random_signed_graphs(xs, ys):
+    want = spans_equal([SparseVector(4, x) for x in xs], [SparseVector(4, y) for y in ys], 4)
+    assert kernel._signed_spans_equal(xs, ys) == want
+    # a family spans what it spans, and its own members lie in it
+    assert kernel._signed_spans_equal(ys, ys)
+
+
+def _components_by_search(graph: RelationGraph) -> tuple[tuple[int, ...], ...]:
+    """Components by breadth-first search over the undirected edges, each
+    started from the least vertex not yet reached."""
+    neighbours: dict[int, set[int]] = {v: set() for v in graph.vertices}
+    for a, b, _ in graph.edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    reached: set[int] = set()
+    blocks = []
+    for start in graph.vertices:
+        if start in reached:
+            continue
+        block, frontier = {start}, [start]
+        while frontier:
+            frontier = [w for v in frontier for w in neighbours[v] - block]
+            block.update(frontier)
+        reached |= block
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+@st.composite
+def _random_graphs(draw) -> RelationGraph:
+    n = draw(st.integers(0, 4))
+    vertex = st.integers(0, (1 << max(n - 1, 0)) - 1)
+    # loops, parallel and antiparallel pairs all arise among these edges
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    return RelationGraph(n, tuple((a, b, "x") for a, b in pairs))
+
+
+@given(_random_graphs())
+@settings(max_examples=200, deadline=None)
+def test_connected_components_match_a_search(graph):
+    assert kernel.connected_components(graph) == _components_by_search(graph)
 
 
 def test_signed_span_equality_matches_spans_equal():
@@ -652,6 +746,19 @@ def test_section4_props_make_no_f_expansion(monkeypatch):
     monkeypatch.setattr(kernel, "QSymElement", _refuse)
     for n in range(0, 10):
         assert check_section4_props(n)["pass"]
+
+
+def test_section4_props_build_no_relation_graph(monkeypatch):
+    # the F family's components come from its (C, C') pairs directly; only
+    # the cached arrow12/arrow123/arrow3 graphs and monomial sets are read
+    for n in (0, 5, 8):
+        check_section4_props(n)  # warms the graph cache
+        built = []
+        real = RelationGraph.__init__
+        with monkeypatch.context() as patch:
+            patch.setattr(RelationGraph, "__init__", lambda self, *args: built.append(args) or real(self, *args))
+            assert check_section4_props(n)["pass"]
+        assert built == [], n
 
 
 def test_section4_props_eliminate_nothing(monkeypatch):
