@@ -4,7 +4,7 @@ Subcommands:
   verify CHECK       run a named verification over a degree range
   dims               tabulate kernel and quotient dimensions
   graph              export a relation graph (dot/json/csv)
-  shufflecheck       brute-force shuffle-compatibility run
+  shufflecheck       shuffle-compatibility check, from F products
 
 Exit codes: 0 all checks passed, 1 a check failed (report carries a
 witness), 2 usage error.  Reports are UTF-8 JSON with sorted keys, so
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--out", default=None)
     p_graph.set_defaults(func=_cmd_graph)
 
-    p_shuf = sub.add_parser("shufflecheck", help="shuffle-compatibility brute force")
+    p_shuf = sub.add_parser("shufflecheck", help="shuffle-compatibility check, from F products")
     p_shuf.add_argument("stat")
     p_shuf.add_argument("max_total_len", type=int)
     p_shuf.add_argument("--out", default=None)

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import islice, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -69,7 +69,8 @@ from .config import check_degree
 from .errors import RelationUnsoundError
 from .linalg import RowBasis, SparseVector
 from .qsym import QSymElement, f_sparse, _f_basis_product
-from .statistics import DescentStatistic, StatisticId, _blocks, equivalence_classes, stat_name
+from .statistics import (DescentStatistic, ShuffleCompatibilityReport, StatisticId, _blocks, _check_statistic,
+                         equivalence_classes, stat_name)
 
 
 class RelationId(enum.Enum):
@@ -340,6 +341,7 @@ def _class_sums(labels: Sequence[int], terms: Iterable[tuple[int, object]]) -> d
 def kernel_space(stat: DescentStatistic, n: int) -> KernelSpace:
     """K^st_n as the st-classes of the compositions of n, from a cache of 256."""
     check_degree(n)
+    _check_statistic(stat)  # before the cache, which would refuse an unhashable one
     return _kernel_space(stat, n)
 
 
@@ -638,7 +640,7 @@ def check_section4_props(n: int) -> dict:
     return {"degree": n, "pass": all(results.values()), "results": results}
 
 
-# -- ideal property -----------------------------------------------------------
+# -- ideal property and shuffle-compatibility --------------------------------
 
 def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int = 3) -> dict:
     """Check that products of kernel basis rows with fundamental basis
@@ -671,15 +673,44 @@ def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dic
         for a in range(1, s):
             b = s - a
             tops = {c: block[-1] for block in kernel_space(stat, a).classes for c in block[:-1]}
-            top_sums: dict[tuple[int, int], dict] = {}
-            for c, top in sorted(tops.items()):
-                for k_mask in range(1 << (b - 1)):
-                    want = top_sums.get((top, k_mask))
-                    if want is None:
-                        want = top_sums[top, k_mask] = _class_sums(labels, _f_basis_product(a, top, b, k_mask))
-                    if _class_sums(labels, _f_basis_product(a, c, b, k_mask)) != want:
-                        row = {str(from_index(a, c)): "1", str(from_index(a, top)): "-1"}
-                        yield {"row_degree": a, "factor": str(from_index(b, k_mask)), "row": row}
+            pairs = (((c, k), (top, k)) for c, top in sorted(tops.items()) for k in range(1 << (b - 1)))
+            for (c, k), (top, _) in _product_mismatches(labels, a, b, pairs, _f_basis_product):
+                row = {str(from_index(a, c)): "1", str(from_index(a, top)): "-1"}
+                yield {"row_degree": a, "factor": str(from_index(b, k)), "row": row}
+
+
+def _product_mismatches(labels: Sequence[int], a: int, b: int, pairs, multiply) -> Iterator[tuple]:
+    """Each (pair, reference) of index pairs of degrees (a, b) whose F products differ
+    through `labels`; a reference is projected once, when another pair names it."""
+    wants: dict[tuple[int, int], dict] = {}
+    for pair, ref in pairs:
+        if pair == ref:
+            continue
+        want = wants.get(ref)
+        if want is None:
+            want = wants[ref] = _class_sums(labels, multiply(a, ref[0], b, ref[1]))
+        if _class_sums(labels, multiply(a, pair[0], b, pair[1])) != want:
+            yield pair, ref
+
+
+def shuffle_compatibility_upto(stat: DescentStatistic, max_total_len: int) -> ShuffleCompatibilityReport:
+    """Shuffle-compatibility from F products: the shuffles of words with descent
+    compositions α and β have the descent compositions of F_α F_β (Gessel and Zhuang).
+    Each index pair is compared with the first of its class pair, in the order and with
+    the witness of the oracle `statistics.check_shuffle_compatible`.  Each product is used
+    once, so the DP runs uncached."""
+    check_degree(max_total_len)
+    for s in range(max_total_len + 1):  # degree 0 checks the statistic; it has one pair
+        labels = kernel_space(stat, s).labels
+        for a in range(s + 1):
+            left, right, firsts = kernel_space(stat, a).labels, kernel_space(stat, s - a).labels, {}
+            pairs = ((p, firsts.setdefault((left[p[0]], right[p[1]]), p))
+                     for p in product(range(len(left)), range(len(right))))
+            for pair, first in _product_mismatches(labels, a, s - a, pairs, _f_basis_product.__wrapped__):
+                names = [[str(from_index(a, x)), str(from_index(s - a, y))] for x, y in (first, pair)]
+                witness = {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
+                return ShuffleCompatibilityReport(stat_name(stat), max_total_len, False, witness)
+    return ShuffleCompatibilityReport(stat_name(stat), max_total_len, True)
 
 
 # -- symmetry bridges ----------------------------------------------------------

@@ -165,7 +165,9 @@ def f_sparse(elem: QSymElement) -> SparseVector:
 @lru_cache(maxsize=None)
 def _f_basis_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
     """Multiplicity of each descent composition over the shuffles of two
-    disjoint words realizing the two index compositions.
+    disjoint words realizing the two index compositions, cached for
+    `multiply_f` and the ideal check; the shuffle-compatibility route uses
+    each product once, and calls the DP uncached as `__wrapped__`.
 
     Every letter of the second word exceeds every letter of the first: a
     letter of the first after one of the second descends, the reverse

@@ -10,9 +10,11 @@ mask; the two routes are independent implementations and the test
 suite checks them against each other exhaustively.  Equivalence
 classes are blocks of indices, the kernels' class format.
 
-The shuffle-compatibility oracle works on letter tuples, through one
-`itemgetter` per interleaving pattern, and never goes through QSym;
-`shuffles`, the interleavings as a set of `Permutation`s, is its reference.
+Shuffle-compatibility of a `StatisticId` comes from F products (in
+`kernel`); a callable on `Permutation` gets the word-level brute force,
+their oracle, on letter tuples through one `itemgetter` per interleaving
+and never through QSym, with `shuffles`, the interleavings as a set of
+`Permutation`s, as its reference.
 
 Position conventions (1-based, word of length n):
   descent   i in [n-1]     with w_i > w_{i+1}
@@ -222,8 +224,9 @@ def stat_name(stat: DescentStatistic) -> str:
     return getattr(stat, "__name__", str(stat))
 
 
-def _not_a_statistic(stat: object) -> ValueError:
-    return ValueError(f"{stat!r} is neither a StatisticId nor a callable; parse_statistic looks one up by name")
+def _check_statistic(stat: object) -> None:
+    if not (isinstance(stat, StatisticId) or callable(stat)):
+        raise ValueError(f"{stat!r} is neither a StatisticId nor a callable; parse_statistic looks one up by name")
 
 
 def _blocks(keys: Iterable[Hashable]) -> tuple[tuple[int, ...], ...]:
@@ -241,11 +244,10 @@ def equivalence_classes(stat: DescentStatistic, n: int) -> tuple[tuple[int, ...]
     `Composition` built; any other callable on the `Composition` (used
     for planted control statistics); anything else raises ValueError."""
     check_degree(n)
+    _check_statistic(stat)
     if isinstance(stat, StatisticId):
         return _blocks(map(_COMP_EVAL[stat], repeat(n), range(1 << max(n - 1, 0))))
-    if callable(stat):
-        return _blocks(map(stat, compositions_of(n)))
-    raise _not_a_statistic(stat)
+    return _blocks(map(stat, compositions_of(n)))
 
 
 # -- shuffles ---------------------------------------------------------------
@@ -276,11 +278,10 @@ PermStatistic = Union[StatisticId, Callable[[Permutation], Hashable]]
 
 def _word_evaluator(stat: PermStatistic) -> Callable[[tuple[int, ...]], Hashable]:
     """The statistic on letter tuples; any other callable gets a `Permutation`."""
+    _check_statistic(stat)
     if isinstance(stat, StatisticId):
         return _PERM_EVAL[stat]
-    if callable(stat):
-        return lambda word: stat(Permutation(word))
-    raise _not_a_statistic(stat)
+    return lambda word: stat(Permutation(word))
 
 
 def _interleavings(a: int, b: int) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:
@@ -368,18 +369,21 @@ class ShuffleCompatibilityReport(Frozen):
 def check_shuffle_compatible(
     stat: PermStatistic, max_total_len: int, seed: int = 0
 ) -> ShuffleCompatibilityReport:
-    """Brute-force shuffle-compatibility oracle.
+    """Shuffle-compatibility up to total length `max_total_len`.
 
-    For every pair of lengths (a, b) with a + b <= max_total_len and
-    every pair of descent compositions, the multiset of statistic values
-    over all shuffles is computed for a canonical disjoint pair of
-    representatives and for a second randomized pair; the distributions
-    must agree between representative choices, and across all
-    composition pairs with the same (a, b, value, value) signature.
-
-    Shuffles are letter tuples; a `StatisticId` is evaluated on the
-    tuple, any other callable on `Permutation(word)`.
+    A `StatisticId` takes the F-product route, which draws no random pair
+    (`kernel.shuffle_compatibility_upto`).  A callable gets `Permutation(word)`
+    in this word-level brute force, that route's oracle: for every pair of
+    lengths (a, b) with a + b <= max_total_len and every pair of descent
+    compositions, the multiset of statistic values over all shuffles is
+    computed for a canonical disjoint pair of representatives and for a
+    second randomized pair; the distributions must agree between
+    representative choices, and across all composition pairs with the same
+    (a, b, value, value) signature.
     """
+    if isinstance(stat, StatisticId):
+        from .kernel import shuffle_compatibility_upto  # kernel imports this module
+        return shuffle_compatibility_upto(stat, max_total_len)
     check_degree(max_total_len)
     rng = random.Random(seed)
     evaluate = _word_evaluator(stat)

@@ -31,6 +31,7 @@ GOLDEN_REPORTS = [
       for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9), ("props4", 11),
                         ("thm2b", 12), ("thm35", 11), ("thm53b", 11), ("thm1a", 9), ("thm1b", 9))),
     ("dims_deg1-8.csv", ("dims", "--deg", "1..8")),
+    *((f"shufflecheck_{stat}_9.json", ("shufflecheck", stat, "9")) for stat in ("Pk", "Epk")),
     ("graph_pknumbasis_deg1-7.json",
      ("graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json")),
     ("graph_pknumbasis_deg8-10.csv",

@@ -38,6 +38,7 @@ from qsymk.kernel import (
     omega_sets,
     quotient_dimension,
     relation_edges,
+    shuffle_compatibility_upto,
 )
 from qsymk.linalg import SparseVector, in_span, is_independent, rank, reduce, spans_equal
 from qsymk.qsym import QSymElement, _f_basis_product, f_sparse, f_to_m, m_to_f
@@ -348,11 +349,14 @@ def test_monomial_checks_need_a_statistic_id():
     lambda stat: is_ideal_upto(stat, 3),
     lambda stat: shuffle_distribution(stat, Permutation((1,)), Permutation((2, 3))),
     lambda stat: check_shuffle_compatible(stat, 3),
+    lambda stat: shuffle_compatibility_upto(stat, 0),
 ], ids=["kernel_space", "equivalence_classes", "quotient_dimension", "check_spanning_F",
-        "is_ideal_upto", "shuffle_distribution", "check_shuffle_compatible"])
+        "is_ideal_upto", "shuffle_distribution", "check_shuffle_compatible",
+        "shuffle_compatibility_upto"])
 def test_a_name_or_none_is_no_statistic(call):
-    # both used to fail inside `map` with "'str' object is not callable"
-    for stat in ("Pk", None):
+    # a name or None used to fail inside `map` with "'str' object is not
+    # callable", and an unhashable value in the kernel cache with a TypeError
+    for stat in ("Pk", None, [1], {"a": 1}):
         want = f"^{re.escape(repr(stat))} is neither a StatisticId nor a callable; parse_statistic"
         with pytest.raises(ValueError, match=want):
             call(stat)

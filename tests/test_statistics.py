@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import Counter
 
@@ -12,6 +11,8 @@ from qsymk.compositions import Composition, compositions_of, from_index, index_o
 from qsymk.config import set_max_degree
 from qsymk import statistics
 from qsymk.errors import DegreeLimitError, DisjointnessError
+from qsymk.kernel import is_ideal_upto, shuffle_compatibility_upto
+from qsymk.qsym import _f_basis_product
 from qsymk.statistics import (
     Permutation,
     ShuffleCompatibilityReport,
@@ -332,6 +333,37 @@ def runs_mod_3(p: Permutation):
     return len(perm_descent_composition(p).parts) % 3
 
 
+def word_des_mod_2(p: Permutation):
+    return sum(x > y for x, y in zip(p.letters, p.letters[1:])) % 2
+
+
+def word_double_descents(p: Permutation):
+    w = p.letters
+    return sum(w[i - 1] > w[i] > w[i + 1] for i in range(1, len(w) - 1))
+
+
+# the same planted descent statistics on compositions, for the product route
+def parts_mod_3(comp: Composition):
+    return len(comp.parts) % 3
+
+
+def des_mod_2(comp: Composition):
+    return max(len(comp.parts) - 1, 0) % 2
+
+
+def double_descents(comp: Composition):
+    mask = index_of(comp)
+    return (mask & mask >> 1).bit_count()
+
+
+def first_part(comp: Composition):
+    return comp.parts[0] if comp.parts else 0
+
+
+PLANTED = [(max_part, max_run), (parts_mod_3, runs_mod_3), (des_mod_2, word_des_mod_2),
+           (double_descents, word_double_descents)]
+
+
 def test_shuffle_compatibility_rejects_letter_dependent_statistic():
     report = check_shuffle_compatible(first_letter, 5)
     assert not report.compatible
@@ -384,10 +416,12 @@ def _shufflecheck_via_shuffles(stat, max_total_len: int, seed: int = 0) -> Shuff
 
 def test_shufflecheck_matches_shuffles_oracle():
     for stat in StatisticId:
-        for length in range(0, 7):
-            for seed in range(3):
-                report = check_shuffle_compatible(stat, length, seed)
-                assert report.as_dict() == _shufflecheck_via_shuffles(stat, length, seed).as_dict()
+        for length in range(0, 8):
+            report = check_shuffle_compatible(stat, length).as_dict()
+            for seed in range(3) if length < 7 else (0,):
+                assert report == _shufflecheck_via_shuffles(stat, length, seed).as_dict()
+            # the product route draws no random pair
+            assert all(check_shuffle_compatible(stat, length, seed).as_dict() == report for seed in (1, 2))
     kinds = {}
     for planted in (max_run, runs_mod_3, first_letter):
         for seed in range(3):
@@ -401,9 +435,29 @@ def test_shufflecheck_matches_shuffles_oracle():
     }
 
 
+def test_planted_statistics_fail_both_routes():
+    fails_from = {}
+    for on_comp, on_word in PLANTED:
+        for length in range(0, 8):
+            report = shuffle_compatibility_upto(on_comp, length).as_dict()
+            brute = check_shuffle_compatible(on_word, length).as_dict()
+            assert report == dict(brute, statistic=on_comp.__name__), (on_comp.__name__, length)
+            if not report["compatible"]:
+                fails_from.setdefault(on_comp.__name__, length)
+    assert fails_from == {"max_part": 5, "parts_mod_3": 5, "des_mod_2": 4, "double_descents": 3}
+
+
+def test_ideal_iff_shuffle_compatible():
+    # Gessel and Zhuang: K^st is an ideal exactly when st is shuffle-compatible
+    for stat in [*StatisticId, *(on_comp for on_comp, _ in PLANTED), first_part]:
+        for length in range(0, 8):
+            compatible = shuffle_compatibility_upto(stat, length).compatible
+            assert is_ideal_upto(stat, length)["ideal"] == compatible, (stat_name(stat), length)
+
+
 def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the shuffle oracle was called")
+        raise AssertionError("the word-level route was taken")
 
     built = 0
     init = Permutation.__init__
@@ -414,14 +468,13 @@ def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(statistics, "shuffles", refuse)
+    monkeypatch.setattr(statistics, "_interleavings", refuse)
     monkeypatch.setattr(Permutation, "__init__", counting)
-    assert check_shuffle_compatible(S.Pk, 6).compatible
-    sizes = [(len(compositions_of(a)) * len(compositions_of(total - a)), math.comb(total, a))
-             for total in range(1, 7) for a in range(total + 1)]
-    pairs = sum(count for count, _ in sizes)
-    # two representative pairs per composition pair, each shuffled in full
-    interleavings = sum(2 * count * words for count, words in sizes)
-    assert built <= 6 * pairs < interleavings
+    cached = _f_basis_product.cache_info().currsize
+    assert check_shuffle_compatible(S.Pk, 8).compatible
+    # no word at all, and no product left in the unbounded cache
+    assert built == 0
+    assert _f_basis_product.cache_info().currsize == cached
 
 
 def test_shuffle_compatibility_validates_length():
