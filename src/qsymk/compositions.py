@@ -81,12 +81,6 @@ class Composition(Frozen):
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "n", sum(parts))
 
-    def __eq__(self, other: object) -> bool:  # direct, as equality and hashing are hot
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     def __len__(self) -> int:
         return len(self.parts)
 

@@ -347,7 +347,7 @@ def _json_field(data: object, key: str, kinds: tuple[type, ...]):
 
 def element_from_json_dict(data: dict) -> QSymElement:
     """Inverse of `element_to_json_dict`; each composition must have the
-    stated degree and appear once.  A missing or ill-typed field raises a
+    stated degree and appear once.  A missing or ill-formed field raises a
     ValueError that names it."""
     n = _json_field(data, "degree", (int,))
     check_degree(n)
@@ -359,5 +359,9 @@ def element_from_json_dict(data: dict) -> QSymElement:
         mask = index_of(comp)
         if mask in coeffs:
             raise ValueError(f"composition {comp} appears more than once")
-        coeffs[mask] = _json_field(term, "coeff", (str, int, float))
+        coeff = _json_field(term, "coeff", (str, int, float))
+        try:
+            coeffs[mask] = Fraction(coeff)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"JSON element field 'coeff' must be an exact number, got {coeff!r}") from exc
     return QSymElement(n, _json_field(data, "basis", (str,)), coeffs)

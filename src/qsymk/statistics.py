@@ -12,9 +12,8 @@ classes are blocks of indices, the kernels' class format.
 
 Shuffle-compatibility of a `StatisticId` comes from F products (in
 `kernel`); a callable on `Permutation` gets the word-level brute force,
-their oracle, on letter tuples through one `itemgetter` per interleaving
-and never through QSym, with `shuffles`, the interleavings as a set of
-`Permutation`s, as its reference.
+their oracle, which counts values over `shuffles` (the interleavings as
+a set of `Permutation`s) and never goes through QSym.
 
 Position conventions (1-based, word of length n):
   descent   i in [n-1]     with w_i > w_{i+1}
@@ -31,7 +30,6 @@ import enum
 import random
 from collections import Counter
 from itertools import combinations, repeat
-from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Union
 
 from .compositions import Composition, Frozen, compositions_of, full_mask, index_of, mask_to_set
@@ -54,12 +52,6 @@ class Permutation(Frozen):
         if len(set(letters)) != len(letters):
             raise ValueError(f"letters must be distinct, got {letters!r}")
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other: object) -> bool:  # direct, as equality and hashing are hot
-        return self.letters == other.letters if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -276,37 +268,19 @@ def shuffles(p: Permutation, q: Permutation) -> set[Permutation]:
 PermStatistic = Union[StatisticId, Callable[[Permutation], Hashable]]
 
 
-def _word_evaluator(stat: PermStatistic) -> Callable[[tuple[int, ...]], Hashable]:
-    """The statistic on letter tuples; any other callable gets a `Permutation`."""
+def shuffle_distribution(stat: PermStatistic, p: Permutation, q: Permutation) -> Counter:
+    """Multiset of statistic values over `shuffles(p, q)`.  A `StatisticId`
+    is evaluated on the letters; any other callable gets each `Permutation`
+    (a statistic on compositions belongs to `kernel.shuffle_compatibility_upto`)."""
+    words = shuffles(p, q)
     _check_statistic(stat)
     if isinstance(stat, StatisticId):
-        return _PERM_EVAL[stat]
-    return lambda word: stat(Permutation(word))
-
-
-def _interleavings(a: int, b: int) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:
-    """One map per interleaving of a word of length a with one of length
-    b, from their concatenation to the interleaved word (`tuple` when
-    a + b < 2, where `itemgetter` would return a bare letter)."""
-    if a + b < 2:
-        return [tuple]
-    getters = []
-    for spots in combinations(range(a + b), a):
-        chosen = set(spots)
-        from_p, from_q = iter(range(a)), iter(range(a, a + b))
-        getters.append(itemgetter(*(next(from_p) if i in chosen else next(from_q) for i in range(a + b))))
-    return getters
-
-
-def _distribution(evaluate, interleavings, word: tuple[int, ...]) -> Counter:
-    return Counter([evaluate(interleave(word)) for interleave in interleavings])
-
-
-def shuffle_distribution(stat: PermStatistic, p: Permutation, q: Permutation) -> Counter:
-    """Multiset of statistic values over all shuffles of p and q."""
-    if set(p.letters) & set(q.letters):
-        raise DisjointnessError(f"permutations share letters: {p} and {q}")
-    return _distribution(_word_evaluator(stat), _interleavings(len(p), len(q)), p.letters + q.letters)
+        return Counter([_PERM_EVAL[stat](word.letters) for word in words])
+    try:
+        return Counter(map(stat, words))
+    except AttributeError as exc:
+        raise ValueError(f"{stat_name(stat)} is given a Permutation here; for a statistic on "
+                         "compositions use kernel.shuffle_compatibility_upto") from exc
 
 
 def realize_permutation(comp: Composition, offset: int = 0) -> Permutation:
@@ -372,34 +346,32 @@ def check_shuffle_compatible(
     """Shuffle-compatibility up to total length `max_total_len`.
 
     A `StatisticId` takes the F-product route, which draws no random pair
-    (`kernel.shuffle_compatibility_upto`).  A callable gets `Permutation(word)`
-    in this word-level brute force, that route's oracle: for every pair of
+    (`kernel.shuffle_compatibility_upto`).  A callable on `Permutation` gets
+    this word-level brute force, that route's oracle: for every pair of
     lengths (a, b) with a + b <= max_total_len and every pair of descent
-    compositions, the multiset of statistic values over all shuffles is
-    computed for a canonical disjoint pair of representatives and for a
-    second randomized pair; the distributions must agree between
-    representative choices, and across all composition pairs with the same
-    (a, b, value, value) signature.
+    compositions, `shuffle_distribution` is taken for a canonical disjoint
+    pair of representatives and for a second randomized pair; the two must
+    agree, and so must the distributions of all composition pairs with the
+    same (a, b, value, value) signature.
     """
     if isinstance(stat, StatisticId):
         from .kernel import shuffle_compatibility_upto  # kernel imports this module
         return shuffle_compatibility_upto(stat, max_total_len)
     check_degree(max_total_len)
+    _check_statistic(stat)
     rng = random.Random(seed)
-    evaluate = _word_evaluator(stat)
     name = stat_name(stat)
     for total in range(1, max_total_len + 1):
         for a in range(0, total + 1):
             b = total - a
-            interleavings = _interleavings(a, b)
             groups: dict = {}
             for left in compositions_of(a):
                 for right in compositions_of(b):
                     p1 = realize_permutation(left)
                     q1 = realize_permutation(right, offset=a)
-                    dist = _distribution(evaluate, interleavings, p1.letters + q1.letters)
+                    dist = shuffle_distribution(stat, p1, q1)
                     p2, q2 = _random_representatives(left, right, rng)
-                    if dist != _distribution(evaluate, interleavings, p2.letters + q2.letters):
+                    if dist != shuffle_distribution(stat, p2, q2):
                         return ShuffleCompatibilityReport(
                             name, max_total_len, False,
                             witness={
@@ -409,7 +381,7 @@ def check_shuffle_compatible(
                                 "pair2": [str(p2), str(q2)],
                             },
                         )
-                    key = (a, b, evaluate(p1.letters), evaluate(q1.letters))
+                    key = (a, b, stat(p1), stat(q1))
                     seen = groups.get(key)
                     if seen is None:
                         groups[key] = (left, right, dist)

@@ -260,6 +260,9 @@ def test_json_rejects_foreign_degree_and_repeated_compositions():
         ({"degree": 3, "basis": "F", "terms": ["(1,2)"]}, "composition"),
         ({"degree": True, "basis": "F", "terms": []}, "degree"),
         ({"degree": 3, "basis": "F", "terms": [{"composition": "(1,2)", "coeff": True}]}, "coeff"),
+        # Fraction("1/0") raises ZeroDivisionError, and Fraction("nan") a ValueError naming no field
+        ({"degree": 3, "basis": "F", "terms": [{"composition": "(1,2)", "coeff": "1/0"}]}, "coeff"),
+        ({"degree": 3, "basis": "F", "terms": [{"composition": "(1,2)", "coeff": "nan"}]}, "coeff"),
     ]
     # json.loads accepts Infinity and NaN, which are no exact coefficients
     for literal in ("Infinity", "-Infinity", "NaN"):

@@ -12,12 +12,10 @@ from qsymk.config import set_max_degree
 from qsymk import statistics
 from qsymk.errors import DegreeLimitError, DisjointnessError
 from qsymk.kernel import is_ideal_upto, shuffle_compatibility_upto
-from qsymk.qsym import _f_basis_product
+from qsymk.qsym import _f_basis_product, fundamental, multiply_f
 from qsymk.statistics import (
     Permutation,
-    ShuffleCompatibilityReport,
     StatisticId,
-    _random_representatives,
     check_shuffle_compatible,
     equivalence_classes,
     eval_on_composition,
@@ -371,68 +369,48 @@ def test_shuffle_compatibility_rejects_letter_dependent_statistic():
     assert report.witness["kind"] == "representative-dependence"
 
 
-def _shufflecheck_via_shuffles(stat, max_total_len: int, seed: int = 0) -> ShuffleCompatibilityReport:
-    """The oracle: `check_shuffle_compatible` through `shuffles()`, one
-    validated `Permutation` per interleaving."""
-    rng = random.Random(seed)
-    evaluate = (lambda p: eval_on_permutation(stat, p)) if isinstance(stat, StatisticId) else stat
-    name = stat_name(stat)
-    for total in range(1, max_total_len + 1):
-        for a in range(0, total + 1):
-            b = total - a
-            groups: dict = {}
-            for left in compositions_of(a):
-                for right in compositions_of(b):
-                    p1 = realize_permutation(left)
-                    q1 = realize_permutation(right, offset=a)
-                    dist = Counter(evaluate(t) for t in shuffles(p1, q1))
-                    p2, q2 = _random_representatives(left, right, rng)
-                    dist2 = Counter(evaluate(t) for t in shuffles(p2, q2))
-                    if dist != dist2:
-                        return ShuffleCompatibilityReport(
-                            name, max_total_len, False,
-                            witness={
-                                "kind": "representative-dependence",
-                                "compositions": [str(left), str(right)],
-                                "pair1": [str(p1), str(q1)],
-                                "pair2": [str(p2), str(q2)],
-                            },
-                        )
-                    key = (a, b, evaluate(p1), evaluate(q1))
-                    seen = groups.get(key)
-                    if seen is None:
-                        groups[key] = (left, right, dist)
-                    elif seen[2] != dist:
-                        return ShuffleCompatibilityReport(
-                            name, max_total_len, False,
-                            witness={
-                                "kind": "distribution-mismatch",
-                                "pair1": [str(seen[0]), str(seen[1])],
-                                "pair2": [str(left), str(right)],
-                            },
-                        )
-    return ShuffleCompatibilityReport(name, max_total_len, True)
-
-
 def test_shufflecheck_matches_shuffles_oracle():
+    # the F-product route against the word-level brute force, which gets
+    # each statistic's word evaluator
     for stat in StatisticId:
+        on_word = lambda p, stat=stat: eval_on_permutation(stat, p)
         for length in range(0, 8):
             report = check_shuffle_compatible(stat, length).as_dict()
             for seed in range(3) if length < 7 else (0,):
-                assert report == _shufflecheck_via_shuffles(stat, length, seed).as_dict()
+                brute = check_shuffle_compatible(on_word, length, seed).as_dict()
+                assert report == dict(brute, statistic=stat.value), (stat, length, seed)
             # the product route draws no random pair
             assert all(check_shuffle_compatible(stat, length, seed).as_dict() == report for seed in (1, 2))
-    kinds = {}
-    for planted in (max_run, runs_mod_3, first_letter):
+    kinds = {max_run: "distribution-mismatch", runs_mod_3: "distribution-mismatch",
+             first_letter: "representative-dependence"}
+    for planted, kind in kinds.items():
         for seed in range(3):
-            report = check_shuffle_compatible(planted, 6, seed)
-            assert report.as_dict() == _shufflecheck_via_shuffles(planted, 6, seed).as_dict()
-            kinds[planted.__name__] = report.witness["kind"]
-    assert kinds == {
-        "max_run": "distribution-mismatch",
-        "runs_mod_3": "distribution-mismatch",
-        "first_letter": "representative-dependence",
-    }
+            assert check_shuffle_compatible(planted, 6, seed).witness["kind"] == kind
+
+
+def test_shuffle_distribution_counts_the_f_product():
+    # the shuffles of words with descent compositions alpha and beta have
+    # the descent compositions of F_alpha F_beta, with its coefficients
+    for total in range(7):
+        for a in range(total + 1):
+            for alpha, beta in itertools.product(compositions_of(a), compositions_of(total - a)):
+                product = list(multiply_f(fundamental(alpha), fundamental(beta)).terms())
+                p, q = realize_permutation(alpha), realize_permutation(beta, a)
+                for stat in StatisticId:
+                    want = Counter()
+                    for comp, coeff in product:
+                        want[eval_on_composition(stat, comp)] += coeff
+                    assert shuffle_distribution(stat, p, q) == want, (stat, alpha, beta)
+
+
+def test_a_statistic_on_compositions_is_refused_on_words():
+    # it used to fail with "'Permutation' object has no attribute 'parts'"
+    calls = [lambda: check_shuffle_compatible(max_part, 3),
+             lambda: shuffle_distribution(max_part, Permutation((1,)), Permutation((2,)))]
+    for call in calls:
+        with pytest.raises(ValueError, match="given a Permutation.*kernel.shuffle_compatibility_upto") as info:
+            call()
+        assert isinstance(info.value.__cause__, AttributeError)
 
 
 def test_planted_statistics_fail_both_routes():
@@ -468,7 +446,6 @@ def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(statistics, "shuffles", refuse)
-    monkeypatch.setattr(statistics, "_interleavings", refuse)
     monkeypatch.setattr(Permutation, "__init__", counting)
     cached = _f_basis_product.cache_info().currsize
     assert check_shuffle_compatible(S.Pk, 8).compatible
