@@ -68,7 +68,7 @@ from .compositions import (
 from .config import check_degree
 from .errors import RelationUnsoundError
 from .linalg import RowBasis, SparseVector
-from .qsym import QSymElement, f_sparse, _f_basis_product
+from .qsym import QSymElement, f_sparse, _f_basis_product, _f_product
 from .statistics import (DescentStatistic, ShuffleCompatibilityReport, StatisticId, _blocks, _check_statistic,
                          equivalence_classes, stat_name)
 
@@ -674,7 +674,7 @@ def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dic
             b = s - a
             tops = {c: block[-1] for block in kernel_space(stat, a).classes for c in block[:-1]}
             pairs = (((c, k), (top, k)) for c, top in sorted(tops.items()) for k in range(1 << (b - 1)))
-            for (c, k), (top, _) in _product_mismatches(labels, a, b, pairs, _f_basis_product):
+            for (c, k), (top, _) in _product_mismatches(labels, a, b, pairs, _f_product):
                 row = {str(from_index(a, c)): "1", str(from_index(a, top)): "-1"}
                 yield {"row_degree": a, "factor": str(from_index(b, k)), "row": row}
 
@@ -697,12 +697,13 @@ def shuffle_compatibility_upto(stat: DescentStatistic, max_total_len: int) -> Sh
     """Shuffle-compatibility from F products: the shuffles of words with descent
     compositions α and β have the descent compositions of F_α F_β (Gessel and Zhuang).
     Each index pair is compared with the first of its class pair, in the order and with
-    the witness of the oracle `statistics.check_shuffle_compatible`.  Each product is used
-    once, so the DP runs uncached."""
+    the witness of the oracle `statistics.check_shuffle_compatible`, for a <= s - a only: as
+    F_α F_β = F_β F_α, two pairs of a group that differ at (a, s - a) have mirrors that differ at
+    (s - a, a), so a full scan's first failing a is at most s / 2.  The DP runs uncached."""
     check_degree(max_total_len)
     for s in range(max_total_len + 1):  # degree 0 checks the statistic; it has one pair
         labels = kernel_space(stat, s).labels
-        for a in range(s + 1):
+        for a in range(s // 2 + 1):
             left, right, firsts = kernel_space(stat, a).labels, kernel_space(stat, s - a).labels, {}
             pairs = ((p, firsts.setdefault((left[p[0]], right[p[1]]), p))
                      for p in product(range(len(left)), range(len(right))))

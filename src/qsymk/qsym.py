@@ -11,7 +11,9 @@ written in ("M" or "F"); integral coefficients are held as `int` (see
 and the product of two fundamentals expands as a sum of fundamentals
 over the shuffles of any two disjoint words realizing the two index
 compositions; `_f_basis_product` counts their descent compositions by a
-DP, and `multiply_f_via_shuffles` keeps the route through the words.
+DP, on mask counts packed into ints where most masks occur and on dicts
+where few do, cached once per unordered pair (QSym is commutative), and
+`multiply_f_via_shuffles` keeps the route through the words.
 
 The involutions psi and rho relabel the fundamental basis by the
 complement and reverse of the index composition respectively; both are
@@ -22,9 +24,11 @@ coarsening sum (-1)^{n - l(L)} * sum of M_K over coarsenings K of L.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator, Mapping
 
 from .compositions import (
@@ -162,18 +166,63 @@ def f_sparse(elem: QSymElement) -> SparseVector:
     return SparseVector(elem.n, to_f(elem).coeffs)
 
 
+# Packed slots have 16 bits: no count exceeds C(n, na), at most C(18, 9) = 48620 up to degree 18.
+_PACKED_MAX_DEGREE = 18
+
+
 @lru_cache(maxsize=None)
 def _f_basis_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
     """Multiplicity of each descent composition over the shuffles of two
-    disjoint words realizing the two index compositions, cached for
-    `multiply_f` and the ideal check; the shuffle-compatibility route uses
-    each product once, and calls the DP uncached as `__wrapped__`.
+    disjoint words realizing the two index compositions, as ascending
+    (mask, count) pairs; cached for `multiply_f` and the ideal check, while
+    the shuffle-compatibility route calls the DP uncached as `__wrapped__`.
 
     Every letter of the second word exceeds every letter of the first: a
     letter of the first after one of the second descends, the reverse
     never does, and two letters of one word descend where that word does.
-    So a DP over (letters used from each word, source of the last letter)
-    counts the descent masks without writing a word out."""
+    So a DP over (letters used from the first word, source of the last
+    letter) counts the descent masks without writing a word out.  Two DPs
+    run it: `_packed_product` costs about the 2^(n-1) masks of degree
+    n = na + nb, `_sparse_product` about the masks it reaches, at most the
+    C(n, na) shuffles.  Up to degree 18, a product with 2^(n-1) <= 8 C(n, na)
+    + 512 is packed, where that DP was measured faster; lopsided products,
+    such as F_(1) F_(n-1) beyond degree 10, stay sparse."""
+    n = na + nb
+    if n <= _PACKED_MAX_DEGREE and 1 << max(n - 1, 0) <= 8 * math.comb(n, na) + 512:
+        return _packed_product(na, mask_a, nb, mask_b)
+    return _sparse_product(na, mask_a, nb, mask_b)
+
+
+def _packed_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
+    """The product DP with a state's counts in one int, slot m holding mask
+    m's count in 16 bits: descent t is a shift by 16 << (t - 1), and adding
+    tables is `+`."""
+    # prefixes with i letters of the first word, ending in it (the empty one too) or in the second
+    first, second = {0: 1}, {}
+    for t in range(na + nb):
+        shift = 16 << (t - 1) if t else 0
+        nfirst, nsecond = {}, {}
+        for i, counts in first.items():
+            if i < na:
+                nfirst[i + 1] = counts << shift if i and mask_a >> (i - 1) & 1 else counts
+            if t - i < nb:
+                nsecond[i] = counts
+        for i, counts in second.items():
+            shifted = counts << shift
+            if i < na:
+                nfirst[i + 1] = nfirst.get(i + 1, 0) + shifted
+            if t - i < nb:
+                nsecond[i] = nsecond.get(i, 0) + (shifted if mask_b >> (t - i - 1) & 1 else counts)
+        first, second = nfirst, nsecond
+    size = 1 << max(na + nb - 1, 0)
+    raw = (sum(first.values()) + sum(second.values())).to_bytes(2 * size, sys.byteorder)
+    counts = memoryview(raw).cast("H")
+    counts = counts if sys.byteorder == "little" else counts[::-1]  # big-endian: slot 0 came last
+    return tuple(zip(compress(range(size), counts), compress(counts, counts)))
+
+
+def _sparse_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
+    """The product DP with a state's counts in a dict of masks."""
     # ends[s][i]: mask counts of the prefixes of one length with i letters
     # from the first word and the last from word s (0 first, 1 second); the
     # empty prefix counts as ending in the first: nothing descends after it.
@@ -209,8 +258,14 @@ def _add_shifted(table: dict[int, dict[int, int]], key: int, counts: dict[int, i
         into[mask] = into.get(mask, 0) + count
 
 
+def _f_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
+    """`_f_basis_product` with the factors in one order: QSym is commutative."""
+    key = (nb, mask_b, na, mask_a) if (na, mask_a) > (nb, mask_b) else (na, mask_a, nb, mask_b)
+    return _f_basis_product(*key)
+
+
 def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:
-    """Product of two F-basis elements, of degree deg(a) + deg(b).
+    """Product of two F-basis elements, of degree deg(a) + deg(b), from cached basis products.
 
     >>> multiply_f(fundamental(Composition((1,))), fundamental(Composition((1,))))
     1*F(2) + 1*F(1,1)
@@ -223,7 +278,7 @@ def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:
     for mask_a, ca in a.coeffs.items():
         for mask_b, cb in b.coeffs.items():
             c = ca * cb
-            for mask, mult in _f_basis_product(a.n, mask_a, b.n, mask_b):
+            for mask, mult in _f_product(a.n, mask_a, b.n, mask_b):
                 out[mask] += c * mult
     return QSymElement(n, "F", out)
 
@@ -347,8 +402,8 @@ def _json_field(data: object, key: str, kinds: tuple[type, ...]):
 
 def element_from_json_dict(data: dict) -> QSymElement:
     """Inverse of `element_to_json_dict`; each composition must have the
-    stated degree and appear once.  A missing or ill-formed field raises a
-    ValueError that names it."""
+    stated degree and appear once, and a float coefficient is read by its
+    shortest decimal text (0.1 is 1/10).  A bad field raises a ValueError naming it."""
     n = _json_field(data, "degree", (int,))
     check_degree(n)
     coeffs = {}
@@ -361,7 +416,7 @@ def element_from_json_dict(data: dict) -> QSymElement:
             raise ValueError(f"composition {comp} appears more than once")
         coeff = _json_field(term, "coeff", (str, int, float))
         try:
-            coeffs[mask] = Fraction(coeff)
+            coeffs[mask] = Fraction(repr(coeff) if isinstance(coeff, float) else coeff)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"JSON element field 'coeff' must be an exact number, got {coeff!r}") from exc
     return QSymElement(n, _json_field(data, "basis", (str,)), coeffs)

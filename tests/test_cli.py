@@ -23,15 +23,19 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # parents' first move, the monomial checks and props4 at higher degrees
 # before those checks moved to M coordinates, and the edge spanning,
 # basis and Theorem 1 checks at higher degrees before the edge rank came
-# from the components.  A change to how the checks or graphs are computed
-# must reproduce them byte for byte.
+# from the components, and `verify ideal --deg 1..9`, `shufflecheck maj 9`
+# and `shufflecheck Des 10` before the F products were packed into ints.
+# A change to how the checks or graphs are computed must reproduce them
+# byte for byte.
 GOLDEN_REPORTS = [
     *((f"verify_{check}_deg1-6.json", ("verify", check, "--deg", "1..6")) for check in CHECK_NAMES),
     *((f"verify_{check}_deg1-{hi}.json", ("verify", check, "--deg", f"1..{hi}"))
       for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9), ("props4", 11),
-                        ("thm2b", 12), ("thm35", 11), ("thm53b", 11), ("thm1a", 9), ("thm1b", 9))),
+                        ("thm2b", 12), ("thm35", 11), ("thm53b", 11), ("thm1a", 9), ("thm1b", 9),
+                        ("ideal", 9))),
     ("dims_deg1-8.csv", ("dims", "--deg", "1..8")),
-    *((f"shufflecheck_{stat}_9.json", ("shufflecheck", stat, "9")) for stat in ("Pk", "Epk")),
+    *((f"shufflecheck_{stat}_{length}.json", ("shufflecheck", stat, str(length)))
+      for stat, length in (("Pk", 9), ("Epk", 9), ("maj", 9), ("Des", 10))),
     ("graph_pknumbasis_deg1-7.json",
      ("graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json")),
     ("graph_pknumbasis_deg8-10.csv",

@@ -853,6 +853,18 @@ def test_is_ideal_matches_in_span_route():
     assert is_ideal_upto(max_part, 7, 0)["violations"] == []
 
 
+def test_ideal_check_caches_each_unordered_product_once(monkeypatch):
+    # F_a F_b = F_b F_a, so the ideal check looks a product up with its factors
+    # in one order, and a swapped pair adds no second cache entry
+    keys = []
+    cached = qsym._f_basis_product
+    monkeypatch.setattr(qsym, "_f_basis_product", lambda *key: keys.append(key) or cached(*key))
+    cached.cache_clear()
+    assert is_ideal_upto(S.Pk, 9)["ideal"]
+    assert keys and all((na, mask_a) <= (nb, mask_b) for na, mask_a, nb, mask_b in keys)
+    assert cached.cache_info().currsize == len(set(keys))
+
+
 def test_is_ideal_refuses_a_negative_witness_cap():
     # a negative cap once sliced the last witness off a non-ideal report
     for cap in (-1, -3):

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from qsymk import qsym
 from qsymk.compositions import Composition, compositions_of, mask_to_set
 from qsymk.config import set_max_degree
 from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError
@@ -14,6 +16,7 @@ from qsymk.kernel import RelationId, edge_vectors, monomial_span_vectors, relati
 from qsymk.linalg import SparseVector, reduce
 from qsymk.qsym import (
     QSymElement,
+    _f_basis_product,
     ehrenborg_psi_m,
     element_from_json_dict,
     element_to_json_dict,
@@ -105,6 +108,61 @@ def test_multiply_matches_shuffle_oracle_and_offsets():
                     product = multiply_f(fundamental(left), fundamental(right))
                     assert product == multiply_f_via_shuffles(left, right)
                     assert product == multiply_f_via_shuffles(left, right, 3, 20)
+
+
+def _index_pairs(max_total):
+    """(a, mask_a, b, mask_b) for every ordered pair of compositions with a + b <= max_total."""
+    for s in range(max_total + 1):
+        for a in range(s + 1):
+            for x, y in itertools.product(range(1 << max(a - 1, 0)), range(1 << max(s - a - 1, 0))):
+                yield a, x, s - a, y
+
+
+def test_packed_and_sparse_product_dps_agree():
+    # every ordered pair up to degree 10, so each pair of factors in both
+    # orders, and a sample up to degree 18.  The counts of a product sum to
+    # the C(a + b, a) shuffles: a 16-bit slot that overflowed would carry into
+    # the next slot and break that sum.
+    assert math.comb(qsym._PACKED_MAX_DEGREE, qsym._PACKED_MAX_DEGREE // 2) < 1 << 16
+    rng = random.Random(23)
+    sampled = [(a, rng.randrange(1 << (a - 1)), s - a, rng.randrange(1 << (s - a - 1)))
+               for s in range(11, 19) for a in range(1, s)]
+    for key in [*_index_pairs(10), *sampled]:
+        packed = qsym._packed_product(*key)
+        assert packed == qsym._sparse_product(*key), key
+        assert sum(count for _, count in packed) == math.comb(key[0] + key[2], key[0]), key
+
+
+def test_product_dp_commutes():
+    # the cache holds one order of each pair of factors; that rests on this
+    dp = _f_basis_product.__wrapped__
+    for a, x, b, y in _index_pairs(9):
+        if (a, x) < (b, y):
+            assert dp(a, x, b, y) == dp(b, y, a, x), (a, x, b, y)
+
+
+def _refused(*_):
+    raise AssertionError("this product takes the other DP")
+
+
+def test_products_take_the_dp_their_density_picks(monkeypatch):
+    # a lopsided product has few of the 2^(n-1) masks a packed int holds, so it
+    # stays sparse at any degree: F(1) F(29) has 30 shuffles, where a packed
+    # int would have 2^29 slots.  Denser products are packed up to degree 18.
+    dp = _f_basis_product.__wrapped__
+    monkeypatch.setattr(qsym, "_packed_product", _refused)
+    previous = set_max_degree(30)
+    try:
+        assert multiply_f(F(1), F(29)) == multiply_f_via_shuffles(C((1,)), C((29,)))
+        assert multiply_f(F(2, 1), F(3, 24)) == multiply_f_via_shuffles(C((2, 1)), C((3, 24)))
+    finally:
+        set_max_degree(previous)
+    for key in ((1, 0, 10, 0b101), (2, 1, 11, 0b110), (9, 0, 10, 0b11)):
+        dp(*key)
+    monkeypatch.undo()
+    monkeypatch.setattr(qsym, "_sparse_product", _refused)
+    for key in ((1, 0, 9, 0b101), (3, 1, 9, 0b110), (4, 0b10, 10, 0), (9, 0b1, 9, 0b11)):
+        dp(*key)
 
 
 def test_multiply_f_associative_commutative_sampled():
@@ -271,6 +329,17 @@ def test_json_rejects_foreign_degree_and_repeated_compositions():
     for data, field in malformed:
         with pytest.raises(ValueError, match=repr(field)):
             element_from_json_dict(data)
+
+
+def test_json_float_coefficients_read_as_their_decimal_text():
+    # 0.1 used to be kept as the binary float, 3602879701896397/36028797018963968
+    for literal, want in (("0.1", Fraction(1, 10)), ("2.5", Fraction(5, 2)), ("3.0", 3),
+                          ("-1e-05", Fraction(-1, 100000)), ("1e+16", 10**16)):
+        text = f'{{"degree": 3, "basis": "F", "terms": [{{"composition": "(1,2)", "coeff": {literal}}}]}}'
+        elem = element_from_json_dict(json.loads(text))
+        assert list(elem.terms()) == [(C((1, 2)), want)], literal
+        assert type(elem.coeffs[1]) is type(want), literal
+        assert element_to_json_dict(elem)["terms"][0]["coeff"] == str(want), literal
 
 
 def test_json_and_basis_changes_enforce_the_degree_limit():

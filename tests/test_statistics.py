@@ -3,15 +3,16 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import complement_permutation, reverse_permutation
 from qsymk.compositions import Composition, compositions_of, from_index, index_of
 from qsymk.config import set_max_degree
-from qsymk import statistics
+from qsymk import kernel, statistics
 from qsymk.errors import DegreeLimitError, DisjointnessError
-from qsymk.kernel import is_ideal_upto, shuffle_compatibility_upto
+from qsymk.kernel import is_ideal_upto, kernel_space, shuffle_compatibility_upto
 from qsymk.qsym import _f_basis_product, fundamental, multiply_f
 from qsymk.statistics import (
     Permutation,
@@ -452,6 +453,28 @@ def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
     # no word at all, and no product left in the unbounded cache
     assert built == 0
     assert _f_basis_product.cache_info().currsize == cached
+
+
+def test_shufflecheck_multiplies_each_pair_of_half_the_bidegrees_once(monkeypatch):
+    # F_α F_β = F_β F_α, so the route scans the bidegrees (a, s - a) with
+    # a <= s - a only, and calls the uncached DP once per index pair there
+    # that shares its (class, class) group with another pair; a pair alone
+    # in its group is compared with nothing
+    calls = []
+    dp = _f_basis_product.__wrapped__
+    monkeypatch.setattr(kernel, "_f_basis_product",
+                        SimpleNamespace(__wrapped__=lambda *key: calls.append(key) or dp(*key)))
+    assert shuffle_compatibility_upto(S.Pk, 8).compatible
+    want, half = [], 0
+    for s in range(9):
+        for a in range(s // 2 + 1):
+            left, right = kernel_space(S.Pk, a).labels, kernel_space(S.Pk, s - a).labels
+            pairs = list(itertools.product(range(len(left)), range(len(right))))
+            groups = Counter((left[x], right[y]) for x, y in pairs)
+            want += [(a, x, s - a, y) for x, y in pairs if groups[left[x], right[y]] > 1]
+            half += len(pairs)
+    assert sorted(calls) == sorted(want)
+    assert (len(calls), half) == (672, 683)  # 11 pairs are alone in their group
 
 
 def test_shuffle_compatibility_validates_length():
