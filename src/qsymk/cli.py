@@ -146,9 +146,8 @@ def _thm1_rows(which: str, n: int) -> list[dict]:
     return rows
 
 
-def _props4_rows(n: int) -> list[dict]:
-    report = check_section4_props(n)
-    return [_row("props4", n, report["pass"], details=report["results"])]
+def _report_rows(check: str, report: dict) -> list[dict]:
+    return [_row(check, report["degree"], report["pass"], details=report["results"])]
 
 
 def _lemma22_rows(n: int) -> list[dict]:
@@ -177,11 +176,6 @@ def _lemma22_rows(n: int) -> list[dict]:
                  details={"round_trip": round_trip, "part_b": part_b, "part_c": part_c})]
 
 
-def _bridges_rows(n: int) -> list[dict]:
-    report = check_symmetry_bridges(n)
-    return [_row("bridges", n, report["pass"], details=report["results"])]
-
-
 PER_DEGREE_CHECKS = {
     "thm0": _thm0_rows,
     "thm1a": lambda n: _thm1_rows("thm1a", n),
@@ -194,9 +188,9 @@ PER_DEGREE_CHECKS = {
     "thm3b": lambda n: _monomial_rows("thm3b", StatisticId.pk, n),
     "thm53a": lambda n: _spanning_rows("thm53a", StatisticId.Val, "val12", n),
     "thm53b": lambda n: _spanning_rows("thm53b", StatisticId.val, "val123", n),
-    "props4": _props4_rows,
+    "props4": lambda n: _report_rows("props4", check_section4_props(n)),
     "lemma22": _lemma22_rows,
-    "bridges": _bridges_rows,
+    "bridges": lambda n: _report_rows("bridges", check_symmetry_bridges(n)),
 }
 
 CHECK_NAMES = tuple(PER_DEGREE_CHECKS) + ("ideal",)
@@ -355,7 +349,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (QsymkError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
-        return 2  # unreachable; parser.exit raises SystemExit
     finally:
         if out is not None:
             unwritten = out.tell() == 0  # a report is never empty

@@ -475,13 +475,8 @@ def _signed_spans_equal(xs: Sequence[dict[int, int]], ys: Sequence[dict[int, int
     unbalanced one has a single root) and the ranks agree."""
     touched, root, rank = _double_cover(ys)
     for x in xs:
-        if not x.keys() <= touched:
-            return False
-        sums: dict[int, int] = {}
-        for v, coeff in x.items():
-            for r, value in ((root[2 * v], coeff), (root[2 * v + 1], -coeff)):
-                sums[r] = sums.get(r, 0) + value
-        if any(sums.values()):
+        lifts = ((2 * v + sheet, -coeff if sheet else coeff) for v, coeff in x.items() for sheet in (0, 1))
+        if not x.keys() <= touched or any(_class_sums(root, lifts).values()):
             return False
     return _signed_rank(xs) == rank
 
@@ -530,43 +525,41 @@ class OmegaSets(Frozen):
         return [(r, c, k) for r, om in enumerate((self.om1, self.om2, self.om3), 1) for c, k in om]
 
 
-def _region(n: int, c_mask: int, k: int) -> int | None:
-    """The region holding (C, k), for C inside [n-1] given by its mask and
-    k in [n-1], or None; the regions are disjoint.  With C0 = C u {0}:
+def _regions(n: int, c_mask: int) -> tuple[int, int, int, int]:
+    """The k of each region for C inside [n-1] given by its mask, as four
+    masks with bit k-1 standing for k in [n-1]; the regions are disjoint.
+    With C0 = C u {0}, (C, k) lies in region
 
-      1  C != [n-1]; k and k-1 outside C; k-2 in C0
-      2  C inside [n-2], containing n-2, C != [n-2]; k outside C; k+1 in
-         C; k-1 in C0
-      3  C = [n-2] and k = n-1
-      4  n-1 in C; k in C; k-1 in C0; k+1 outside C; k+2 in C; and every
-         member j != n-1 of C0 has j+1 or j+2 in C
-    """
-    has = lambda j: 1 <= j <= n - 1 and c_mask >> (j - 1) & 1
-    held = lambda j: j == 0 or has(j)  # j in C0
-    top = full_mask(n) >> 1  # [n-2]
-    if c_mask != full_mask(n) and not has(k) and not has(k - 1) and held(k - 2):
-        return 1
-    if not has(n - 1) and has(n - 2) and c_mask != top and not has(k) and has(k + 1) and held(k - 1):
-        return 2
-    if c_mask == top and k == n - 1:
-        return 3
-    if has(n - 1) and has(k) and held(k - 1) and not has(k + 1) and has(k + 2):
-        if all(has(j + 1) or has(j + 2) for j in range(n - 1) if held(j)):
-            return 4
-    return None
+      1  if C != [n-1]; k and k-1 outside C; k-2 in C0
+      2  if C inside [n-2], containing n-2, C != [n-2]; k outside C; k+1
+         in C; k-1 in C0
+      3  if C = [n-2] and k = n-1
+      4  if n-1 in C; k in C; k-1 in C0; k+1 outside C; k+2 in C; and
+         every member j != n-1 of C0 has j+1 or j+2 in C
+
+    Each condition on k is a shift of the mask: bit k-1 of c << 1 is set
+    when k-1 is in C, and c0 = c << 1 | 1 has bit j for each j in C0.  As k
+    is outside C in 1, C != [n-1] holds; as k+1 is in C too in 2, C != [n-2]."""
+    c, full = c_mask, full_mask(n)
+    top, c0 = full ^ full >> 1, c << 1 | 1  # top: position n-1
+    r1 = ~c & ~(c << 1) & (c << 2 | 2) & full
+    r2 = ~c & c >> 1 & c0 & full if not c & top and c & top >> 1 else 0
+    r3 = top if c == full >> 1 else 0
+    r4 = c & c0 & ~(c >> 1) & c >> 2 if c & top and not c0 & ~(top << 1) & ~(c | c >> 1) else 0
+    return r1, r2, r3, r4
 
 
 def _omega(n: int) -> Iterator[tuple[int, int, int]]:
-    """(region, C mask, k) for each (C, k) in a region, C by mask ascending, then k."""
+    """(region, C mask, k) for each (C, k) in a region: C by mask ascending, then region, then k."""
     for c_mask in range(1 << max(n - 1, 0)):
-        for k in range(1, n):
-            region = _region(n, c_mask, k)
-            if region is not None:
-                yield region, c_mask, k
+        for region, ks in enumerate(_regions(n, c_mask), 1):
+            for low in _lows(ks):
+                yield region, c_mask, low.bit_length()
 
 
 def omega_sets(n: int) -> OmegaSets:
-    """The pairs (C, k) of each region, C by mask ascending, then k.
+    """The pairs (C, k) of each region, C by mask ascending, then k: the
+    pairs of `_omega`, which interleaves the regions, grouped by region.
 
     >>> omega_sets(2).om3 == ((frozenset(), 1),)
     True
@@ -598,7 +591,7 @@ def _member_mask(region: int, c: frozenset[int], k: int, n: int) -> int:
         raise ValueError(f"region must be 1..4, got {region}")
     # positions first: set_to_mask takes only ints (no bools), and no 0
     inside = all(type(j) is int and 1 <= j <= n - 1 for j in (*c, k))
-    if not (inside and _region(n, set_to_mask(c), k) == region):
+    if not (inside and _regions(n, set_to_mask(c))[region - 1] >> (k - 1) & 1):
         raise ValueError(f"({set(c)}, {k}) is not in region {region} at degree {n}")
     return set_to_mask(c)
 
@@ -614,13 +607,13 @@ def m_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:
 
 
 def check_section4_props(n: int) -> dict:
-    """Verify the six span equalities linking the subset-indexed families
-    to the relation spanning sets, and the region-4 characterization of
-    the arrow3 edges, on index masks: regions 1-3 against Pk's sets
-    (Props 4.1-4.3), all four against pk's (Props 4.4-4.6).  The F side
-    compares components of graphs, the M side the spans of two signed
-    graphs in M coordinates, and F-vs-M is the monomial criterion on the
-    F-family graph's components; nothing is eliminated."""
+    """Verify the six span equalities linking the subset-indexed families to
+    the relation spanning sets, and the region-4 characterization of the arrow3
+    edges, on index masks with each C's regions read off by `_regions`: regions
+    1-3 against Pk's sets (Props 4.1-4.3), all four against pk's (Props 4.4-4.6),
+    in any order.  The F side compares components of graphs, the M side the spans
+    of two signed graphs in M coordinates, and F-vs-M is the monomial criterion
+    on the F-family graph's components; nothing is eliminated."""
     check_degree(n)
     family = [(region, *_members(region, c_mask, k, n)) for region, c_mask, k in _omega(n)]
     results = {}

@@ -11,6 +11,7 @@ from qsymk import cli, config
 from qsymk.cli import CHECK_NAMES, main
 from qsymk.compositions import compositions_of
 from qsymk.kernel import RelationId
+from qsymk.qsym import QSymElement
 from qsymk.statistics import StatisticId
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -23,8 +24,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # parents' first move, the monomial checks and props4 at higher degrees
 # before those checks moved to M coordinates, and the edge spanning,
 # basis and Theorem 1 checks at higher degrees before the edge rank came
-# from the components, and `verify ideal --deg 1..9`, `shufflecheck maj 9`
-# and `shufflecheck Des 10` before the F products were packed into ints.
+# from the components, `verify ideal --deg 1..9`, `shufflecheck maj 9`
+# and `shufflecheck Des 10` before the F products were packed into ints,
+# and `verify bridges --deg 1..10` and `dims --deg 1..11`, the benchmark's
+# last unpinned jobs, before the regions became descent-mask formulas.
 # A change to how the checks or graphs are computed must reproduce them
 # byte for byte.
 GOLDEN_REPORTS = [
@@ -32,8 +35,8 @@ GOLDEN_REPORTS = [
     *((f"verify_{check}_deg1-{hi}.json", ("verify", check, "--deg", f"1..{hi}"))
       for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9), ("props4", 11),
                         ("thm2b", 12), ("thm35", 11), ("thm53b", 11), ("thm1a", 9), ("thm1b", 9),
-                        ("ideal", 9))),
-    ("dims_deg1-8.csv", ("dims", "--deg", "1..8")),
+                        ("ideal", 9), ("bridges", 10))),
+    *((f"dims_deg1-{hi}.csv", ("dims", "--deg", f"1..{hi}")) for hi in (8, 11)),
     *((f"shufflecheck_{stat}_{length}.json", ("shufflecheck", stat, str(length)))
       for stat, length in (("Pk", 9), ("Epk", 9), ("maj", 9), ("Des", 10))),
     ("graph_pknumbasis_deg1-7.json",
@@ -377,6 +380,23 @@ def test_failing_checks_report_witnesses(capsys, monkeypatch):
         fails = row["stat"] == "Pk"
         assert row["pass"] is not fails
         assert row.get("witness") == (violations if fails else None)
+
+
+@pytest.mark.parametrize("name, broken, flag", [
+    ("f_to_m", lambda elem: QSymElement(elem.n, "M", {}), "round_trip"),
+    ("lemma22b_combination", lambda n, c, k: QSymElement(n, "F", {}), "part_b"),
+    ("lemma22c_combination", lambda n, c, k: QSymElement(n, "F", {}), "part_c"),
+], ids=["f_to_m", "lemma22b", "lemma22c"])
+def test_lemma22_reports_the_part_that_fails(capsys, monkeypatch, name, broken, flag):
+    # planted: one map returns zero, so only its part of Lemma 2.2 fails
+    monkeypatch.setattr(cli, name, broken)
+    code, out = run_cli(capsys, "verify", "lemma22", "--deg", "3..5")
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert [row["degree"] for row in rows] == [3, 4, 5]
+    for row in rows:
+        assert row["pass"] is False
+        assert row["details"] == {part: part != flag for part in ("round_trip", "part_b", "part_c")}
 
 
 def test_shufflecheck(capsys):

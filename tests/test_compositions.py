@@ -218,6 +218,7 @@ def test_composition_validation():
 
 def test_text_form():
     assert str(Composition((3, 1, 2))) == "(3,1,2)"
+    assert list(Composition((3, 1, 2))) == [3, 1, 2]
     assert str(Composition(())) == "()"
     assert parse_composition("(3,1,2)") == Composition((3, 1, 2))
     assert parse_composition("()") == Composition(())

@@ -535,7 +535,7 @@ def _brute_regions(n: int):
 
 
 def test_omega_sets_against_brute_force():
-    for n in range(0, 9):
+    for n in range(0, 12):
         om = omega_sets(n)
         b1, b2, b3, b4 = _brute_regions(n)
         assert set(om.om1) == b1, n
@@ -545,6 +545,18 @@ def test_omega_sets_against_brute_force():
         for region in (om.om1, om.om2, om.om3, om.om4):
             keys = [(set_to_mask(c), k) for c, k in region]
             assert keys == sorted(keys), n
+
+
+def test_region_masks_against_brute_force():
+    # bit k-1 of a region's mask is set exactly when the brute force puts (C, k) in that region
+    for n in range(0, 10):
+        brute = _brute_regions(n)
+        for c_mask in range(1 << max(n - 1, 0)):
+            masks = kernel._regions(n, c_mask)
+            assert all(0 <= mask <= compositions.full_mask(n) for mask in masks), (n, c_mask)
+            for k in range(1, n):
+                pair = (compositions.mask_to_set(c_mask), k)
+                assert [mask >> (k - 1) & 1 for mask in masks] == [pair in region for region in brute], pair
 
 
 def test_omega_small_cases():

@@ -100,6 +100,14 @@ def test_sparse_vector_drops_zeros():
         SparseVector(2, {5: 1})
 
 
+def test_sparse_vector_hash_and_row_basis_repr():
+    a, b = SparseVector(3, {2: Fraction(4, 2), 0: "1/2"}), SparseVector(3, {0: Fraction(1, 2), 2: 2})
+    assert a == b and hash(a) == hash(b)
+    assert a != SparseVector(4, b.entries)
+    basis = reduce([SparseVector(3, {0: 2, 1: 2}), SparseVector(3, {2: 1})])
+    assert repr(basis) == "RowBasis(n=3, rank=2, pivots=(0, 2))"
+
+
 def test_reduce_examples():
     basis = reduce([SparseVector(3, {0: 1, 1: 1}), SparseVector(3, {1: 1})])
     assert basis.rank == 2

@@ -89,6 +89,10 @@ def test_addition_rules():
     assert mixed == F(2)  # (F2 - F11) + F11
     with pytest.raises(DegreeMismatchError):
         F(2) + F(3)
+    # a number is no element of QSym_n, so + and - refuse it
+    for with_int in (lambda e: e + 1, lambda e: e - 1):
+        with pytest.raises(TypeError):
+            with_int(F(2))
 
 
 def test_multiply_f_examples():
