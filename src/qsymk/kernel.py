@@ -48,9 +48,11 @@ The unary marker ctilde holds the compositions (1, ..., 1, 2).
 from __future__ import annotations
 
 import enum
+from array import array
 from functools import cached_property, lru_cache
-from itertools import islice, product
-from operator import itemgetter
+from itertools import combinations, islice, product
+from math import comb
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import (
@@ -68,7 +70,7 @@ from .compositions import (
 from .config import check_degree
 from .errors import RelationUnsoundError
 from .linalg import RowBasis, SparseVector
-from .qsym import QSymElement, f_sparse, _f_basis_product, _f_product
+from .qsym import QSymElement, f_sparse
 from .statistics import (DescentStatistic, ShuffleCompatibilityReport, StatisticId, _blocks, _check_statistic,
                          equivalence_classes, stat_name)
 
@@ -489,13 +491,10 @@ def _m_spans_kernel(terms: list[dict[int, int]], labels: Sequence[int]) -> bool:
     m_to_f is invertible, so the rank is unchanged.  Membership comes
     first, so a combination of any shape outside the kernel gives False
     before the signed rank is taken."""
-    proj = _projected_m(labels)
+    proj, identity = _projected_m(labels), range(len(labels))  # labels are indices too
     for combination in terms:
-        sums: dict[int, int] = {}
-        for c, coeff in combination.items():
-            for label, value in proj[c].items():
-                sums[label] = sums.get(label, 0) + coeff * value
-        if any(sums.values()):
+        items = ((label, coeff * value) for c, coeff in combination.items() for label, value in proj[c].items())
+        if any(_class_sums(identity, items).values()):
             return False
     return _signed_rank(terms) == len(labels) - len(set(labels))
 
@@ -638,24 +637,23 @@ def check_section4_props(n: int) -> dict:
 def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int = 3) -> dict:
     """Check that products of kernel basis rows with fundamental basis
     elements stay inside the kernel, for all bidegrees (a, b) with
-    a + b <= total_degree.  A vector lies in K^st_s exactly when its
-    coefficients sum to zero on every st-class, so (F_c - F_top) F_b lies
-    in the kernel exactly when F_c F_b and F_top F_b project to the same
-    class counts; the check compares those integer counts and never
-    eliminates.  Rows go in pivot order, factors in index order; at most
-    `max_witnesses` violations are listed, and projecting stops once the
-    verdict is known and the list is full."""
+    a + b <= total_degree: (F_c - F_top) F_b lies in K^st_s exactly when
+    F_c F_b and F_top F_b project to the same st-class counts.  At (a, b)
+    and (b, a) together that says F_x F_y projects to a function of the
+    class pair of (x, y), so the verdict is `shuffle_compatibility_upto`'s.
+    A failing statistic is scanned row by row for at most `max_witnesses`
+    witnesses, rows in pivot order, factors in index order."""
     check_degree(total_degree)
     if isinstance(max_witnesses, bool) or not isinstance(max_witnesses, int):
         raise ValueError(f"max_witnesses must be an int, got {max_witnesses!r}")
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be nonnegative, got {max_witnesses}")
-    found = list(islice(_ideal_violations(stat, total_degree), max(max_witnesses, 1)))
+    ideal = shuffle_compatibility_upto(stat, total_degree).compatible
     return {
         "stat": stat_name(stat),
         "total_degree": total_degree,
-        "ideal": not found,
-        "violations": found[:max_witnesses],
+        "ideal": ideal,
+        "violations": [] if ideal else list(islice(_ideal_violations(stat, total_degree), max_witnesses)),
     }
 
 
@@ -667,22 +665,60 @@ def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dic
             b = s - a
             tops = {c: block[-1] for block in kernel_space(stat, a).classes for c in block[:-1]}
             pairs = (((c, k), (top, k)) for c, top in sorted(tops.items()) for k in range(1 << (b - 1)))
-            for (c, k), (top, _) in _product_mismatches(labels, a, b, pairs, _f_product):
+            for (c, k), (top, _) in _product_mismatches(labels, a, b, pairs):
                 row = {str(from_index(a, c)): "1", str(from_index(a, top)): "-1"}
                 yield {"row_degree": a, "factor": str(from_index(b, k)), "row": row}
 
 
-def _product_mismatches(labels: Sequence[int], a: int, b: int, pairs, multiply) -> Iterator[tuple]:
+@lru_cache(maxsize=64)
+def _interleavings(a: int, b: int) -> tuple[list[array], list[array]]:
+    """Tables (xs, ys) over the C(a + b, a) interleavings S of a word u of a
+    letters with a word v of b larger letters: their shuffle along S has
+    descent mask xs[x][S] | ys[y][S] when Des(u) = x and Des(v) = y.  A letter
+    of v before one of u descends and the reverse never does, so xs holds
+    those places and each descent of u whose two letters stay adjacent, and
+    ys each descent of v at its first letter: where v's next letter is not
+    adjacent, one of u follows, and xs has that place already.  That is
+    C(a + b, a) (2^(a-1) + 2^(b-1)) masks of a + b - 1 bits in arrays; the
+    cache holds the 64 bidegrees 1 <= a <= b, a + b <= 16: one statistic's
+    scan to the default limit."""
+    s, code = a + b, "H" if a + b <= 17 else "Q"
+    base, u_adjacent, v_letters = [], [], []
+    for left in combinations(range(s), a):
+        u = sum(1 << p for p in left)
+        right = [p for p in range(s) if not u >> p & 1]
+        base.append(u >> 1 & ~u)
+        u_adjacent.append([1 << p if q == p + 1 else 0 for p, q in zip(left, left[1:])])
+        v_letters.append([1 << p for p in right[:-1]])
+    xs, ys = [array(code, base)], [array(code, [0]) * len(base)]
+    for rows, columns in ((xs, zip(*u_adjacent)), (ys, zip(*v_letters))):
+        for column in columns:  # row m ors the columns of m's bits into row 0
+            rows += [array(code, map(or_, row, column)) for row in rows]
+    return xs, ys
+
+
+def _fingerprints(labels: Sequence[int], a: int, b: int):
+    """(fingerprint, w): fingerprint(x, y) holds the class counts through `labels`
+    of F_x F_y, x of degree a, the count of class l in bits [l w, (l + 1) w).  No
+    count exceeds the C(a + b, a) < 2^w shuffles, so no slot carries: equal ints
+    are equal counts.  The tables of (b, a) serve a > b, as QSym is commutative."""
+    xs, ys = _interleavings(a, b) if a <= b else _interleavings(b, a)[::-1]
+    width = comb(a + b, a).bit_length()
+    weight = [1 << width * label for label in labels]
+    return (lambda x, y: sum(map(weight.__getitem__, map(or_, xs[x], ys[y])))), width
+
+
+def _product_mismatches(labels: Sequence[int], a: int, b: int, pairs) -> Iterator[tuple]:
     """Each (pair, reference) of index pairs of degrees (a, b) whose F products differ
-    through `labels`; a reference is projected once, when another pair names it."""
-    wants: dict[tuple[int, int], dict] = {}
+    through `labels`, by exact `_fingerprints`; a reference's is taken once, when named."""
+    fingerprint = _fingerprints(labels, a, b)[0]
+    wants: dict[tuple[int, int], int] = {}
     for pair, ref in pairs:
         if pair == ref:
             continue
-        want = wants.get(ref)
-        if want is None:
-            want = wants[ref] = _class_sums(labels, multiply(a, ref[0], b, ref[1]))
-        if _class_sums(labels, multiply(a, pair[0], b, pair[1])) != want:
+        if ref not in wants:
+            wants[ref] = fingerprint(*ref)
+        if fingerprint(*pair) != wants[ref]:
             yield pair, ref
 
 
@@ -690,17 +726,17 @@ def shuffle_compatibility_upto(stat: DescentStatistic, max_total_len: int) -> Sh
     """Shuffle-compatibility from F products: the shuffles of words with descent
     compositions α and β have the descent compositions of F_α F_β (Gessel and Zhuang).
     Each index pair is compared with the first of its class pair, in the order and with
-    the witness of the oracle `statistics.check_shuffle_compatible`, for a <= s - a only: as
-    F_α F_β = F_β F_α, two pairs of a group that differ at (a, s - a) have mirrors that differ at
-    (s - a, a), so a full scan's first failing a is at most s / 2.  The DP runs uncached."""
+    the witness of the oracle `statistics.check_shuffle_compatible`, for 1 <= a <= s - a
+    only: as F_α F_β = F_β F_α, pairs that differ at (a, s - a) have mirrors that differ
+    at (s - a, a), and at a = 0 each F_∅ F_β = F_β projects to β's own class."""
     check_degree(max_total_len)
-    for s in range(max_total_len + 1):  # degree 0 checks the statistic; it has one pair
+    for s in range(max_total_len + 1):  # degree 0 checks the statistic
         labels = kernel_space(stat, s).labels
-        for a in range(s // 2 + 1):
+        for a in range(1, s // 2 + 1):
             left, right, firsts = kernel_space(stat, a).labels, kernel_space(stat, s - a).labels, {}
             pairs = ((p, firsts.setdefault((left[p[0]], right[p[1]]), p))
                      for p in product(range(len(left)), range(len(right))))
-            for pair, first in _product_mismatches(labels, a, s - a, pairs, _f_basis_product.__wrapped__):
+            for pair, first in _product_mismatches(labels, a, s - a, pairs):
                 names = [[str(from_index(a, x)), str(from_index(s - a, y))] for x, y in (first, pair)]
                 witness = {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
                 return ShuffleCompatibilityReport(stat_name(stat), max_total_len, False, witness)

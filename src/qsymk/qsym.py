@@ -12,8 +12,10 @@ and the product of two fundamentals expands as a sum of fundamentals
 over the shuffles of any two disjoint words realizing the two index
 compositions; `_f_basis_product` counts their descent compositions by a
 DP, on mask counts packed into ints where most masks occur and on dicts
-where few do, cached once per unordered pair (QSym is commutative), and
-`multiply_f_via_shuffles` keeps the route through the words.
+where few do, cached once per unordered pair (QSym is commutative) for
+`multiply_f`; `multiply_f_via_shuffles` keeps the route through the words.
+Both are oracles of the tables `kernel._interleavings`, from which the
+ideal check and shuffle-compatibility read their projected products.
 
 The involutions psi and rho relabel the fundamental basis by the
 complement and reverse of the index composition respectively; both are
@@ -170,12 +172,12 @@ def f_sparse(elem: QSymElement) -> SparseVector:
 _PACKED_MAX_DEGREE = 18
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _f_basis_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
     """Multiplicity of each descent composition over the shuffles of two
     disjoint words realizing the two index compositions, as ascending
-    (mask, count) pairs; cached for `multiply_f` and the ideal check, while
-    the shuffle-compatibility route calls the DP uncached as `__wrapped__`.
+    (mask, count) pairs; cached for `multiply_f` only, in a cache of 4096
+    products, far above the distinct products of a typical stream of calls.
 
     Every letter of the second word exceeds every letter of the first: a
     letter of the first after one of the second descends, the reverse
@@ -258,12 +260,6 @@ def _add_shifted(table: dict[int, dict[int, int]], key: int, counts: dict[int, i
         into[mask] = into.get(mask, 0) + count
 
 
-def _f_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
-    """`_f_basis_product` with the factors in one order: QSym is commutative."""
-    key = (nb, mask_b, na, mask_a) if (na, mask_a) > (nb, mask_b) else (na, mask_a, nb, mask_b)
-    return _f_basis_product(*key)
-
-
 def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:
     """Product of two F-basis elements, of degree deg(a) + deg(b), from cached basis products.
 
@@ -277,8 +273,9 @@ def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:
     out: dict[int, Fraction | int] = defaultdict(int)
     for mask_a, ca in a.coeffs.items():
         for mask_b, cb in b.coeffs.items():
-            c = ca * cb
-            for mask, mult in _f_product(a.n, mask_a, b.n, mask_b):
+            c = ca * cb  # QSym is commutative: the cache holds one order of the factors
+            key = (b.n, mask_b, a.n, mask_a) if (a.n, mask_a) > (b.n, mask_b) else (a.n, mask_a, b.n, mask_b)
+            for mask, mult in _f_basis_product(*key):
                 out[mask] += c * mult
     return QSymElement(n, "F", out)
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +45,7 @@ from qsymk.kernel import (
     shuffle_compatibility_upto,
 )
 from qsymk.linalg import SparseVector, in_span, is_independent, rank, reduce, spans_equal
-from qsymk.qsym import QSymElement, _f_basis_product, f_sparse, f_to_m, m_to_f
+from qsymk.qsym import QSymElement, _f_basis_product, f_sparse, f_to_m, m_to_f, multiply_f_via_shuffles
 from qsymk.statistics import (
     Permutation,
     StatisticId,
@@ -347,11 +351,12 @@ def test_monomial_checks_need_a_statistic_id():
     lambda stat: quotient_dimension(stat, 2),
     lambda stat: check_spanning_F(stat, 3, {R.Arrow1, R.Arrow2}),
     lambda stat: is_ideal_upto(stat, 3),
+    lambda stat: is_ideal_upto(stat, 0),
     lambda stat: shuffle_distribution(stat, Permutation((1,)), Permutation((2, 3))),
     lambda stat: check_shuffle_compatible(stat, 3),
     lambda stat: shuffle_compatibility_upto(stat, 0),
 ], ids=["kernel_space", "equivalence_classes", "quotient_dimension", "check_spanning_F",
-        "is_ideal_upto", "shuffle_distribution", "check_shuffle_compatible",
+        "is_ideal_upto", "is_ideal_upto_at_0", "shuffle_distribution", "check_shuffle_compatible",
         "shuffle_compatibility_upto"])
 def test_a_name_or_none_is_no_statistic(call):
     # a name or None used to fail inside `map` with "'str' object is not
@@ -865,16 +870,72 @@ def test_is_ideal_matches_in_span_route():
     assert is_ideal_upto(max_part, 7, 0)["violations"] == []
 
 
-def test_ideal_check_caches_each_unordered_product_once(monkeypatch):
-    # F_a F_b = F_b F_a, so the ideal check looks a product up with its factors
-    # in one order, and a swapped pair adds no second cache entry
+def test_ideal_check_and_shufflecheck_take_no_dp_product(monkeypatch):
+    # both read projected products off the interleaving tables; the DP is
+    # left to multiply_f, and the kernel holds no reference to it
+    def refuse(*_):
+        raise AssertionError("the product DP was called")
+
+    refuse.__wrapped__ = refuse
+    assert not hasattr(kernel, "_f_basis_product") and not hasattr(kernel, "_f_product")
+    for name in ("_f_basis_product", "_packed_product", "_sparse_product"):
+        monkeypatch.setattr(qsym, name, refuse)
+    kernel._interleavings.cache_clear()
+    for stat in (*StatisticId, max_part, parts_mod_3, first_part):
+        is_ideal_upto(stat, 7)
+        shuffle_compatibility_upto(stat, 7)
+
+
+def test_verify_ideal_builds_each_table_once(monkeypatch, capsys):
+    # one `verify ideal --deg 1..9` over the 13 statistics visits the bidegrees
+    # 1 <= a <= s - a of each total s <= 9, and builds each of their tables once
     keys = []
-    cached = qsym._f_basis_product
-    monkeypatch.setattr(qsym, "_f_basis_product", lambda *key: keys.append(key) or cached(*key))
-    cached.cache_clear()
-    assert is_ideal_upto(S.Pk, 9)["ideal"]
-    assert keys and all((na, mask_a) <= (nb, mask_b) for na, mask_a, nb, mask_b in keys)
-    assert cached.cache_info().currsize == len(set(keys))
+    tables = kernel._interleavings
+    monkeypatch.setattr(kernel, "_interleavings", lambda a, b: keys.append((a, b)) or tables(a, b))
+    tables.cache_clear()
+    assert cli.main(["verify", "ideal", "--deg", "1..9"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+    want = {(a, s - a) for s in range(2, 10) for a in range(1, s // 2 + 1)}
+    assert set(keys) == want and len(want) == 20
+    assert tables.cache_info().misses == 20
+
+
+def test_interleaving_tables_match_the_product_dp():
+    # the shuffle along S of words with descent masks x and y descends at
+    # xs[x][S] | ys[y][S]: the tables' masks are the DP's, with multiplicity
+    dp = _f_basis_product.__wrapped__
+    rng = random.Random(25)
+    sampled = [(s, rng.randrange(s + 1)) for s in (10, 11, 12) for _ in range(8)]
+    for s, a in [(s, a) for s in range(10) for a in range(s + 1)] + sampled:
+        xs, ys = kernel._interleavings(a, s - a)
+        assert (len(xs), len(ys)) == (1 << max(a - 1, 0), 1 << max(s - a - 1, 0))
+        assert {len(row) for row in (*xs, *ys)} == {math.comb(s, a)}
+        pairs = itertools.product(range(len(xs)), range(len(ys)))
+        for x, y in pairs if s < 10 else [(rng.randrange(len(xs)), rng.randrange(len(ys))) for _ in range(6)]:
+            masks = Counter(map(or_, xs[x], ys[y]))
+            assert masks == dict(dp(a, x, s - a, y)), (a, x, s - a, y)
+            if s <= 6:  # and the words themselves
+                assert masks == multiply_f_via_shuffles(from_index(a, x), from_index(s - a, y)).coeffs
+    kernel._interleavings.cache_clear()
+
+
+def test_fingerprints_decode_to_the_class_sums_of_the_dp():
+    # each class count of a product sits in its own w-bit slot, with no carry
+    # into the next; one class, a class per composition, and Pk's classes
+    dp = _f_basis_product.__wrapped__
+    for s in range(2, 10):
+        size = 1 << (s - 1)
+        for labels in ([0] * size, list(range(size)), kernel_space(S.Pk, s).labels):
+            for a in range(1, s):
+                fingerprint, width = kernel._fingerprints(labels, a, s - a)
+                slot = (1 << width) - 1
+                for x, y in itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1))):
+                    value = fingerprint(x, y)
+                    assert value >> width * (max(labels) + 1) == 0
+                    decoded = {label: value >> width * label & slot for label in set(labels)}
+                    want = kernel._class_sums(labels, dp(a, x, s - a, y))
+                    assert {k: v for k, v in decoded.items() if v} == want, (labels[:4], a, x, y)
+    kernel._interleavings.cache_clear()
 
 
 def test_is_ideal_refuses_a_negative_witness_cap():

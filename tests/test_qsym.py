@@ -145,6 +145,20 @@ def test_product_dp_commutes():
             assert dp(a, x, b, y) == dp(b, y, a, x), (a, x, b, y)
 
 
+def test_product_cache_is_bounded():
+    # only multiply_f fills the cache; a long run of distinct products evicts
+    # the oldest instead of growing without bound
+    bound = _f_basis_product.cache_info().maxsize
+    assert bound == 4096
+    _f_basis_product.cache_clear()
+    for n in (12, 13):
+        for mask in range(1 << (n - 1)):
+            assert _f_basis_product(0, 0, n, mask) == ((mask, 1),)
+            assert _f_basis_product.cache_info().currsize <= bound
+    assert _f_basis_product.cache_info().currsize == bound
+    _f_basis_product.cache_clear()
+
+
 def _refused(*_):
     raise AssertionError("this product takes the other DP")
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -450,31 +449,39 @@ def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
     monkeypatch.setattr(Permutation, "__init__", counting)
     cached = _f_basis_product.cache_info().currsize
     assert check_shuffle_compatible(S.Pk, 8).compatible
-    # no word at all, and no product left in the unbounded cache
+    # no word at all, and no product left in the product cache
     assert built == 0
     assert _f_basis_product.cache_info().currsize == cached
 
 
-def test_shufflecheck_multiplies_each_pair_of_half_the_bidegrees_once(monkeypatch):
+def test_shufflecheck_compares_the_pairs_of_half_the_bidegrees_from_a_1(monkeypatch):
     # F_α F_β = F_β F_α, so the route scans the bidegrees (a, s - a) with
-    # a <= s - a only, and calls the uncached DP once per index pair there
-    # that shares its (class, class) group with another pair; a pair alone
-    # in its group is compared with nothing
-    calls = []
-    dp = _f_basis_product.__wrapped__
-    monkeypatch.setattr(kernel, "_f_basis_product",
-                        SimpleNamespace(__wrapped__=lambda *key: calls.append(key) or dp(*key)))
+    # a <= s - a only, and F_∅ F_β = F_β, so it skips a = 0.  Each pair there
+    # goes with the first pair of its (class, class) group; a pair alone in its
+    # group is compared with nothing
+    seen = []
+    real = kernel._product_mismatches
+
+    def recording(labels, a, b, pairs):
+        pairs = list(pairs)
+        seen.append(((a, b), pairs))
+        return real(labels, a, b, iter(pairs))
+
+    monkeypatch.setattr(kernel, "_product_mismatches", recording)
     assert shuffle_compatibility_upto(S.Pk, 8).compatible
-    want, half = [], 0
-    for s in range(9):
-        for a in range(s // 2 + 1):
-            left, right = kernel_space(S.Pk, a).labels, kernel_space(S.Pk, s - a).labels
-            pairs = list(itertools.product(range(len(left)), range(len(right))))
-            groups = Counter((left[x], right[y]) for x, y in pairs)
-            want += [(a, x, s - a, y) for x, y in pairs if groups[left[x], right[y]] > 1]
-            half += len(pairs)
-    assert sorted(calls) == sorted(want)
-    assert (len(calls), half) == (672, 683)  # 11 pairs are alone in their group
+    assert [bidegree for bidegree, _ in seen] == [(a, s - a) for s in range(9) for a in range(1, s // 2 + 1)]
+    compared, handed = 0, 0
+    for (a, b), pairs in seen:
+        left, right = kernel_space(S.Pk, a).labels, kernel_space(S.Pk, b).labels
+        firsts = {}
+        for x, y in itertools.product(range(len(left)), range(len(right))):
+            firsts.setdefault((left[x], right[y]), (x, y))
+        assert pairs == [((x, y), firsts[left[x], right[y]])
+                         for x, y in itertools.product(range(len(left)), range(len(right)))]
+        groups = Counter((left[x], right[y]) for (x, y), _ in pairs)
+        compared += sum(groups[left[x], right[y]] > 1 for (x, y), _ in pairs)
+        handed += len(pairs)
+    assert (compared, handed) == (421, 427)  # 6 pairs are alone in their group
 
 
 def test_shuffle_compatibility_validates_length():
