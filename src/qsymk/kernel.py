@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import enum
 from array import array
+from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, product
 from math import comb
@@ -491,10 +492,13 @@ def _m_spans_kernel(terms: list[dict[int, int]], labels: Sequence[int]) -> bool:
     m_to_f is invertible, so the rank is unchanged.  Membership comes
     first, so a combination of any shape outside the kernel gives False
     before the signed rank is taken."""
-    proj, identity = _projected_m(labels), range(len(labels))  # labels are indices too
+    proj = _projected_m(labels)
     for combination in terms:
-        items = ((label, coeff * value) for c, coeff in combination.items() for label, value in proj[c].items())
-        if any(_class_sums(identity, items).values()):
+        sums: dict[int, int] = {}
+        for c, coeff in combination.items():
+            for label, value in proj[c].items():
+                sums[label] = sums.get(label, 0) + coeff * value
+        if any(sums.values()):
             return False
     return _signed_rank(terms) == len(labels) - len(set(labels))
 
@@ -672,16 +676,13 @@ def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dic
 
 @lru_cache(maxsize=64)
 def _interleavings(a: int, b: int) -> tuple[list[array], list[array]]:
-    """Tables (xs, ys) over the C(a + b, a) interleavings S of a word u of a
-    letters with a word v of b larger letters: their shuffle along S has
-    descent mask xs[x][S] | ys[y][S] when Des(u) = x and Des(v) = y.  A letter
-    of v before one of u descends and the reverse never does, so xs holds
-    those places and each descent of u whose two letters stay adjacent, and
-    ys each descent of v at its first letter: where v's next letter is not
-    adjacent, one of u follows, and xs has that place already.  That is
-    C(a + b, a) (2^(a-1) + 2^(b-1)) masks of a + b - 1 bits in arrays; the
-    cache holds the 64 bidegrees 1 <= a <= b, a + b <= 16: one statistic's
-    scan to the default limit."""
+    """Tables (xs, ys) over the C(a + b, a) interleavings S of a word u of a letters
+    with a word v of b larger letters: their shuffle along S has descent mask
+    xs[x][S] | ys[y][S] when Des(u) = x and Des(v) = y.  A letter of v before one of
+    u descends and the reverse never does, so xs holds those places and each descent
+    of u whose letters stay adjacent, and ys each descent of v at its first letter (a
+    letter of u between v's two is a place of xs).  C(a + b, a) (2^(a-1) + 2^(b-1))
+    masks in arrays; the cache holds the 64 bidegrees 1 <= a <= b, a + b <= 16."""
     s, code = a + b, "H" if a + b <= 17 else "Q"
     base, u_adjacent, v_letters = [], [], []
     for left in combinations(range(s), a):
@@ -697,25 +698,36 @@ def _interleavings(a: int, b: int) -> tuple[list[array], list[array]]:
     return xs, ys
 
 
+_PACKED_FINGERPRINT_BITS = 1024  # a sum costs the width of its ints
+
+
 def _fingerprints(labels: Sequence[int], a: int, b: int):
-    """(fingerprint, w): fingerprint(x, y) holds the class counts through `labels`
-    of F_x F_y, x of degree a, the count of class l in bits [l w, (l + 1) w).  No
-    count exceeds the C(a + b, a) < 2^w shuffles, so no slot carries: equal ints
-    are equal counts.  The tables of (b, a) serve a > b, as QSym is commutative."""
+    """fingerprint(x, y), the class counts through `labels` of F_x F_y, x of degree a.
+    Up to `_PACKED_FINGERPRINT_BITS` it is one int, class l's count in bits [l w, (l + 1) w)
+    with w the bit length of C(a + b, a): no count exceeds the C(a + b, a) < 2^w shuffles,
+    so no slot carries.  Past it (Epk from degree 10, Lpk, Rpk from 11, Pk, Val from 12)
+    it is a Counter of the labels, whose cost does not grow with the classes.  Either is
+    exact.  The tables of (b, a) serve a > b, as QSym is commutative."""
     xs, ys = _interleavings(a, b) if a <= b else _interleavings(b, a)[::-1]
-    width = comb(a + b, a).bit_length()
-    weight = [1 << width * label for label in labels]
-    return (lambda x, y: sum(map(weight.__getitem__, map(or_, xs[x], ys[y])))), width
+    width, classes = comb(a + b, a).bit_length(), max(labels) + 1
+    if width * classes > _PACKED_FINGERPRINT_BITS:
+        label = labels.__getitem__
+        return lambda x, y: Counter(map(label, map(or_, xs[x], ys[y])))
+    slots = [1 << width * label for label in range(classes)]
+    weight = list(map(slots.__getitem__, labels))
+    return lambda x, y: sum(map(weight.__getitem__, map(or_, xs[x], ys[y])))
 
 
 def _product_mismatches(labels: Sequence[int], a: int, b: int, pairs) -> Iterator[tuple]:
     """Each (pair, reference) of index pairs of degrees (a, b) whose F products differ
-    through `labels`, by exact `_fingerprints`; a reference's is taken once, when named."""
-    fingerprint = _fingerprints(labels, a, b)[0]
-    wants: dict[tuple[int, int], int] = {}
+    through `labels`, by `_fingerprints`, built at the first pair that is not its own
+    reference (no pair of Des is) and taken once for each reference."""
+    fingerprint, wants = None, {}
     for pair, ref in pairs:
         if pair == ref:
             continue
+        if fingerprint is None:
+            fingerprint = _fingerprints(labels, a, b)
         if ref not in wants:
             wants[ref] = fingerprint(*ref)
         if fingerprint(*pair) != wants[ref]:

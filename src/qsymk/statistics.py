@@ -255,8 +255,13 @@ def shuffles(p: Permutation, q: Permutation) -> set[Permutation]:
     total = len(p) + len(q)
     out = set()
     for spots in combinations(range(total), len(p)):
-        chosen, it_p, it_q = set(spots), iter(p.letters), iter(q.letters)
-        out.add(Permutation(tuple(next(it_p) if i in chosen else next(it_q) for i in range(total))))
+        word: list[int] = [0] * total
+        chosen = set(spots)
+        it_p = iter(p.letters)
+        it_q = iter(q.letters)
+        for i in range(total):
+            word[i] = next(it_p) if i in chosen else next(it_q)
+        out.add(Permutation(tuple(word)))
     return out
 
 

@@ -888,16 +888,17 @@ def test_ideal_check_and_shufflecheck_take_no_dp_product(monkeypatch):
 
 def test_verify_ideal_builds_each_table_once(monkeypatch, capsys):
     # one `verify ideal --deg 1..9` over the 13 statistics visits the bidegrees
-    # 1 <= a <= s - a of each total s <= 9, and builds each of their tables once
+    # 1 <= a <= s - a of each total s <= 9, and builds each of their tables once;
+    # (1, 1) has one pair, its own reference, and needs no table
     keys = []
     tables = kernel._interleavings
     monkeypatch.setattr(kernel, "_interleavings", lambda a, b: keys.append((a, b)) or tables(a, b))
     tables.cache_clear()
     assert cli.main(["verify", "ideal", "--deg", "1..9"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
-    want = {(a, s - a) for s in range(2, 10) for a in range(1, s // 2 + 1)}
-    assert set(keys) == want and len(want) == 20
-    assert tables.cache_info().misses == 20
+    want = {(a, s - a) for s in range(3, 10) for a in range(1, s // 2 + 1)}
+    assert set(keys) == want and len(want) == 19
+    assert tables.cache_info().misses == 19
 
 
 def test_interleaving_tables_match_the_product_dp():
@@ -919,23 +920,40 @@ def test_interleaving_tables_match_the_product_dp():
     kernel._interleavings.cache_clear()
 
 
-def test_fingerprints_decode_to_the_class_sums_of_the_dp():
-    # each class count of a product sits in its own w-bit slot, with no carry
-    # into the next; one class, a class per composition, and Pk's classes
+def test_fingerprints_are_the_class_sums_of_the_dp(monkeypatch):
+    # a packed fingerprint holds each class count in its own w-bit slot, with no
+    # carry into the next; past the bit budget it is a Counter of the labels.
+    # One class, a class per composition, and Pk's classes, in both encodings
     dp = _f_basis_product.__wrapped__
-    for s in range(2, 10):
-        size = 1 << (s - 1)
-        for labels in ([0] * size, list(range(size)), kernel_space(S.Pk, s).labels):
-            for a in range(1, s):
-                fingerprint, width = kernel._fingerprints(labels, a, s - a)
-                slot = (1 << width) - 1
-                for x, y in itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1))):
-                    value = fingerprint(x, y)
-                    assert value >> width * (max(labels) + 1) == 0
-                    decoded = {label: value >> width * label & slot for label in set(labels)}
-                    want = kernel._class_sums(labels, dp(a, x, s - a, y))
-                    assert {k: v for k, v in decoded.items() if v} == want, (labels[:4], a, x, y)
+    for budget in (10**9, 0):
+        monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", budget)
+        for s in range(2, 10):
+            size = 1 << (s - 1)
+            for labels in ([0] * size, list(range(size)), kernel_space(S.Pk, s).labels):
+                for a in range(1, s):
+                    fingerprint = kernel._fingerprints(labels, a, s - a)
+                    width = math.comb(s, a).bit_length()
+                    for x, y in itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1))):
+                        value = fingerprint(x, y)
+                        if budget:
+                            assert value >> width * (max(labels) + 1) == 0
+                            slots = {label: value >> width * label & (1 << width) - 1 for label in set(labels)}
+                            value = {label: count for label, count in slots.items() if count}
+                        assert value == kernel._class_sums(labels, dp(a, x, s - a, y)), (labels[:4], a, x, y)
+    monkeypatch.undo()
+    # the budget packs few classes and counts many: pk and Epk at (5, 5)
+    kinds = {stat: type(kernel._fingerprints(kernel_space(stat, 10).labels, 5, 5)(0, 0)) for stat in (S.pk, S.Epk)}
+    assert kinds == {S.pk: int, S.Epk: Counter}
     kernel._interleavings.cache_clear()
+
+
+def test_a_scan_with_no_pair_to_compare_builds_no_table():
+    # each pair of Des is alone in its class pair, and each class of Des is a
+    # single composition, so neither check compares a product or builds a table
+    kernel._interleavings.cache_clear()
+    assert shuffle_compatibility_upto(S.Des, 8).compatible
+    assert is_ideal_upto(S.Des, 8)["ideal"]
+    assert kernel._interleavings.cache_info().misses == 0
 
 
 def test_is_ideal_refuses_a_negative_witness_cap():
