@@ -10,10 +10,11 @@ written in ("M" or "F"); integral coefficients are held as `int` (see
 
 and the product of two fundamentals expands as a sum of fundamentals
 over the shuffles of any two disjoint words realizing the two index
-compositions; `_f_basis_product` counts their descent compositions by a
-DP, on mask counts packed into ints where most masks occur and on dicts
-where few do, cached once per unordered pair (QSym is commutative) for
-`multiply_f`; `multiply_f_via_shuffles` keeps the route through the words.
+compositions; `_f_basis_product` counts their descent compositions by
+one DP over two count types, ints of packed mask counts where most masks
+occur and dicts where few do, cached once per unordered pair (QSym is
+commutative) for `multiply_f`; `multiply_f_via_shuffles` keeps the route
+through the words.
 Both are oracles of the tables `kernel._interleavings`, from which the
 ideal check and shuffle-compatibility read their projected products.
 
@@ -179,30 +180,56 @@ def _f_basis_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[
     (mask, count) pairs; cached for `multiply_f` only, in a cache of 4096
     products, far above the distinct products of a typical stream of calls.
 
+    `_product_dp` counts them in packed ints, at a cost of about the 2^(n-1)
+    masks of degree n = na + nb, or in `_MaskCounts`, at about the masks it
+    reaches, at most the C(n, na) shuffles.  Up to degree 18, a product with
+    2^(n-1) <= 8 C(n, na) + 512 is packed, where that was measured faster;
+    lopsided ones, such as F_(1) F_(n-1) beyond degree 10, take the dict."""
+    n, size = na + nb, 1 << max(na + nb - 1, 0)
+    if n <= _PACKED_MAX_DEGREE and size <= 8 * math.comb(n, na) + 512:
+        raw = _product_dp(na, mask_a, nb, mask_b, 1, 16).to_bytes(2 * size, sys.byteorder)
+        counts = memoryview(raw).cast("H")
+        counts = counts if sys.byteorder == "little" else counts[::-1]  # big-endian: slot 0 came last
+        return tuple(zip(compress(range(size), counts), compress(counts, counts)))
+    return tuple(sorted(_product_dp(na, mask_a, nb, mask_b, _MaskCounts({0: 1}), 1).items()))
+
+
+class _MaskCounts(dict):
+    """Mask counts with a packed int's arithmetic: `<< bit` moves each count
+    from mask m to m + bit (bit is not yet in m), and `+` adds counts."""
+
+    __slots__ = ()
+
+    def __lshift__(self, bit: int) -> "_MaskCounts":
+        return _MaskCounts(zip(map(bit.__or__, self), self.values()))
+
+    def __add__(self, other: "_MaskCounts") -> "_MaskCounts":
+        if len(self) < len(other):
+            self, other = other, self
+        if not other:  # nothing changes a table once built, so it may be shared
+            return self
+        out = _MaskCounts(self)
+        for mask, count in other.items():
+            out[mask] = out.get(mask, 0) + count
+        return out
+
+
+def _product_dp(na: int, mask_a: int, nb: int, mask_b: int, one, step: int):
+    """The descent-mask counts of the shuffles, summed as `one`'s type: an int
+    with mask m's count in slot m of `step` = 16 bits, or `_MaskCounts` with
+    `step` = 1.  `one` counts the empty word; a descent at t >= 1 shifts by
+    `step << (t - 1)`.
+
     Every letter of the second word exceeds every letter of the first: a
     letter of the first after one of the second descends, the reverse
     never does, and two letters of one word descend where that word does.
     So a DP over (letters used from the first word, source of the last
-    letter) counts the descent masks without writing a word out.  Two DPs
-    run it: `_packed_product` costs about the 2^(n-1) masks of degree
-    n = na + nb, `_sparse_product` about the masks it reaches, at most the
-    C(n, na) shuffles.  Up to degree 18, a product with 2^(n-1) <= 8 C(n, na)
-    + 512 is packed, where that DP was measured faster; lopsided products,
-    such as F_(1) F_(n-1) beyond degree 10, stay sparse."""
-    n = na + nb
-    if n <= _PACKED_MAX_DEGREE and 1 << max(n - 1, 0) <= 8 * math.comb(n, na) + 512:
-        return _packed_product(na, mask_a, nb, mask_b)
-    return _sparse_product(na, mask_a, nb, mask_b)
-
-
-def _packed_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
-    """The product DP with a state's counts in one int, slot m holding mask
-    m's count in 16 bits: descent t is a shift by 16 << (t - 1), and adding
-    tables is `+`."""
+    letter) counts the descent masks without writing a word out."""
+    zero = type(one)()
     # prefixes with i letters of the first word, ending in it (the empty one too) or in the second
-    first, second = {0: 1}, {}
+    first, second = {0: one}, {}
     for t in range(na + nb):
-        shift = 16 << (t - 1) if t else 0
+        shift = step << (t - 1) if t else 0
         nfirst, nsecond = {}, {}
         for i, counts in first.items():
             if i < na:
@@ -210,54 +237,12 @@ def _packed_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[i
             if t - i < nb:
                 nsecond[i] = counts
         for i, counts in second.items():
-            shifted = counts << shift
             if i < na:
-                nfirst[i + 1] = nfirst.get(i + 1, 0) + shifted
+                nfirst[i + 1] = nfirst.get(i + 1, zero) + (counts << shift)
             if t - i < nb:
-                nsecond[i] = nsecond.get(i, 0) + (shifted if mask_b >> (t - i - 1) & 1 else counts)
+                nsecond[i] = nsecond.get(i, zero) + (counts << shift if mask_b >> (t - i - 1) & 1 else counts)
         first, second = nfirst, nsecond
-    size = 1 << max(na + nb - 1, 0)
-    raw = (sum(first.values()) + sum(second.values())).to_bytes(2 * size, sys.byteorder)
-    counts = memoryview(raw).cast("H")
-    counts = counts if sys.byteorder == "little" else counts[::-1]  # big-endian: slot 0 came last
-    return tuple(zip(compress(range(size), counts), compress(counts, counts)))
-
-
-def _sparse_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
-    """The product DP with a state's counts in a dict of masks."""
-    # ends[s][i]: mask counts of the prefixes of one length with i letters
-    # from the first word and the last from word s (0 first, 1 second); the
-    # empty prefix counts as ending in the first: nothing descends after it.
-    ends: tuple[dict[int, dict[int, int]], ...] = ({0: {0: 1}}, {})
-    for t in range(na + nb):
-        step = 1 << (t - 1) if t else 0
-        nxt: tuple[dict[int, dict[int, int]], ...] = ({}, {})
-        for source, table in enumerate(ends):
-            for i, counts in table.items():
-                if i < na:
-                    descent = source or (i and mask_a >> (i - 1) & 1)
-                    _add_shifted(nxt[0], i + 1, counts, step if descent else 0)
-                j = t - i
-                if j < nb:
-                    descent = source and mask_b >> (j - 1) & 1
-                    _add_shifted(nxt[1], i, counts, step if descent else 0)
-        ends = nxt
-    total: Counter = Counter()
-    for table in ends:
-        for counts in table.values():
-            total.update(counts)
-    return tuple(sorted(total.items()))
-
-
-def _add_shifted(table: dict[int, dict[int, int]], key: int, counts: dict[int, int], bit: int) -> None:
-    """Add `counts`, each mask with `bit` set, into `table[key]`."""
-    into = table.get(key)
-    if into is None:
-        table[key] = {mask | bit: count for mask, count in counts.items()} if bit else dict(counts)
-        return
-    for mask, count in counts.items():
-        mask |= bit
-        into[mask] = into.get(mask, 0) + count
+    return sum((*first.values(), *second.values()), zero)
 
 
 def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from itertools import zip_longest
+
 from qsymk.compositions import complement_mask, reverse_mask
 from qsymk.linalg import SparseVector
 from qsymk.statistics import Permutation
@@ -26,3 +30,48 @@ def psi_vector(v: SparseVector) -> SparseVector:
 def rho_vector(v: SparseVector) -> SparseVector:
     """The reverse involution on F coordinates."""
     return SparseVector(v.n, {reverse_mask(v.n, m): c for m, c in v.entries.items()})
+
+
+# Closed forms for the distribution of des and maj over the shuffles of a word
+# u of a letters with descent mask x and a word v of b letters with mask y,
+# letters disjoint.  They use none of the combinatorics of the product DP or
+# of the interleaving tables, so they check both at any degree.
+
+
+@lru_cache(maxsize=1 << 16)
+def maj(mask: int) -> int:
+    """The major index of a descent mask: the sum of its positions."""
+    return sum(t for t in range(1, mask.bit_length() + 1) if mask >> (t - 1) & 1)
+
+
+def des_distribution(a: int, x: int, b: int, y: int) -> dict[int, int]:
+    """{k: shuffles with k descents}.  With i = des u and j = des v there are
+    C(a - i + j, k - i) C(b - j + i, k - j) of them (MacMahon)."""
+    i, j = x.bit_count(), y.bit_count()
+    counts = {k: math.comb(a - i + j, k - i) * math.comb(b - j + i, k - j) for k in range(max(i, j), a + b + 1)}
+    return {k: count for k, count in counts.items() if count}
+
+
+@lru_cache(maxsize=None)
+def gaussian_binomial(n: int, k: int) -> tuple[int, ...]:
+    """Coefficients of [n choose k]_q, by [n, k] = [n - 1, k - 1] + q^k [n - 1, k]."""
+    if k in (0, n):
+        return (1,)
+    shifted = (0,) * k + gaussian_binomial(n - 1, k)
+    return tuple(map(sum, zip_longest(gaussian_binomial(n - 1, k - 1), shifted, fillvalue=0)))
+
+
+def maj_distribution(a: int, x: int, b: int, y: int) -> dict[int, int]:
+    """{m: shuffles with major index m}: the coefficients of
+    q^(maj u + maj v) [a + b choose a]_q (Garsia and Gessel)."""
+    low = maj(x) + maj(y)
+    return {low + e: count for e, count in enumerate(gaussian_binomial(a + b, a))}
+
+
+def projected(counts, stat) -> dict[int, int]:
+    """Sum (mask, count) pairs by `stat` of the mask."""
+    out: dict[int, int] = {}
+    for mask, count in counts:
+        value = stat(mask)
+        out[value] = out.get(value, 0) + count
+    return out

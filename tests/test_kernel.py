@@ -55,7 +55,7 @@ from qsymk.statistics import (
     stat_name,
 )
 
-from conftest import psi_vector, rho_vector
+from conftest import des_distribution, maj, maj_distribution, psi_vector, rho_vector
 
 C = Composition
 R = RelationId
@@ -878,7 +878,7 @@ def test_ideal_check_and_shufflecheck_take_no_dp_product(monkeypatch):
 
     refuse.__wrapped__ = refuse
     assert not hasattr(kernel, "_f_basis_product") and not hasattr(kernel, "_f_product")
-    for name in ("_f_basis_product", "_packed_product", "_sparse_product"):
+    for name in ("_f_basis_product", "_product_dp"):
         monkeypatch.setattr(qsym, name, refuse)
     kernel._interleavings.cache_clear()
     for stat in (*StatisticId, max_part, parts_mod_3, first_part):
@@ -944,6 +944,27 @@ def test_fingerprints_are_the_class_sums_of_the_dp(monkeypatch):
     # the budget packs few classes and counts many: pk and Epk at (5, 5)
     kinds = {stat: type(kernel._fingerprints(kernel_space(stat, 10).labels, 5, 5)(0, 0)) for stat in (S.pk, S.Epk)}
     assert kinds == {S.pk: int, S.Epk: Counter}
+    kernel._interleavings.cache_clear()
+
+
+def test_fingerprints_meet_the_des_and_maj_closed_forms(monkeypatch):
+    # des and maj labels, in both encodings, on every pair of total degree
+    # <= 10: MacMahon's and Garsia-Gessel's distributions over the shuffles,
+    # which rest on none of the tables' combinatorics
+    for budget in (10**9, 0):
+        monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", budget)
+        for s in range(2, 11):
+            for stat, closed_form in ((int.bit_count, des_distribution), (maj, maj_distribution)):
+                labels = list(map(stat, range(1 << (s - 1))))
+                for a in range(1, s):
+                    fingerprint = kernel._fingerprints(labels, a, s - a)
+                    width = math.comb(s, a).bit_length()
+                    for x, y in itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1))):
+                        value = fingerprint(x, y)
+                        if budget:
+                            slots = (value >> width * label & (1 << width) - 1 for label in range(max(labels) + 1))
+                            value = {label: count for label, count in enumerate(slots) if count}
+                        assert value == closed_form(a, x, s - a, y), (stat, a, x, y)
     kernel._interleavings.cache_clear()
 
 

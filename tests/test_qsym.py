@@ -4,12 +4,14 @@ import itertools
 import json
 import math
 import random
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
 
 from qsymk import qsym
-from qsymk.compositions import Composition, compositions_of, mask_to_set
+from qsymk.compositions import Composition, compositions_of, from_index, mask_to_set
 from qsymk.config import set_max_degree
 from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError
 from qsymk.kernel import RelationId, edge_vectors, monomial_span_vectors, relation_edges
@@ -32,6 +34,8 @@ from qsymk.qsym import (
     rho,
 )
 from qsymk.statistics import StatisticId
+
+from conftest import des_distribution, maj, maj_distribution, projected
 
 C = Composition
 
@@ -122,19 +126,63 @@ def _index_pairs(max_total):
                 yield a, x, s - a, y
 
 
-def test_packed_and_sparse_product_dps_agree():
+def _dp_counts(key, packed):
+    """The product DP's {mask: count} for `key`, run on packed ints or on
+    `_MaskCounts` and decoded apart from `_f_basis_product`."""
+    if not packed:
+        counts = qsym._product_dp(*key, qsym._MaskCounts({0: 1}), 1)
+        assert type(counts) is qsym._MaskCounts
+        return dict(counts)
+    total, size = qsym._product_dp(*key, 1, 16), 1 << max(key[0] + key[2] - 1, 0)
+    assert total >> 16 * size == 0, key
+    slots = array("H", total.to_bytes(2 * size, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return {mask: count for mask, count in enumerate(slots) if count}
+
+
+def test_both_count_types_of_the_product_dp_agree():
     # every ordered pair up to degree 10, so each pair of factors in both
     # orders, and a sample up to degree 18.  The counts of a product sum to
     # the C(a + b, a) shuffles: a 16-bit slot that overflowed would carry into
     # the next slot and break that sum.
     assert math.comb(qsym._PACKED_MAX_DEGREE, qsym._PACKED_MAX_DEGREE // 2) < 1 << 16
+    dp = _f_basis_product.__wrapped__
     rng = random.Random(23)
     sampled = [(a, rng.randrange(1 << (a - 1)), s - a, rng.randrange(1 << (s - a - 1)))
                for s in range(11, 19) for a in range(1, s)]
     for key in [*_index_pairs(10), *sampled]:
-        packed = qsym._packed_product(*key)
-        assert packed == qsym._sparse_product(*key), key
-        assert sum(count for _, count in packed) == math.comb(key[0] + key[2], key[0]), key
+        packed = _dp_counts(key, packed=True)
+        assert packed == _dp_counts(key, packed=False) == dict(dp(*key)), key
+        assert sum(packed.values()) == math.comb(key[0] + key[2], key[0]), key
+
+
+def _check_closed_forms(key, counts):
+    pairs = counts.items()
+    assert projected(pairs, int.bit_count) == des_distribution(*key), key
+    assert projected(pairs, maj) == maj_distribution(*key), key
+
+
+def test_product_dp_meets_the_des_and_maj_closed_forms():
+    # MacMahon's des and Garsia-Gessel's maj distributions over the shuffles
+    # rest on none of the DP's combinatorics: every ordered pair to degree 10
+    # and a sample at 13-16 on both count types, and above the packed limit
+    # the dict type through multiply_f
+    rng = random.Random(26)
+    sampled = [(a, rng.randrange(1 << (a - 1)), s - a, rng.randrange(1 << (s - a - 1)))
+               for s in range(13, 17) for a in rng.sample(range(1, s), 4)]
+    for key in [*_index_pairs(10), *sampled]:
+        for packed in (True, False):
+            _check_closed_forms(key, _dp_counts(key, packed))
+    previous = set_max_degree(22)
+    try:
+        for s in range(19, 23):
+            for a in (1, 2, 3, 4, s - 2):
+                key = (a, rng.randrange(1 << (a - 1)), s - a, rng.randrange(1 << (s - a - 1)))
+                product = multiply_f(fundamental(from_index(*key[:2])), fundamental(from_index(*key[2:])))
+                _check_closed_forms(key, product.coeffs)
+    finally:
+        set_max_degree(previous)
 
 
 def test_product_dp_commutes():
@@ -159,16 +207,13 @@ def test_product_cache_is_bounded():
     _f_basis_product.cache_clear()
 
 
-def _refused(*_):
-    raise AssertionError("this product takes the other DP")
-
-
-def test_products_take_the_dp_their_density_picks(monkeypatch):
+def test_products_take_the_count_type_their_density_picks(monkeypatch):
     # a lopsided product has few of the 2^(n-1) masks a packed int holds, so it
-    # stays sparse at any degree: F(1) F(29) has 30 shuffles, where a packed
+    # counts on dicts at any degree: F(1) F(29) has 30 shuffles, where a packed
     # int would have 2^29 slots.  Denser products are packed up to degree 18.
-    dp = _f_basis_product.__wrapped__
-    monkeypatch.setattr(qsym, "_packed_product", _refused)
+    dp, kinds = qsym._product_dp, []
+    monkeypatch.setattr(qsym, "_product_dp", lambda *key: kinds.append(type(key[4])) or dp(*key))
+    _f_basis_product.cache_clear()
     previous = set_max_degree(30)
     try:
         assert multiply_f(F(1), F(29)) == multiply_f_via_shuffles(C((1,)), C((29,)))
@@ -176,11 +221,12 @@ def test_products_take_the_dp_their_density_picks(monkeypatch):
     finally:
         set_max_degree(previous)
     for key in ((1, 0, 10, 0b101), (2, 1, 11, 0b110), (9, 0, 10, 0b11)):
-        dp(*key)
-    monkeypatch.undo()
-    monkeypatch.setattr(qsym, "_sparse_product", _refused)
+        _f_basis_product.__wrapped__(*key)
+    assert kinds == [qsym._MaskCounts] * 5
+    kinds.clear()
     for key in ((1, 0, 9, 0b101), (3, 1, 9, 0b110), (4, 0b10, 10, 0), (9, 0b1, 9, 0b11)):
-        dp(*key)
+        _f_basis_product.__wrapped__(*key)
+    assert kinds == [int] * 4
 
 
 def test_multiply_f_associative_commutative_sampled():
