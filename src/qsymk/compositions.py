@@ -15,7 +15,6 @@ enumerates them in ascending index order.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .config import check_degree
@@ -203,21 +202,15 @@ def composition_of(n: int, positions: Iterable[int]) -> Composition:
     return from_index(n, DescentSet(n, positions).mask)
 
 
-@lru_cache(maxsize=None)
-def _compositions_of(n: int) -> tuple[Composition, ...]:
-    if n == 0:
-        return (Composition(()),)
-    return tuple(from_index(n, mask) for mask in range(1 << (n - 1)))
-
-
 def compositions_of(n: int) -> tuple[Composition, ...]:
-    """All compositions of n, in ascending descent-bitmask order.
+    """All compositions of n, in ascending descent-bitmask order, built on
+    each call.
 
     There are 2^(n-1) of them for n >= 1, and exactly one (the empty
     composition) for n = 0.
     """
-    check_degree(n)  # enforced on every call, not just on cache misses
-    return _compositions_of(n)
+    check_degree(n)
+    return tuple(from_index(n, mask) for mask in range(1 << max(n - 1, 0)))
 
 
 def refines(j: Composition, k: Composition) -> bool:

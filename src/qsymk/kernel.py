@@ -344,7 +344,9 @@ def _class_sums(labels: Sequence[int], terms: Iterable[tuple[int, object]]) -> d
 def kernel_space(stat: DescentStatistic, n: int) -> KernelSpace:
     """K^st_n as the st-classes of the compositions of n, from a cache of 256."""
     check_degree(n)
-    _check_statistic(stat)  # before the cache, which would refuse an unhashable one
+    _check_statistic(stat)
+    if type(stat).__hash__ is None:  # the cache would raise TypeError
+        raise ValueError(f"statistic {stat_name(stat)} is unhashable, and kernel spaces are cached by statistic")
     return _kernel_space(stat, n)
 
 
@@ -662,13 +664,14 @@ def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int 
 
 
 def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dict]:
-    """`is_ideal_upto`'s violations in order; a class top is projected once per factor."""
+    """`is_ideal_upto`'s violations in order, each row c against the greatest member of
+    its class by label (a top is its own, and skipped); a top is projected once per factor."""
     for s in range(2, total_degree + 1):
         labels = kernel_space(stat, s).labels
         for a in range(1, s):
             b = s - a
-            tops = {c: block[-1] for block in kernel_space(stat, a).classes for c in block[:-1]}
-            pairs = (((c, k), (top, k)) for c, top in sorted(tops.items()) for k in range(1 << (b - 1)))
+            space, factors = kernel_space(stat, a), range(1 << (b - 1))
+            pairs = (((c, k), (space.classes[label][-1], k)) for c, label in enumerate(space.labels) for k in factors)
             for (c, k), (top, _) in _product_mismatches(labels, a, b, pairs):
                 row = {str(from_index(a, c)): "1", str(from_index(a, top)): "-1"}
                 yield {"row_degree": a, "factor": str(from_index(b, k)), "row": row}
@@ -737,17 +740,18 @@ def _product_mismatches(labels: Sequence[int], a: int, b: int, pairs) -> Iterato
 def shuffle_compatibility_upto(stat: DescentStatistic, max_total_len: int) -> ShuffleCompatibilityReport:
     """Shuffle-compatibility from F products: the shuffles of words with descent
     compositions α and β have the descent compositions of F_α F_β (Gessel and Zhuang).
-    Each index pair is compared with the first of its class pair, in the order and with
-    the witness of the oracle `statistics.check_shuffle_compatible`, for 1 <= a <= s - a
-    only: as F_α F_β = F_β F_α, pairs that differ at (a, s - a) have mirrors that differ
-    at (s - a, a), and at a = 0 each F_∅ F_β = F_β projects to β's own class."""
+    Each index pair is compared with its two classes' least members, the first pair of
+    its class pair, so in the order and with the witness of the oracle
+    `statistics.check_shuffle_compatible`, for 1 <= a <= s - a only: as F_α F_β = F_β F_α,
+    pairs that differ at (a, s - a) have mirrors that differ at (s - a, a), and at a = 0
+    each F_∅ F_β = F_β projects to β's own class."""
     check_degree(max_total_len)
     for s in range(max_total_len + 1):  # degree 0 checks the statistic
         labels = kernel_space(stat, s).labels
         for a in range(1, s // 2 + 1):
-            left, right, firsts = kernel_space(stat, a).labels, kernel_space(stat, s - a).labels, {}
-            pairs = ((p, firsts.setdefault((left[p[0]], right[p[1]]), p))
-                     for p in product(range(len(left)), range(len(right))))
+            left, right = ([space.classes[label][0] for label in space.labels]  # least members
+                           for space in (kernel_space(stat, a), kernel_space(stat, s - a)))
+            pairs = (((x, y), (left[x], right[y])) for x, y in product(range(len(left)), range(len(right))))
             for pair, first in _product_mismatches(labels, a, s - a, pairs):
                 names = [[str(from_index(a, x)), str(from_index(s - a, y))] for x, y in (first, pair)]
                 witness = {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
@@ -761,9 +765,11 @@ def _maps_onto(src: DescentStatistic, dst: DescentStatistic, relabel, n: int) ->
     """Does the F-index relabelling carry K^src_n onto K^dst_n?  It permutes
     F coordinates, so it carries the kernel of the src-classes onto the
     kernel of the relabelled classes, and two class partitions have the
-    same kernel exactly when they are equal."""
-    image = {frozenset(relabel(n, m) for m in block) for block in kernel_space(src, n).classes}
-    return image == set(map(frozenset, kernel_space(dst, n).classes))
+    same kernel exactly when they are equal.  Both relabellings
+    (`complement_mask`, `reverse_mask`) are involutions, so the image class
+    of m is the src-class of relabel(n, m), and `_blocks` orders them."""
+    labels = kernel_space(src, n).labels
+    return _blocks(labels[relabel(n, m)] for m in range(len(labels))) == kernel_space(dst, n).classes
 
 
 def check_symmetry_bridges(n: int) -> dict:
@@ -785,16 +791,11 @@ def check_symmetry_bridges(n: int) -> dict:
         )
 
     val12 = {RelationId.ValArrow1, RelationId.ValArrow2}
-    pk_edges_ok = complements_into({RelationId.Arrow1, RelationId.Arrow2}, val12)
-    swap_edges_ok = complements_into({RelationId.Arrow3}, val12 | {RelationId.ValArrow3})
-
     epk, val = kernel_space(StatisticId.epk, n), kernel_space(StatisticId.val, n)
-    epk_equals_val = epk.classes == val.classes
-
     results = {
-        "complement_of_pk_edges": pk_edges_ok,
-        "complement_of_swap_edges": swap_edges_ok,
-        "epk_kernel_equals_val_kernel": epk_equals_val,
+        "complement_of_pk_edges": complements_into({RelationId.Arrow1, RelationId.Arrow2}, val12),
+        "complement_of_swap_edges": complements_into({RelationId.Arrow3}, val12 | {RelationId.ValArrow3}),
+        "epk_kernel_equals_val_kernel": epk.classes == val.classes,
         "psi_Pk_onto_Val": _maps_onto(StatisticId.Pk, StatisticId.Val, complement_mask, n),
         "psi_pk_onto_val": _maps_onto(StatisticId.pk, StatisticId.val, complement_mask, n),
         "rho_Lpk_onto_Rpk": _maps_onto(StatisticId.Lpk, StatisticId.Rpk, reverse_mask, n),

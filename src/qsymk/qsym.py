@@ -36,13 +36,13 @@ from typing import Iterator, Mapping
 
 from .compositions import (
     Composition,
+    DescentSet,
     complement_mask,
     from_index,
     full_mask,
     index_of,
     parse_composition,
     reverse_mask,
-    set_to_mask,
 )
 from .config import check_degree
 from .errors import BasisTagError, DegreeMismatchError
@@ -272,6 +272,7 @@ def multiply_f_via_shuffles(
     and sum F over the descent compositions of their shuffles.  The
     offsets pick which letters realize each composition; the result must
     not depend on them."""
+    check_degree(a_comp.n + b_comp.n)  # before the C(a + b, a) words
     if offset_b is None:
         offset_b = offset_a + a_comp.n
     p = realize_permutation(a_comp, offset_a)
@@ -316,18 +317,21 @@ def rho(elem: QSymElement) -> QSymElement:
     return psi(QSymElement(n, "M", flipped))
 
 
-def _validate_ck(n: int, c_mask: int, k: int) -> None:
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [{n - 1}], got {k}")
+def _validate_ck(n: int, c: frozenset[int] | set[int], k: int) -> int:
+    """The mask of C, checked with n and k before anything is enumerated."""
+    check_degree(n)
+    c_mask = DescentSet(n, c).mask
+    if type(k) is not int or not 1 <= k <= n - 1:
+        raise ValueError(f"k must be an int in [{n - 1}], got {k!r}")
     if (c_mask >> (k - 1)) & 1:
         raise ValueError(f"k = {k} must not be in C")
+    return c_mask
 
 
 def lemma22b_combination(n: int, c: frozenset[int] | set[int], k: int) -> QSymElement:
     """The F-combination equal to M_{n,C} + M_{n,C u {k}} for k not in C:
     sum over B with C <= B <= [n-1], k not in B, of (-1)^{|B \\ C|} F_{n,B}."""
-    c_mask = set_to_mask(c)
-    _validate_ck(n, c_mask, k)
+    c_mask = _validate_ck(n, c, k)
     free = full_mask(n) & ~c_mask & ~(1 << (k - 1))
     out = {c_mask | extra: -1 if extra.bit_count() & 1 else 1 for extra in _submasks(free)}
     return QSymElement(n, "F", out)
@@ -338,8 +342,7 @@ def lemma22c_combination(n: int, c: frozenset[int] | set[int], k: int) -> QSymEl
     k >= 2 and k-1 is not in C:
     sum over B with C <= B, k and k-1 not in B, of
     (-1)^{|B \\ C|} (F_{n,B} - F_{n,B u {k-1}})."""
-    c_mask = set_to_mask(c)
-    _validate_ck(n, c_mask, k)
+    c_mask = _validate_ck(n, c, k)
     if k - 1 < 1:
         raise ValueError("k - 1 must be a position, so k >= 2")
     if (c_mask >> (k - 2)) & 1:

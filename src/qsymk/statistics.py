@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import Counter
-from itertools import combinations, repeat
+from itertools import combinations, product, repeat
 from typing import Callable, Hashable, Iterable, Union
 
 from .compositions import Composition, Frozen, compositions_of, full_mask, index_of, mask_to_set
@@ -365,33 +365,32 @@ def check_shuffle_compatible(
         for a in range(0, total + 1):
             b = total - a
             groups: dict = {}
-            for left in compositions_of(a):
-                for right in compositions_of(b):
-                    p1 = realize_permutation(left)
-                    q1 = realize_permutation(right, offset=a)
-                    dist = shuffle_distribution(stat, p1, q1)
-                    p2, q2 = _random_representatives(left, right, rng)
-                    if dist != shuffle_distribution(stat, p2, q2):
-                        return ShuffleCompatibilityReport(
-                            name, max_total_len, False,
-                            witness={
-                                "kind": "representative-dependence",
-                                "compositions": [str(left), str(right)],
-                                "pair1": [str(p1), str(q1)],
-                                "pair2": [str(p2), str(q2)],
-                            },
-                        )
-                    key = (a, b, stat(p1), stat(q1))
-                    seen = groups.get(key)
-                    if seen is None:
-                        groups[key] = (left, right, dist)
-                    elif seen[2] != dist:
-                        return ShuffleCompatibilityReport(
-                            name, max_total_len, False,
-                            witness={
-                                "kind": "distribution-mismatch",
-                                "pair1": [str(seen[0]), str(seen[1])],
-                                "pair2": [str(left), str(right)],
-                            },
-                        )
+            for left, right in product(compositions_of(a), compositions_of(b)):  # each enumerated once
+                p1 = realize_permutation(left)
+                q1 = realize_permutation(right, offset=a)
+                dist = shuffle_distribution(stat, p1, q1)
+                p2, q2 = _random_representatives(left, right, rng)
+                if dist != shuffle_distribution(stat, p2, q2):
+                    return ShuffleCompatibilityReport(
+                        name, max_total_len, False,
+                        witness={
+                            "kind": "representative-dependence",
+                            "compositions": [str(left), str(right)],
+                            "pair1": [str(p1), str(q1)],
+                            "pair2": [str(p2), str(q2)],
+                        },
+                    )
+                key = (a, b, stat(p1), stat(q1))
+                seen = groups.get(key)
+                if seen is None:
+                    groups[key] = (left, right, dist)
+                elif seen[2] != dist:
+                    return ShuffleCompatibilityReport(
+                        name, max_total_len, False,
+                        witness={
+                            "kind": "distribution-mismatch",
+                            "pair1": [str(seen[0]), str(seen[1])],
+                            "pair2": [str(left), str(right)],
+                        },
+                    )
     return ShuffleCompatibilityReport(name, max_total_len, True)

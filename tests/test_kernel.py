@@ -118,9 +118,8 @@ def test_kernel_rref_matches_per_class_construction():
 
 def test_kernel_classes_need_no_composition_round_trip(monkeypatch):
     # the classes come from the statistics as index blocks; no Composition
-    # is built, even with the enumeration cache cold, and no index is
-    # turned into a Composition and back on the way to a kernel
-    compositions._compositions_of.cache_clear()
+    # is built, and no index is turned into a Composition and back on the
+    # way to a kernel
     counts = {"index_of": 0, "Composition": 0}
 
     def counting_index_of(comp):
@@ -365,6 +364,31 @@ def test_a_name_or_none_is_no_statistic(call):
         want = f"^{re.escape(repr(stat))} is neither a StatisticId nor a callable; parse_statistic"
         with pytest.raises(ValueError, match=want):
             call(stat)
+
+
+class _Unhashable:
+    """A callable statistic that cannot key a cache: the number of parts."""
+
+    __hash__ = None
+
+    def __call__(self, comp):
+        return len(comp)
+
+
+@pytest.mark.parametrize("call", [
+    lambda stat: kernel_space(stat, 3),
+    lambda stat: quotient_dimension(stat, 2),
+    lambda stat: check_spanning_F(stat, 3, {R.Arrow1, R.Arrow2}),
+    lambda stat: is_ideal_upto(stat, 3),
+    lambda stat: shuffle_compatibility_upto(stat, 3),
+], ids=["kernel_space", "quotient_dimension", "check_spanning_F", "is_ideal_upto", "shuffle_compatibility_upto"])
+def test_an_unhashable_callable_is_refused_by_name(call):
+    # it passed the statistic check and died in the kernel cache with
+    # "TypeError: unhashable type"; the classes need no cache
+    stat = _Unhashable()
+    with pytest.raises(ValueError, match=f"^statistic {re.escape(str(stat))} is unhashable"):
+        call(stat)
+    assert equivalence_classes(stat, 3) == ((0,), (1, 2), (3,))
 
 
 # -- the signed rank ------------------------------------------------------------
@@ -948,23 +972,34 @@ def test_fingerprints_are_the_class_sums_of_the_dp(monkeypatch):
 
 
 def test_fingerprints_meet_the_des_and_maj_closed_forms(monkeypatch):
-    # des and maj labels, in both encodings, on every pair of total degree
-    # <= 10: MacMahon's and Garsia-Gessel's distributions over the shuffles,
-    # which rest on none of the tables' combinatorics
-    for budget in (10**9, 0):
+    # des and maj labels, in both encodings and under the real bit budget, on
+    # every pair of total degree <= 10 and on seeded pairs at a few bidegrees
+    # of each degree 11-14: MacMahon's and Garsia-Gessel's distributions over
+    # the shuffles, which rest on none of the tables' combinatorics
+    rng = random.Random(14)
+    bidegrees = {s: range(1, s) if s <= 10 else sorted({rng.randrange(1, s), rng.randrange(1, s), s // 2})
+                 for s in range(2, 15)}
+    bidegrees[14] = sorted({*bidegrees[14], 6, 7})
+    real, counted = kernel._PACKED_FINGERPRINT_BITS, set()
+    for budget in (10**9, 0, real):
         monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", budget)
-        for s in range(2, 11):
+        for s, degrees in bidegrees.items():
             for stat, closed_form in ((int.bit_count, des_distribution), (maj, maj_distribution)):
                 labels = list(map(stat, range(1 << (s - 1))))
-                for a in range(1, s):
+                for a in degrees:
                     fingerprint = kernel._fingerprints(labels, a, s - a)
                     width = math.comb(s, a).bit_length()
-                    for x, y in itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1))):
+                    pairs = list(itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1))))
+                    for x, y in pairs if s <= 10 else rng.sample(pairs, min(len(pairs), 12)):
                         value = fingerprint(x, y)
-                        if budget:
+                        if isinstance(value, int):
                             slots = (value >> width * label & (1 << width) - 1 for label in range(max(labels) + 1))
                             value = {label: count for label, count in enumerate(slots) if count}
+                        elif budget == real:
+                            counted.add((s, a))
                         assert value == closed_form(a, x, s - a, y), (stat, a, x, y)
+    # maj's 92 classes of 12 bits outgrow the real budget from (6, 8) to (8, 6)
+    assert {(14, 6), (14, 7)} <= counted <= {(14, 6), (14, 7), (14, 8)}
     kernel._interleavings.cache_clear()
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from array import array
 from fractions import Fraction
@@ -12,8 +13,8 @@ import pytest
 
 from qsymk import qsym
 from qsymk.compositions import Composition, compositions_of, from_index, mask_to_set
-from qsymk.config import set_max_degree
-from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError
+from qsymk.config import max_degree, set_max_degree
+from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError, InvalidSubsetError
 from qsymk.kernel import RelationId, edge_vectors, monomial_span_vectors, relation_edges
 from qsymk.linalg import SparseVector, reduce
 from qsymk.qsym import (
@@ -334,6 +335,33 @@ def test_lemma22_preconditions():
         lemma22c_combination(3, frozenset(), 1)  # k - 1 = 0 not allowed
     with pytest.raises(ValueError):
         lemma22c_combination(4, frozenset({1}), 2)  # k - 1 in C
+
+
+def test_a_degree_past_the_limit_is_refused_before_enumerating(monkeypatch):
+    # the lemma combinations enumerated 2^(n-3) submasks, and the word route
+    # built all C(a + b, a) shuffles, before the element refused the degree:
+    # seconds at degree 24, and no answer at 40
+    def refuse(*_):
+        raise AssertionError("enumerated past the degree limit")
+
+    monkeypatch.setattr(qsym, "_submasks", refuse)
+    monkeypatch.setattr(qsym, "shuffles", refuse)
+    n = max_degree() + 1
+    for call in (lambda: lemma22b_combination(n, set(), 3), lambda: lemma22c_combination(n, set(), 3),
+                 lambda: multiply_f_via_shuffles(C((n // 2,)), C((n - n // 2,)))):
+        with pytest.raises(DegreeLimitError):
+            call()
+
+
+def test_lemma22_names_a_bad_position_or_k():
+    # position 7 of C at degree 4 used to raise "index 69 out of range for degree 4"
+    for call in (lemma22b_combination, lemma22c_combination):
+        with pytest.raises(InvalidSubsetError, match=r"^position 7 is not in \[3\] for degree 4$"):
+            call(4, {7}, 2)
+        # a k that is no int in [n-1] raised an untyped TypeError, and True was 1
+        for k in (2.5, True, "2"):
+            with pytest.raises(ValueError, match=f"^k must be an int in \\[3\\], got {re.escape(repr(k))}$"):
+                call(4, set(), k)
 
 
 def test_lemma22_identities_small():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import figure_data
-from qsymk import cli, compositions, kernel
+from qsymk import cli, kernel
 from qsymk.compositions import (
     Composition,
     complement,
@@ -366,7 +366,6 @@ def test_relation_edges_match_parts_oracle():
 def test_moves_and_psi_build_no_composition(monkeypatch):
     # cold: no cached graph and no cached enumeration to lean on
     kernel._relation_edges.cache_clear()
-    compositions._compositions_of.cache_clear()
     rng = random.Random(0)
     elem = QSymElement(9, "M", {mask: rng.choice((-2, -1, 1, 2)) for mask in rng.sample(range(256), 37)})
     assert len(elem.coeffs) == 37
