@@ -45,6 +45,7 @@ from .kernel import (
     connected_components,
     ctilde_member,
     f_family,
+    ideal_reports,
     is_ctilde,
     is_forest,
     is_ideal_upto,

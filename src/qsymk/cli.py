@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from typing import TextIO
 
 from . import config
 from .compositions import mask_to_set
@@ -33,8 +32,8 @@ from .kernel import (
     graphs_to_csv,
     graphs_to_dot,
     graphs_to_json_dict,
+    ideal_reports,
     is_forest,
-    is_ideal_upto,
     kernel_space,
     quotient_dimension,
     relation_edges,
@@ -207,10 +206,11 @@ def _parse_degrees(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _emit(text: str, out: TextIO | None) -> None:
-    if out is not None:
-        out.truncate(0)  # opened without truncating: a usage error keeps the old file
-    (out or sys.stdout).write(text)
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.out is not None and args.out.seekable():  # a pipe or FIFO cannot be truncated
+        args.out.truncate(0)  # opened without truncating: a usage error keeps the old file
+    (args.out or sys.stdout).write(text)
+    args.emitted = True
 
 
 def _report_json(check: str, rows: list[dict]) -> str:
@@ -229,18 +229,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     degrees = _parse_degrees(args.deg if args.deg else ("1..10" if args.deep else "1..8"))
     if args.check == "ideal":
         stats = [parse_statistic(args.stat)] if args.stat else list(StatisticId)
-        total = max(degrees)
-        rows = []
-        for stat in stats:
-            report = is_ideal_upto(stat, total)
-            row = _row("ideal", total, report["ideal"], stat.value)
-            if not report["ideal"]:
-                row["witness"] = report["violations"]
-            rows.append(row)
+        rows = [_row("ideal", report["total_degree"], report["ideal"], report["stat"],
+                     **({} if report["ideal"] else {"witness": report["violations"]}))
+                for report in ideal_reports(stats, max(degrees))]
     else:
         runner = PER_DEGREE_CHECKS[args.check]
         rows = [row for n in degrees for row in runner(n)]
-    _emit(_report_json(args.check, rows), args.out)
+    _emit(_report_json(args.check, rows), args)
     return 0 if all(row["pass"] for row in rows) else 1
 
 
@@ -267,7 +262,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
             for r in records
         ]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(text, args)
     return 0
 
 
@@ -280,7 +275,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         text = json.dumps(graphs_to_json_dict(graphs), indent=2, sort_keys=True) + "\n"
     else:
         text = graphs_to_csv(graphs)
-    _emit(text, args.out)
+    _emit(text, args)
     return 0
 
 
@@ -288,7 +283,7 @@ def _cmd_shufflecheck(args: argparse.Namespace) -> int:
     stat = parse_statistic(args.stat)
     report = check_shuffle_compatible(stat, args.max_total_len)
     payload = {"schema_version": SCHEMA_VERSION, **report.as_dict()}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
     return 0 if report.compatible else 1
 
 
@@ -343,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.max_degree is not None:
             previous, restore = config.set_max_degree(args.max_degree), True
         if args.out:
-            # opened before the run, so a bad path fails first; `_emit` truncates
+            # opened before the run, so a bad path fails first; `_emit` truncates and marks it written
             created = not os.path.exists(args.out)
             out = args.out = open(args.out, "a", encoding="utf-8")
         return args.func(args)
@@ -351,9 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, f"error: {exc}\n")
     finally:
         if out is not None:
-            unwritten = out.tell() == 0  # a report is never empty
             out.close()
-            if created and unwritten:
+            if created and not getattr(args, "emitted", False):
                 os.remove(out.name)
         if restore:
             config.set_max_degree(previous)

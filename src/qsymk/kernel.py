@@ -51,7 +51,7 @@ import enum
 from array import array
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from math import comb
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
@@ -648,19 +648,22 @@ def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int 
     and (b, a) together that says F_x F_y projects to a function of the
     class pair of (x, y), so the verdict is `shuffle_compatibility_upto`'s.
     A failing statistic is scanned row by row for at most `max_witnesses`
-    witnesses, rows in pivot order, factors in index order."""
+    witnesses, rows in pivot order, factors in index order.  `ideal_reports` of one."""
+    return ideal_reports([stat], total_degree, max_witnesses)[0]
+
+
+def ideal_reports(stats: Iterable[DescentStatistic], total_degree: int, max_witnesses: int = 3) -> list[dict]:
+    """The `is_ideal_upto` report of each statistic, in order, every verdict from one
+    `_first_mismatches` scan, which fingerprints each product once for all of them."""
     check_degree(total_degree)
+    stats = list(stats)
     if isinstance(max_witnesses, bool) or not isinstance(max_witnesses, int):
         raise ValueError(f"max_witnesses must be an int, got {max_witnesses!r}")
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be nonnegative, got {max_witnesses}")
-    ideal = shuffle_compatibility_upto(stat, total_degree).compatible
-    return {
-        "stat": stat_name(stat),
-        "total_degree": total_degree,
-        "ideal": ideal,
-        "violations": [] if ideal else list(islice(_ideal_violations(stat, total_degree), max_witnesses)),
-    }
+    return [{"stat": stat_name(stat), "total_degree": total_degree, "ideal": first is None,
+             "violations": [] if first is None else list(islice(_ideal_violations(stat, total_degree), max_witnesses))}
+            for stat, first in zip(stats, _first_mismatches(stats, total_degree))]
 
 
 def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dict]:
@@ -677,7 +680,6 @@ def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dic
                 yield {"row_degree": a, "factor": str(from_index(b, k)), "row": row}
 
 
-@lru_cache(maxsize=64)
 def _interleavings(a: int, b: int) -> tuple[list[array], list[array]]:
     """Tables (xs, ys) over the C(a + b, a) interleavings S of a word u of a letters
     with a word v of b larger letters: their shuffle along S has descent mask
@@ -685,7 +687,7 @@ def _interleavings(a: int, b: int) -> tuple[list[array], list[array]]:
     u descends and the reverse never does, so xs holds those places and each descent
     of u whose letters stay adjacent, and ys each descent of v at its first letter (a
     letter of u between v's two is a place of xs).  C(a + b, a) (2^(a-1) + 2^(b-1))
-    masks in arrays; the cache holds the 64 bidegrees 1 <= a <= b, a + b <= 16."""
+    masks in arrays, built for one scan of one bidegree and kept by none."""
     s, code = a + b, "H" if a + b <= 17 else "Q"
     base, u_adjacent, v_letters = [], [], []
     for left in combinations(range(s), a):
@@ -701,62 +703,92 @@ def _interleavings(a: int, b: int) -> tuple[list[array], list[array]]:
     return xs, ys
 
 
-_PACKED_FINGERPRINT_BITS = 1024  # a sum costs the width of its ints
+_PACKED_FINGERPRINT_BITS = 2048  # a sum costs the width of its ints
 
 
-def _fingerprints(labels: Sequence[int], a: int, b: int):
-    """fingerprint(x, y), the class counts through `labels` of F_x F_y, x of degree a.
-    Up to `_PACKED_FINGERPRINT_BITS` it is one int, class l's count in bits [l w, (l + 1) w)
-    with w the bit length of C(a + b, a): no count exceeds the C(a + b, a) < 2^w shuffles,
-    so no slot carries.  Past it (Epk from degree 10, Lpk, Rpk from 11, Pk, Val from 12)
-    it is a Counter of the labels, whose cost does not grow with the classes.  Either is
-    exact.  The tables of (b, a) serve a > b, as QSym is commutative."""
-    xs, ys = _interleavings(a, b) if a <= b else _interleavings(b, a)[::-1]
-    width, classes = comb(a + b, a).bit_length(), max(labels) + 1
-    if width * classes > _PACKED_FINGERPRINT_BITS:
-        label = labels.__getitem__
-        return lambda x, y: Counter(map(label, map(or_, xs[x], ys[y])))
-    slots = [1 << width * label for label in range(classes)]
-    weight = list(map(slots.__getitem__, labels))
-    return lambda x, y: sum(map(weight.__getitem__, map(or_, xs[x], ys[y])))
+def _packed_fingerprints(labelings: Sequence[Sequence[int]], a: int, b: int, tables=None):
+    """(prints, fields): prints[x 2^(b-1) + y] holds the class counts of F_x F_y, x of degree
+    a, through every labeling at once, read off `tables`, those of `_interleavings(a, b)`.
+    Labeling j counts class l in the slot of w bits at l w past the fields before its own,
+    fields[j], with w the bit length of C(a + b, a): no count exceeds the C(a + b, a) < 2^w
+    shuffles, so no slot carries.  Exact, and one sum per pair however many labelings."""
+    (xs, ys), width = tables or _interleavings(a, b), comb(a + b, a).bit_length()
+    sizes = [width * (max(labels) + 1) for labels in labelings]
+    offsets = list(accumulate(sizes, initial=0))
+    slots = [map([1 << offset + width * label for label in range(max(labels) + 1)].__getitem__, labels)
+             for labels, offset in zip(labelings, offsets)]  # each labeling's slot of each mask
+    weight = list(map(sum, zip(*slots)))
+    prints = [sum(map(weight.__getitem__, map(or_, x, y))) for x in xs for y in ys]
+    return prints, [(1 << size) - 1 << offset for size, offset in zip(sizes, offsets)]
 
 
-def _product_mismatches(labels: Sequence[int], a: int, b: int, pairs) -> Iterator[tuple]:
+def _fingerprints(labels: Sequence[int], a: int, b: int, tables=None):
+    """fingerprint(x, y), the class counts through `labels` of F_x F_y, x of degree a, read
+    off `tables`, those of `_interleavings(a, b)`, as a dict: unlike a packed fingerprint,
+    its cost does not grow with the classes (Epk from degree 11, Lpk, Rpk from 12, Pk, Val
+    from 13 pass `_PACKED_FINGERPRINT_BITS`)."""
+    xs, ys = tables or _interleavings(a, b)
+    label = labels.__getitem__
+    return lambda x, y: dict(Counter(map(label, map(or_, xs[x], ys[y]))))  # dict == runs in C, Counter == not
+
+
+def _product_mismatches(labels: Sequence[int], a: int, b: int, pairs, tables=None) -> Iterator[tuple]:
     """Each (pair, reference) of index pairs of degrees (a, b) whose F products differ
-    through `labels`, by `_fingerprints`, built at the first pair that is not its own
-    reference (no pair of Des is) and taken once for each reference."""
-    fingerprint, wants = None, {}
+    through `labels`, by `_fingerprints`, taken once for each reference."""
+    fingerprint, wants = _fingerprints(labels, a, b, tables), {}
     for pair, ref in pairs:
         if pair == ref:
             continue
-        if fingerprint is None:
-            fingerprint = _fingerprints(labels, a, b)
         if ref not in wants:
             wants[ref] = fingerprint(*ref)
         if fingerprint(*pair) != wants[ref]:
             yield pair, ref
 
 
+def _first_mismatches(stats: Sequence[DescentStatistic], max_total_len: int) -> list[dict | None]:
+    """Each statistic's first mismatch as a witness, or None, from one scan: each index
+    pair (x, y) of degrees (a, s - a), 1 <= a <= s - a, against its two classes' least
+    members, the first pair of its class pair, wherever the statistic has a class of two
+    at a or s - a (Des never has).  Those whose slots fit `_PACKED_FINGERPRINT_BITS` share
+    `_packed_fingerprints`, one sum per pair for all of them, each reading its own field;
+    each other keeps its own `_product_mismatches`."""
+    check_degree(max_total_len)
+    witnesses, live = [None] * len(stats), dict.fromkeys(range(len(stats)))
+    for s in range(max_total_len + 1):  # degree 0 checks the statistics
+        labels = {i: kernel_space(stats[i], s).labels for i in live}
+        for a in range(1, s // 2 + 1):
+            spaces = {i: (kernel_space(stats[i], a), kernel_space(stats[i], s - a)) for i in live}
+            if not (scans := [i for i in live if spaces[i][0].dim or spaces[i][1].dim]):
+                continue
+            tables, width = _interleavings(a, s - a), comb(s, a).bit_length()
+            packed = [i for i in scans if width * (max(labels[i]) + 1) <= _PACKED_FINGERPRINT_BITS]
+            prints, fields = _packed_fingerprints([labels[i] for i in packed], a, s - a, tables) if packed else ([], [])
+            fields = dict(zip(packed, fields))
+            for i in scans:
+                left, right = ([space.classes[label][0] for label in space.labels] for space in spaces[i])
+                if i in fields:
+                    n, field = len(right), fields[i]
+                    refs = enumerate(x * n + y for x in left for y in right)
+                    mismatches = ((divmod(p, n), divmod(r, n)) for p, r in refs if (prints[p] ^ prints[r]) & field)
+                else:
+                    pairs = zip(product(range(len(left)), range(len(right))), product(left, right))
+                    mismatches = _product_mismatches(labels[i], a, s - a, pairs, tables)
+                for pair, ref in islice(mismatches, 1):
+                    names = [[str(from_index(a, x)), str(from_index(s - a, y))] for x, y in (ref, pair)]
+                    witnesses[i] = {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
+                    del live[i]
+    return witnesses
+
+
 def shuffle_compatibility_upto(stat: DescentStatistic, max_total_len: int) -> ShuffleCompatibilityReport:
     """Shuffle-compatibility from F products: the shuffles of words with descent
     compositions α and β have the descent compositions of F_α F_β (Gessel and Zhuang).
-    Each index pair is compared with its two classes' least members, the first pair of
-    its class pair, so in the order and with the witness of the oracle
+    `_first_mismatches` of one, in the order and with the witness of the oracle
     `statistics.check_shuffle_compatible`, for 1 <= a <= s - a only: as F_α F_β = F_β F_α,
     pairs that differ at (a, s - a) have mirrors that differ at (s - a, a), and at a = 0
     each F_∅ F_β = F_β projects to β's own class."""
-    check_degree(max_total_len)
-    for s in range(max_total_len + 1):  # degree 0 checks the statistic
-        labels = kernel_space(stat, s).labels
-        for a in range(1, s // 2 + 1):
-            left, right = ([space.classes[label][0] for label in space.labels]  # least members
-                           for space in (kernel_space(stat, a), kernel_space(stat, s - a)))
-            pairs = (((x, y), (left[x], right[y])) for x, y in product(range(len(left)), range(len(right))))
-            for pair, first in _product_mismatches(labels, a, s - a, pairs):
-                names = [[str(from_index(a, x)), str(from_index(s - a, y))] for x, y in (first, pair)]
-                witness = {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
-                return ShuffleCompatibilityReport(stat_name(stat), max_total_len, False, witness)
-    return ShuffleCompatibilityReport(stat_name(stat), max_total_len, True)
+    witness, = _first_mismatches([stat], max_total_len)
+    return ShuffleCompatibilityReport(stat_name(stat), max_total_len, witness is None, witness)
 
 
 # -- symmetry bridges ----------------------------------------------------------

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
+import threading
 
 import pytest
 
 import figure_data
-from qsymk import cli, config
+from qsymk import cli, config, kernel
 from qsymk.cli import CHECK_NAMES, main
 from qsymk.compositions import compositions_of
 from qsymk.kernel import RelationId
@@ -27,7 +29,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # from the components, `verify ideal --deg 1..9`, `shufflecheck maj 9`
 # and `shufflecheck Des 10` before the F products were packed into ints,
 # and `verify bridges --deg 1..10` and `dims --deg 1..11`, the benchmark's
-# last unpinned jobs, before the regions became descent-mask formulas.
+# last unpinned jobs, before the regions became descent-mask formulas, and
+# `verify ideal --deg 1..11` and `shufflecheck Epk 12`, whose scans counted
+# Epk, Lpk and Rpk in Counters, before the ideal check shared one scan.
 # A change to how the checks or graphs are computed must reproduce them
 # byte for byte.
 GOLDEN_REPORTS = [
@@ -35,10 +39,10 @@ GOLDEN_REPORTS = [
     *((f"verify_{check}_deg1-{hi}.json", ("verify", check, "--deg", f"1..{hi}"))
       for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9), ("props4", 11),
                         ("thm2b", 12), ("thm35", 11), ("thm53b", 11), ("thm1a", 9), ("thm1b", 9),
-                        ("ideal", 9), ("ideal", 10), ("bridges", 10))),
+                        ("ideal", 9), ("ideal", 10), ("ideal", 11), ("bridges", 10))),
     *((f"dims_deg1-{hi}.csv", ("dims", "--deg", f"1..{hi}")) for hi in (8, 11)),
     *((f"shufflecheck_{stat}_{length}.json", ("shufflecheck", stat, str(length)))
-      for stat, length in (("Pk", 9), ("Epk", 9), ("maj", 9), ("Des", 10), ("Pk", 11))),
+      for stat, length in (("Pk", 9), ("Epk", 9), ("maj", 9), ("Des", 10), ("Pk", 11), ("Epk", 12))),
     ("graph_pknumbasis_deg1-7.json",
      ("graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json")),
     ("graph_pknumbasis_deg8-10.csv",
@@ -302,11 +306,34 @@ def test_unwritable_out_path_fails_before_the_check(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the check ran before --out was opened")
 
-    monkeypatch.setattr(cli, "is_ideal_upto", refuse)
+    monkeypatch.setattr(cli, "ideal_reports", refuse)
     target = tmp_path / "missing" / "x.json"
     with pytest.raises(SystemExit) as info:
         main(["verify", "ideal", "--deg", "1..3", "--out", str(target)])
     assert info.value.code == 2
+
+
+def test_out_may_be_a_fifo(tmp_path, capsys):
+    # a FIFO, a pipe or a piped /dev/stdout cannot seek: the report is written
+    # unchanged, and a usage error exits 2 with no traceback
+    _, want = run_cli(capsys, "shufflecheck", "Pk", "3")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for argv, code in ((["shufflecheck", "Pk", "3"], 0), (["verify", "thm2a", "--deg", "5..3"], 2)):
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert main([*argv, "--out", str(fifo)]) == code == 0
+        except SystemExit as exc:
+            assert exc.code == code == 2
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        captured = capsys.readouterr()
+        if code:
+            assert (got, captured.out, captured.err) == ([b""], "", "error: bad degree range '5..3'\n")
+        else:
+            assert (got, captured.out, captured.err) == ([want.encode()], "", "")
 
 
 def test_usage_error_keeps_an_existing_out_file(tmp_path, capsys):
@@ -366,16 +393,17 @@ def test_failing_checks_report_witnesses(capsys, monkeypatch):
         {"kernel_dim": dim} for dim in (0, 1, 2)
     ]
 
-    # planted: only Pk fails the ideal check; its row carries the violations
-    violations = [{"row_degree": 2, "factor": "(1)", "row": {"(2)": "1", "(1,1)": "-1"}}]
+    # planted: Pk's classes are max_part's, not an ideal from degree 5, so in the one
+    # scan of all 13 statistics only Pk fails; its row carries max_part's violations
+    def max_part(comp):
+        return max(comp.parts) if comp.parts else 0
 
-    def planted_ideal(stat, total):
-        fails = stat is StatisticId.Pk
-        return {"ideal": not fails, "violations": violations if fails else []}
-
-    monkeypatch.setattr(cli, "is_ideal_upto", planted_ideal)
-    code, out = run_cli(capsys, "verify", "ideal", "--deg", "1..3")
+    violations = kernel.is_ideal_upto(max_part, 5)["violations"]
+    real = kernel.kernel_space
+    monkeypatch.setattr(kernel, "kernel_space", lambda stat, n: real(max_part if stat is StatisticId.Pk else stat, n))
+    code, out = run_cli(capsys, "verify", "ideal", "--deg", "1..5")
     assert code == 1
+    assert violations == [{"row_degree": 4, "factor": "(1)", "row": {"(2,2)": "1", "(2,1,1)": "-1"}}]
     for row in json.loads(out)["rows"]:
         fails = row["stat"] == "Pk"
         assert row["pass"] is not fails

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 import random
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from operator import or_
@@ -904,25 +906,41 @@ def test_ideal_check_and_shufflecheck_take_no_dp_product(monkeypatch):
     assert not hasattr(kernel, "_f_basis_product") and not hasattr(kernel, "_f_product")
     for name in ("_f_basis_product", "_product_dp"):
         monkeypatch.setattr(qsym, name, refuse)
-    kernel._interleavings.cache_clear()
     for stat in (*StatisticId, max_part, parts_mod_3, first_part):
         is_ideal_upto(stat, 7)
         shuffle_compatibility_upto(stat, 7)
 
 
 def test_verify_ideal_builds_each_table_once(monkeypatch, capsys):
-    # one `verify ideal --deg 1..9` over the 13 statistics visits the bidegrees
-    # 1 <= a <= s - a of each total s <= 9, and builds each of their tables once;
-    # (1, 1) has one pair, its own reference, and needs no table
+    # one `verify ideal --deg 1..9` scans the 13 statistics together over the
+    # bidegrees 1 <= a <= s - a of each total s <= 9, in order, and builds each of
+    # their tables once; (1, 1) has one pair, its own reference, and needs no table
     keys = []
     tables = kernel._interleavings
     monkeypatch.setattr(kernel, "_interleavings", lambda a, b: keys.append((a, b)) or tables(a, b))
-    tables.cache_clear()
     assert cli.main(["verify", "ideal", "--deg", "1..9"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
-    want = {(a, s - a) for s in range(3, 10) for a in range(1, s // 2 + 1)}
-    assert set(keys) == want and len(want) == 19
-    assert tables.cache_info().misses == 19
+    assert keys == [(a, s - a) for s in range(3, 10) for a in range(1, s // 2 + 1)]
+    assert len(keys) == len(set(keys)) == 19
+
+
+def test_no_table_outlives_its_scan():
+    # the tables are built for one bidegree of one scan; a scan to degree 16 once
+    # left about 80 MB of them in a cache
+    rows = []
+    tables = kernel._interleavings
+
+    def keeping(a, b):
+        xs, ys = tables(a, b)
+        rows.append(weakref.ref(xs[0]))
+        return xs, ys
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_interleavings", keeping)
+        assert shuffle_compatibility_upto(S.Pk, 9).compatible
+    assert len(rows) == 19
+    gc.collect()
+    assert [row() for row in rows] == [None] * 19
 
 
 def test_interleaving_tables_match_the_product_dp():
@@ -941,75 +959,88 @@ def test_interleaving_tables_match_the_product_dp():
             assert masks == dict(dp(a, x, s - a, y)), (a, x, s - a, y)
             if s <= 6:  # and the words themselves
                 assert masks == multiply_f_via_shuffles(from_index(a, x), from_index(s - a, y)).coeffs
-    kernel._interleavings.cache_clear()
 
 
-def test_fingerprints_are_the_class_sums_of_the_dp(monkeypatch):
-    # a packed fingerprint holds each class count in its own w-bit slot, with no
-    # carry into the next; past the bit budget it is a Counter of the labels.
-    # One class, a class per composition, and Pk's classes, in both encodings
+def _unpacked(prints, field, width):
+    """Each class's nonzero count in a packed fingerprint's field, class 0 at its lowest slot."""
+    offset, value = (field & -field).bit_length() - 1, prints & field
+    slots = (value >> offset + width * label & (1 << width) - 1
+             for label in range((field >> offset).bit_length() // width))
+    return {label: count for label, count in enumerate(slots) if count}
+
+
+def test_fingerprints_are_the_class_sums_of_the_dp():
+    # a packed fingerprint holds each labeling's class counts side by side, each count in
+    # its own w-bit slot of that labeling's field, with no carry into the next; the dict
+    # one counts the labels.  One class, a class per composition, and Pk's classes, packed
+    # alone and together
     dp = _f_basis_product.__wrapped__
-    for budget in (10**9, 0):
-        monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", budget)
-        for s in range(2, 10):
-            size = 1 << (s - 1)
-            for labels in ([0] * size, list(range(size)), kernel_space(S.Pk, s).labels):
-                for a in range(1, s):
-                    fingerprint = kernel._fingerprints(labels, a, s - a)
-                    width = math.comb(s, a).bit_length()
-                    for x, y in itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1))):
-                        value = fingerprint(x, y)
-                        if budget:
-                            assert value >> width * (max(labels) + 1) == 0
-                            slots = {label: value >> width * label & (1 << width) - 1 for label in set(labels)}
-                            value = {label: count for label, count in slots.items() if count}
-                        assert value == kernel._class_sums(labels, dp(a, x, s - a, y)), (labels[:4], a, x, y)
-    monkeypatch.undo()
-    # the budget packs few classes and counts many: pk and Epk at (5, 5)
-    kinds = {stat: type(kernel._fingerprints(kernel_space(stat, 10).labels, 5, 5)(0, 0)) for stat in (S.pk, S.Epk)}
-    assert kinds == {S.pk: int, S.Epk: Counter}
-    kernel._interleavings.cache_clear()
+    for s in range(2, 10):
+        size = 1 << (s - 1)
+        labelings = [[0] * size, list(range(size)), kernel_space(S.Pk, s).labels]
+        for a in range(1, s):
+            width = math.comb(s, a).bit_length()
+            shared, fields = kernel._packed_fingerprints(labelings, a, s - a)
+            ends = [0, *(field.bit_length() for field in fields)]  # side by side, from bit 0
+            assert fields == [(1 << width * (max(labels) + 1)) - 1 << end for labels, end in zip(labelings, ends)]
+            for labels, field in zip(labelings, fields):
+                fingerprint = kernel._fingerprints(labels, a, s - a)
+                alone, (own,) = kernel._packed_fingerprints([labels], a, s - a)
+                for p, (x, y) in enumerate(itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1)))):
+                    want = kernel._class_sums(labels, dp(a, x, s - a, y))
+                    assert fingerprint(x, y) == want, (labels[:4], a, x, y)
+                    assert alone[p] >> own.bit_length() == 0 and shared[p] >> fields[-1].bit_length() == 0
+                    assert _unpacked(alone[p], own, width) == _unpacked(shared[p], field, width) == want
 
 
-def test_fingerprints_meet_the_des_and_maj_closed_forms(monkeypatch):
-    # des and maj labels, in both encodings and under the real bit budget, on
-    # every pair of total degree <= 10 and on seeded pairs at a few bidegrees
-    # of each degree 11-14: MacMahon's and Garsia-Gessel's distributions over
-    # the shuffles, which rest on none of the tables' combinatorics
+def test_fingerprints_meet_the_des_and_maj_closed_forms():
+    # des and maj labels, packed together and counted in dicts, on every pair of total
+    # degree <= 10 and on seeded rows at a few bidegrees of each degree 11-14:
+    # MacMahon's and Garsia-Gessel's distributions over the shuffles, which rest on none
+    # of the tables' combinatorics
     rng = random.Random(14)
     bidegrees = {s: range(1, s) if s <= 10 else sorted({rng.randrange(1, s), rng.randrange(1, s), s // 2})
                  for s in range(2, 15)}
     bidegrees[14] = sorted({*bidegrees[14], 6, 7})
-    real, counted = kernel._PACKED_FINGERPRINT_BITS, set()
-    for budget in (10**9, 0, real):
-        monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", budget)
-        for s, degrees in bidegrees.items():
-            for stat, closed_form in ((int.bit_count, des_distribution), (maj, maj_distribution)):
-                labels = list(map(stat, range(1 << (s - 1))))
-                for a in degrees:
-                    fingerprint = kernel._fingerprints(labels, a, s - a)
-                    width = math.comb(s, a).bit_length()
-                    pairs = list(itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1))))
-                    for x, y in pairs if s <= 10 else rng.sample(pairs, min(len(pairs), 12)):
-                        value = fingerprint(x, y)
-                        if isinstance(value, int):
-                            slots = (value >> width * label & (1 << width) - 1 for label in range(max(labels) + 1))
-                            value = {label: count for label, count in enumerate(slots) if count}
-                        elif budget == real:
-                            counted.add((s, a))
-                        assert value == closed_form(a, x, s - a, y), (stat, a, x, y)
-    # maj's 92 classes of 12 bits outgrow the real budget from (6, 8) to (8, 6)
-    assert {(14, 6), (14, 7)} <= counted <= {(14, 6), (14, 7), (14, 8)}
-    kernel._interleavings.cache_clear()
+    for s, degrees in bidegrees.items():
+        stats = ((int.bit_count, des_distribution), (maj, maj_distribution))
+        labelings = [list(map(stat, range(1 << (s - 1)))) for stat, _ in stats]
+        for a in degrees:
+            xs, ys = kernel._interleavings(a, s - a)
+            rows = [sorted(rng.sample(range(len(tables)), min(len(tables), 4))) if s > 10 else range(len(tables))
+                    for tables in (xs, ys)]
+            sampled = ([xs[x] for x in rows[0]], [ys[y] for y in rows[1]])
+            prints, fields = kernel._packed_fingerprints(labelings, a, s - a, sampled)
+            width = math.comb(s, a).bit_length()
+            for p, (x, y) in enumerate(itertools.product(*rows)):
+                for labels, field, (stat, closed_form) in zip(labelings, fields, stats):
+                    want = closed_form(a, x, s - a, y)
+                    assert kernel._fingerprints(labels, a, s - a, (xs, ys))(x, y) == want, (stat, a, x, y)
+                    assert _unpacked(prints[p], field, width) == want, (stat, a, x, y)
 
 
-def test_a_scan_with_no_pair_to_compare_builds_no_table():
+def test_the_scan_counts_only_statistics_past_the_bit_budget(monkeypatch):
+    # a sum costs the width of its ints: pk's classes are packed at every bidegree,
+    # and Epk's 232 classes at degree 11 pass the budget in 9-bit slots, at (4, 7)
+    # and (5, 6), so only there are they counted in dicts
+    counted, real = [], kernel._product_mismatches
+
+    def counting(labels, a, b, pairs, tables=None):
+        counted.append((max(labels) + 1, a, b))
+        return real(labels, a, b, pairs, tables)
+
+    monkeypatch.setattr(kernel, "_product_mismatches", counting)
+    assert kernel._first_mismatches([S.pk, S.Epk], 11) == [None, None]
+    assert counted == [(232, 4, 7), (232, 5, 6)]
+    assert 232 * math.comb(11, 3).bit_length() <= kernel._PACKED_FINGERPRINT_BITS < 232 * math.comb(11, 4).bit_length()
+
+
+def test_a_scan_with_no_pair_to_compare_builds_no_table(monkeypatch):
     # each pair of Des is alone in its class pair, and each class of Des is a
     # single composition, so neither check compares a product or builds a table
-    kernel._interleavings.cache_clear()
+    monkeypatch.setattr(kernel, "_interleavings", _refuse)
     assert shuffle_compatibility_upto(S.Des, 8).compatible
     assert is_ideal_upto(S.Des, 8)["ideal"]
-    assert kernel._interleavings.cache_info().misses == 0
 
 
 def test_is_ideal_refuses_a_negative_witness_cap():

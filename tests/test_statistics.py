@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -455,21 +456,28 @@ def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
 
 
 def test_shufflecheck_compares_the_pairs_of_half_the_bidegrees_from_a_1(monkeypatch):
-    # F_α F_β = F_β F_α, so the route scans the bidegrees (a, s - a) with
-    # a <= s - a only, and F_∅ F_β = F_β, so it skips a = 0.  Each pair there
-    # goes with the first pair of its (class, class) group; a pair alone in its
-    # group is compared with nothing
-    seen = []
-    real = kernel._product_mismatches
+    # F_α F_β = F_β F_α, so the scan visits the bidegrees (a, s - a) with a <= s - a
+    # only, and F_∅ F_β = F_β, so it skips a = 0; (1, 1) has one pair, its own
+    # reference, and is skipped too.  Pk's classes fit the bit budget, so they are
+    # packed; with no budget, each pair goes to `_product_mismatches` with the first
+    # pair of its (class, class) group, and a pair alone in its group is compared with
+    # nothing
+    seen, packed = [], []
+    real, pack = kernel._product_mismatches, kernel._packed_fingerprints
 
-    def recording(labels, a, b, pairs):
+    def recording(labels, a, b, pairs, tables=None):
         pairs = list(pairs)
         seen.append(((a, b), pairs))
-        return real(labels, a, b, iter(pairs))
+        return real(labels, a, b, iter(pairs), tables)
 
     monkeypatch.setattr(kernel, "_product_mismatches", recording)
+    monkeypatch.setattr(kernel, "_packed_fingerprints", lambda *args: packed.append(args[1:3]) or pack(*args))
+    bidegrees = [(a, s - a) for s in range(3, 9) for a in range(1, s // 2 + 1)]
     assert shuffle_compatibility_upto(S.Pk, 8).compatible
-    assert [bidegree for bidegree, _ in seen] == [(a, s - a) for s in range(9) for a in range(1, s // 2 + 1)]
+    assert (packed, seen) == (bidegrees, [])
+    monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
+    assert shuffle_compatibility_upto(S.Pk, 8).compatible
+    assert packed == bidegrees and [bidegree for bidegree, _ in seen] == bidegrees
     compared, handed = 0, 0
     for (a, b), pairs in seen:
         left, right = kernel_space(S.Pk, a).labels, kernel_space(S.Pk, b).labels
@@ -481,7 +489,76 @@ def test_shufflecheck_compares_the_pairs_of_half_the_bidegrees_from_a_1(monkeypa
         groups = Counter((left[x], right[y]) for (x, y), _ in pairs)
         compared += sum(groups[left[x], right[y]] > 1 for (x, y), _ in pairs)
         handed += len(pairs)
-    assert (compared, handed) == (421, 427)  # 6 pairs are alone in their group
+    assert (compared, handed) == (421, 426)  # 5 pairs are alone in their group
+
+
+def _first_mismatch(stat, max_total_len):
+    """The one-statistic route: each pair against the first pair of its class pair, through
+    `_product_mismatches`, as the witness of `shuffle_compatibility_upto`, or None."""
+    for s in range(max_total_len + 1):
+        labels = kernel_space(stat, s).labels
+        for a in range(1, s // 2 + 1):
+            left, right = ([space.classes[label][0] for label in space.labels]
+                           for space in (kernel_space(stat, a), kernel_space(stat, s - a)))
+            pairs = (((x, y), (left[x], right[y])) for x, y in itertools.product(range(len(left)), range(len(right))))
+            for pair, first in kernel._product_mismatches(labels, a, s - a, pairs):
+                names = [[str(from_index(a, x)), str(from_index(s - a, y))] for x, y in (first, pair)]
+                return {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
+    return None
+
+
+SCANNED = [*StatisticId, max_part, parts_mod_3, first_part, des_mod_2, double_descents]
+FAILS_FROM = {max_part: 5, parts_mod_3: 5, des_mod_2: 4, double_descents: 3}
+
+
+def test_the_shared_scan_meets_the_one_statistic_route():
+    # each statistic alone, and all of them in one scan, at every length to 9: the
+    # same first mismatch, pair for pair, as `_product_mismatches` on its own
+    want = {stat: _first_mismatch(stat, 9) for stat in SCANNED}
+    assert [stat for stat in SCANNED if want[stat]] == [max_part, parts_mod_3, des_mod_2, double_descents]
+    for length in range(10):
+        expected = [want[stat] if FAILS_FROM.get(stat, length + 1) <= length else None for stat in SCANNED]
+        assert kernel._first_mismatches(SCANNED, length) == expected, length
+        for stat, witness in zip(SCANNED, expected):
+            assert kernel._first_mismatches([stat], length) == [witness], (stat_name(stat), length)
+    # the fallback route, for statistics whose slots pass the budget, finds the same
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
+        assert kernel._first_mismatches(SCANNED, 9) == [want[stat] for stat in SCANNED]
+
+
+# failing planted statistics between passing ones, packed side by side
+BATCH = [S.Pk, max_part, S.des, double_descents, first_part, des_mod_2, S.maj, parts_mod_3, S.Epk]
+
+
+def test_failing_statistics_between_passing_ones_keep_their_verdicts():
+    # each verdict and witness in one scan of the batch is that of its one-statistic call
+    for length in (4, 5, 7):
+        reports = kernel.ideal_reports(BATCH, length)
+        assert reports == [is_ideal_upto(stat, length) for stat in BATCH], length
+        assert [report["ideal"] for report in reports] == [FAILS_FROM.get(stat, length + 1) > length for stat in BATCH]
+        assert kernel._first_mismatches(BATCH, length) == [
+            shuffle_compatibility_upto(stat, length).witness for stat in BATCH], length
+    assert kernel.ideal_reports(iter(BATCH), 5) == kernel.ideal_reports(BATCH, 5)  # any iterable
+
+
+def test_a_field_shifted_by_one_class_is_caught(monkeypatch):
+    # the mutant reads each statistic's field one slot too high.  Alone, no verdict
+    # moves: the class counts of F_x F_y sum to C(s, a), so two that differ do so in two
+    # classes or more.  In a batch, a statistic also reads the first class of the one
+    # packed after it: Pk fails on max_part's counts, and max_part's witness moves
+    real = kernel._packed_fingerprints
+
+    def shifted(labelings, a, b, tables=None):
+        prints, fields = real(labelings, a, b, tables)
+        return prints, [field << math.comb(a + b, a).bit_length() for field in fields]
+
+    witness = _first_mismatch(max_part, 6)
+    monkeypatch.setattr(kernel, "_packed_fingerprints", shifted)
+    assert [kernel._first_mismatches([stat], 6) for stat in (S.Pk, max_part)] == [[None], [witness]]
+    assert kernel._first_mismatches([S.Pk, max_part], 6)[0] is not None
+    assert kernel._first_mismatches([max_part, S.Pk], 6) != [witness, None]
+    assert kernel._first_mismatches(BATCH, 7) != [shuffle_compatibility_upto(stat, 7).witness for stat in BATCH]
 
 
 def test_shuffle_compatibility_validates_length():
