@@ -38,8 +38,6 @@ from .kernel import (
     quotient_dimension,
     relation_edges,
 )
-from .linalg import rank
-from .qsym import QSymElement, f_to_m, lemma22b_combination, lemma22c_combination, m_to_f
 from .statistics import StatisticId, check_shuffle_compatible, parse_statistic
 
 SCHEMA_VERSION = 1
@@ -124,6 +122,7 @@ def _thm0_rows(n: int) -> list[dict]:
 def _thm1_rows(which: str, n: int) -> list[dict]:
     # the one runtime check of Theorem 1: the graph verdicts of the kernel checks against
     # the rank of the edge differences, found by elimination once per relation set
+    from .linalg import rank  # thm1a/thm1b and lemma22 alone load linalg and qsym
     rows, edge_ranks = [], {}
     for stat, relname in THM1_SUITE:
         rels = RELATION_SETS[relname]
@@ -150,6 +149,7 @@ def _report_rows(check: str, report: dict) -> list[dict]:
 
 
 def _lemma22_rows(n: int) -> list[dict]:
+    from .qsym import QSymElement, f_to_m, lemma22b_combination, lemma22c_combination, m_to_f
     size = 1 << max(n - 1, 0)
     round_trip = True
     for mask in range(size):

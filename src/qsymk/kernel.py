@@ -70,8 +70,6 @@ from .compositions import (
 )
 from .config import check_degree
 from .errors import RelationUnsoundError
-from .linalg import RowBasis, SparseVector
-from .qsym import QSymElement, f_sparse
 from .statistics import (DescentStatistic, ShuffleCompatibilityReport, StatisticId, _blocks, _check_statistic,
                          equivalence_classes, stat_name)
 
@@ -318,9 +316,15 @@ class KernelSpace(Frozen):
 
     @cached_property
     def basis(self) -> RowBasis:
+        from .linalg import RowBasis, SparseVector  # linalg and qsym serve only oracles: a cold check loads neither
         rows = {c: {c: 1, block[-1]: -1} for block in self.classes for c in block[:-1]}
         pivots = sorted(rows)
         return RowBasis(self.n, [SparseVector(self.n, rows[c]) for c in pivots], pivots)
+
+    @cached_property
+    def alone(self) -> frozenset[int]:
+        """The indices that are the only members of their classes: no basis row holds them."""
+        return frozenset(block[0] for block in self.classes if len(block) == 1)
 
     @cached_property
     def labels(self) -> list[int]:
@@ -362,6 +366,7 @@ def quotient_dimension(stat: DescentStatistic, n: int) -> int:
 
 def edge_vectors(graph: RelationGraph) -> list[SparseVector]:
     """The differences F_J - F_K along the edges (zero for a loop)."""
+    from .linalg import SparseVector
     return [SparseVector(graph.n, {a: 1, b: -1} if a != b else {}) for a, b, _ in graph.edges]
 
 
@@ -419,6 +424,7 @@ def monomial_span_terms(stat: StatisticId, n: int) -> list[dict[int, int]]:
 
 def monomial_span_vectors(stat: StatisticId, n: int) -> list[SparseVector]:
     """`monomial_span_terms` expressed in F coordinates."""
+    from .qsym import QSymElement, f_sparse
     return [f_sparse(QSymElement(n, "M", terms)) for terms in monomial_span_terms(stat, n)]
 
 
@@ -603,11 +609,13 @@ def _member_mask(region: int, c: frozenset[int], k: int, n: int) -> int:
 
 def f_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:
     """The F-side family member indexed by (C, k) in the given region."""
+    from .qsym import QSymElement
     return QSymElement(n, "F", _members(region, _member_mask(region, c, k, n), k, n)[0])
 
 
 def m_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:
     """The M-side family member indexed by (C, k) in the given region."""
+    from .qsym import QSymElement
     return QSymElement(n, "M", _members(region, _member_mask(region, c, k, n), k, n)[1])
 
 
@@ -706,19 +714,22 @@ def _interleavings(a: int, b: int) -> tuple[list[array], list[array]]:
 _PACKED_FINGERPRINT_BITS = 2048  # a sum costs the width of its ints
 
 
-def _packed_fingerprints(labelings: Sequence[Sequence[int]], a: int, b: int, tables=None):
+def _packed_fingerprints(labelings: Sequence[Sequence[int]], a: int, b: int, tables=None, skip=((), ())):
     """(prints, fields): prints[x 2^(b-1) + y] holds the class counts of F_x F_y, x of degree
     a, through every labeling at once, read off `tables`, those of `_interleavings(a, b)`.
     Labeling j counts class l in the slot of w bits at l w past the fields before its own,
     fields[j], with w the bit length of C(a + b, a): no count exceeds the C(a + b, a) < 2^w
-    shuffles, so no slot carries.  Exact, and one sum per pair however many labelings."""
+    shuffles, so no slot carries.  Exact, and one sum per pair however many labelings; with
+    `skip` a pair of index sets, a pair with x in the first and y in the second reads 0."""
     (xs, ys), width = tables or _interleavings(a, b), comb(a + b, a).bit_length()
     sizes = [width * (max(labels) + 1) for labels in labelings]
     offsets = list(accumulate(sizes, initial=0))
     slots = [map([1 << offset + width * label for label in range(max(labels) + 1)].__getitem__, labels)
              for labels, offset in zip(labelings, offsets)]  # each labeling's slot of each mask
     weight = list(map(sum, zip(*slots)))
-    prints = [sum(map(weight.__getitem__, map(or_, x, y))) for x in xs for y in ys]
+    narrow = [() if y in skip[1] else column for y, column in enumerate(ys)]  # map(or_, x, ()) sums to 0
+    prints = [sum(map(weight.__getitem__, map(or_, row, column)))
+              for x, row in enumerate(xs) for column in (narrow if x in skip[0] else ys)]
     return prints, [(1 << size) - 1 << offset for size, offset in zip(sizes, offsets)]
 
 
@@ -750,8 +761,8 @@ def _first_mismatches(stats: Sequence[DescentStatistic], max_total_len: int) -> 
     pair (x, y) of degrees (a, s - a), 1 <= a <= s - a, against its two classes' least
     members, the first pair of its class pair, wherever the statistic has a class of two
     at a or s - a (Des never has).  Those whose slots fit `_PACKED_FINGERPRINT_BITS` share
-    `_packed_fingerprints`, one sum per pair for all of them, each reading its own field;
-    each other keeps its own `_product_mismatches`."""
+    `_packed_fingerprints`, one sum for all of them per pair that one of them compares or
+    references, each reading its own field; each other keeps its own `_product_mismatches`."""
     check_degree(max_total_len)
     witnesses, live = [None] * len(stats), dict.fromkeys(range(len(stats)))
     for s in range(max_total_len + 1):  # degree 0 checks the statistics
@@ -762,7 +773,10 @@ def _first_mismatches(stats: Sequence[DescentStatistic], max_total_len: int) -> 
                 continue
             tables, width = _interleavings(a, s - a), comb(s, a).bit_length()
             packed = [i for i in scans if width * (max(labels[i]) + 1) <= _PACKED_FINGERPRINT_BITS]
-            prints, fields = _packed_fingerprints([labels[i] for i in packed], a, s - a, tables) if packed else ([], [])
+            prints, fields = [], []
+            if packed:  # (x, y) is neither compared nor a reference iff x and y are alone for each
+                alone = [frozenset.intersection(*(spaces[i][side].alone for i in packed)) for side in (0, 1)]
+                prints, fields = _packed_fingerprints([labels[i] for i in packed], a, s - a, tables, alone)
             fields = dict(zip(packed, fields))
             for i in scans:
                 left, right = ([space.classes[label][0] for label in space.labels] for space in spaces[i])

@@ -27,7 +27,6 @@ Position conventions (1-based, word of length n):
 from __future__ import annotations
 
 import enum
-import random
 from collections import Counter
 from itertools import combinations, product, repeat
 from typing import Callable, Hashable, Iterable, Union
@@ -357,6 +356,7 @@ def check_shuffle_compatible(
     if isinstance(stat, StatisticId):
         from .kernel import shuffle_compatibility_upto  # kernel imports this module
         return shuffle_compatibility_upto(stat, max_total_len)
+    import random  # only this oracle draws, so the F-product route loads no random
     check_degree(max_total_len)
     _check_statistic(stat)
     rng = random.Random(seed)

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 import figure_data
-from qsymk import cli, config, kernel
+from qsymk import cli, config, kernel, qsym
 from qsymk.cli import CHECK_NAMES, main
 from qsymk.compositions import compositions_of
 from qsymk.kernel import RelationId
@@ -416,8 +416,9 @@ def test_failing_checks_report_witnesses(capsys, monkeypatch):
     ("lemma22c_combination", lambda n, c, k: QSymElement(n, "F", {}), "part_c"),
 ], ids=["f_to_m", "lemma22b", "lemma22c"])
 def test_lemma22_reports_the_part_that_fails(capsys, monkeypatch, name, broken, flag):
-    # planted: one map returns zero, so only its part of Lemma 2.2 fails
-    monkeypatch.setattr(cli, name, broken)
+    # planted: one map returns zero, so only its part of Lemma 2.2 fails; the check
+    # imports the maps when it runs, so the planted one is read off `qsym`
+    monkeypatch.setattr(qsym, name, broken)
     code, out = run_cli(capsys, "verify", "lemma22", "--deg", "3..5")
     assert code == 1
     rows = json.loads(out)["rows"]

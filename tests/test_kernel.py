@@ -789,8 +789,8 @@ def test_section4_props_planted_families_fail_in_both_routes(monkeypatch):
 
 def test_section4_props_make_no_f_expansion(monkeypatch):
     monkeypatch.setattr(qsym, "m_to_f", _refuse)
-    monkeypatch.setattr(kernel, "f_sparse", _refuse)
-    monkeypatch.setattr(kernel, "QSymElement", _refuse)
+    monkeypatch.setattr(qsym, "f_sparse", _refuse)
+    monkeypatch.setattr(qsym, "QSymElement", _refuse)
     for n in range(0, 10):
         assert check_section4_props(n)["pass"]
 
@@ -1294,8 +1294,8 @@ def test_edge_and_monomial_checks_never_eliminate(monkeypatch, cold_graphs):
 
 def test_thm1_ranks_each_relation_set_once(monkeypatch):
     ranked = []
-    real_rank = cli.rank
-    monkeypatch.setattr(cli, "rank", lambda vs, n=None: ranked.append(len(vs)) or real_rank(vs, n))
+    real_rank = linalg.rank  # `_thm1_rows` imports it when it runs
+    monkeypatch.setattr(linalg, "rank", lambda vs, n=None: ranked.append(len(vs)) or real_rank(vs, n))
     relnames = {relname for _, relname in cli.THM1_SUITE}
     assert len(relnames) == len(cli.THM1_SUITE) - 1  # arrow12 serves Pk and pk
     for which in ("thm1a", "thm1b"):
@@ -1310,12 +1310,12 @@ def test_edge_cross_checks_are_live(monkeypatch):
     # thm1a/thm1b compare the graph verdicts with elimination: a planted
     # wrong rank or flipped forest verdict in that route makes failing rows
     # that name the disagreement
-    real_rank, real_forest = cli.rank, cli.is_forest
+    real_rank, real_forest = linalg.rank, cli.is_forest
     spanning = {(stat, relname) for stat, relname in cli.THM1_SUITE
                 if check_spanning_F(stat, 5, cli.RELATION_SETS[relname])}
     assert (S.Pk, "arrow12") in spanning and (S.Pk, "arrow2") not in spanning
 
-    monkeypatch.setattr(cli, "rank", lambda vs, n=None: real_rank(vs, n) + 1)
+    monkeypatch.setattr(linalg, "rank", lambda vs, n=None: real_rank(vs, n) + 1)
     for which in ("thm1a", "thm1b"):
         rows = cli._thm1_rows(which, 5)
         failed = {(S(row["stat"]), row["rels"]) for row in rows
@@ -1326,7 +1326,7 @@ def test_edge_cross_checks_are_live(monkeypatch):
             "graph criterion (True) and rank comparison (False) disagree for Pk at degree 5"
         )
 
-    monkeypatch.setattr(cli, "rank", real_rank)
+    monkeypatch.setattr(linalg, "rank", real_rank)
     monkeypatch.setattr(cli, "is_forest", lambda graph: not real_forest(graph))
     assert all(row["pass"] for row in cli._thm1_rows("thm1a", 5))
     rows = cli._thm1_rows("thm1b", 5)

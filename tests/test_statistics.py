@@ -492,6 +492,26 @@ def test_shufflecheck_compares_the_pairs_of_half_the_bidegrees_from_a_1(monkeypa
     assert (compared, handed) == (421, 426)  # 5 pairs are alone in their group
 
 
+def test_the_packed_scan_sums_only_the_pairs_it_compares(monkeypatch):
+    # a pair is compared, or is the reference of one, exactly when x's class or y's has a
+    # second member; only those are summed, and a summed pair never reads 0
+    calls = []
+    real = kernel._packed_fingerprints
+
+    def counting(labelings, a, b, *tables_and_skip):
+        prints, fields = real(labelings, a, b, *tables_and_skip)
+        calls.append(((a, b), prints))
+        return prints, fields
+
+    monkeypatch.setattr(kernel, "_packed_fingerprints", counting)
+    assert shuffle_compatibility_upto(S.Epk, 9).compatible
+    for (a, b), prints in calls:
+        shared = [{x for block in kernel_space(S.Epk, n).classes if len(block) > 1 for x in block} for n in (a, b)]
+        assert [bool(p) for p in prints] == [x in shared[0] or y in shared[1]
+                                             for x in range(1 << a - 1) for y in range(1 << b - 1)], (a, b)
+    assert (sum(bool(p) for _, prints in calls for p in prints), sum(len(prints) for _, prints in calls)) == (557, 904)
+
+
 def _first_mismatch(stat, max_total_len):
     """The one-statistic route: each pair against the first pair of its class pair, through
     `_product_mismatches`, as the witness of `shuffle_compatibility_upto`, or None."""
@@ -549,8 +569,8 @@ def test_a_field_shifted_by_one_class_is_caught(monkeypatch):
     # packed after it: Pk fails on max_part's counts, and max_part's witness moves
     real = kernel._packed_fingerprints
 
-    def shifted(labelings, a, b, tables=None):
-        prints, fields = real(labelings, a, b, tables)
+    def shifted(labelings, a, b, *tables_and_skip):
+        prints, fields = real(labelings, a, b, *tables_and_skip)
         return prints, [field << math.comb(a + b, a).bit_length() for field in fields]
 
     witness = _first_mismatch(max_part, 6)

@@ -6,6 +6,7 @@ of the same name and fields, built here as the reference."""
 import copy
 import dataclasses
 import hashlib
+import importlib
 import pickle
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import qsymk
 from qsymk import (
     Composition,
     DescentSet,
@@ -159,3 +161,74 @@ def test_cli_import_needs_no_dataclasses_or_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# run under -S in one process: each argv line through `cli.main`, then the modules loaded
+_COLD_JOBS = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+from qsymk import cli
+for line in sys.argv[2:]:
+    sys.stdout, out = io.StringIO(), sys.stdout
+    try:
+        code = cli.main(line.split())
+    finally:
+        sys.stdout = out
+    print(line, code)
+print(sorted({"qsymk.qsym", "qsymk.linalg", "fractions", "decimal", "random"} & set(sys.modules)))
+"""
+
+
+def _cold_jobs(*argvs: str) -> list[str]:
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-S", "-c", _COLD_JOBS, str(src), *argvs],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.splitlines()
+
+
+def test_cold_cli_jobs_load_neither_qsym_nor_linalg():
+    # every check reads classes and graphs, save the oracles of thm1a/thm1b (elimination)
+    # and lemma22 (the F/M maps); those alone load qsym, linalg and fractions
+    from qsymk.cli import CHECK_NAMES
+    argvs = [f"verify {check} --deg 1..5" for check in CHECK_NAMES if check not in ("thm1a", "thm1b", "lemma22")]
+    argvs += ["shufflecheck Epk 6", "dims --deg 1..6", "graph --rels arrow123 --deg 1..4"]
+    assert "verify ideal --deg 1..5" in argvs and "verify props4 --deg 1..5" in argvs
+    assert _cold_jobs(*argvs) == [f"{argv} 0" for argv in argvs] + ["[]"]
+    oracles = ["verify thm1a --deg 1..4", "verify lemma22 --deg 1..4"]
+    assert _cold_jobs(*oracles) == [f"{argv} 0" for argv in oracles] + [
+        "['decimal', 'fractions', 'qsymk.linalg', 'qsymk.qsym']"]
+
+
+def test_the_package_namespace_loads_each_name_from_its_module(monkeypatch):
+    assert len(set(qsymk.__all__)) == len(qsymk.__all__)
+    for module, names in qsymk._EXPORTS.items():
+        home = importlib.import_module(f"qsymk.{module}")
+        assert getattr(qsymk, module) is home
+        for name in names:
+            assert getattr(qsymk, name) is getattr(home, name), name
+    assert set(qsymk.__all__) <= set(dir(qsymk))
+    star: dict = {}
+    exec("from qsymk import *", star)
+    assert all(star[name] is getattr(qsymk, name) for name in qsymk.__all__)
+    assert not hasattr(qsymk, "nope")
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        qsymk.nope
+    # a name is looked up once, then read off the package like any other attribute
+    calls = []
+    real = qsymk.__getattr__
+    monkeypatch.delitem(vars(qsymk), "psi")
+    monkeypatch.setattr(qsymk, "__getattr__", lambda name: calls.append(name) or real(name))
+    assert qsymk.psi is qsymk.psi is importlib.import_module("qsymk.qsym").psi
+    assert calls == ["psi"]
+
+
+def test_a_bare_import_loads_no_submodule_until_one_is_named():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qsymk; "
+        "print(sorted(m for m in sys.modules if m.startswith('qsymk.'))); "
+        "print(qsymk.kernel.__name__, qsymk.kernel_space.__module__, 'qsymk.qsym' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["[]", "qsymk.kernel qsymk.kernel False"]
