@@ -72,17 +72,13 @@ THM1_SUITE: tuple[tuple[StatisticId, str], ...] = (
 )
 
 
-def _row(check: str, degree: int, passed: bool, stat: str | None = None, **extra) -> dict:
-    row: dict = {"check": check, "degree": degree, "pass": passed}
-    if stat is not None:
-        row["stat"] = stat
-    row.update(extra)
-    return row
+def _row(check: str, degree: int, passed: bool, **extra) -> dict:
+    return {"check": check, "degree": degree, "pass": passed, **extra}
 
 
 def _spanning_rows(check: str, stat: StatisticId, relname: str, n: int) -> list[dict]:
     passed = check_spanning_F(stat, n, RELATION_SETS[relname])
-    row = _row(check, n, passed, stat.value, rels=relname)
+    row = _row(check, n, passed, stat=stat.value, rels=relname)
     if not passed:
         row["witness"] = {
             "kernel_dim": kernel_space(stat, n).dim,
@@ -93,7 +89,7 @@ def _spanning_rows(check: str, stat: StatisticId, relname: str, n: int) -> list[
 
 def _basis_rows(check: str, stat: StatisticId, relname: str, n: int) -> list[dict]:
     passed = check_basis_F(stat, n, RELATION_SETS[relname])
-    row = _row(check, n, passed, stat.value, rels=relname)
+    row = _row(check, n, passed, stat=stat.value, rels=relname)
     if not passed:
         row["witness"] = {
             "kernel_dim": kernel_space(stat, n).dim,
@@ -104,7 +100,7 @@ def _basis_rows(check: str, stat: StatisticId, relname: str, n: int) -> list[dic
 
 def _monomial_rows(check: str, stat: StatisticId, n: int) -> list[dict]:
     passed = check_spanning_M(stat, n)
-    row = _row(check, n, passed, stat.value)
+    row = _row(check, n, passed, stat=stat.value)
     if not passed:
         row["witness"] = {"kernel_dim": kernel_space(stat, n).dim}
     return [row]
@@ -114,7 +110,7 @@ def _thm0_rows(n: int) -> list[dict]:
     f_ok = check_spanning_F(StatisticId.Epk, n, RELATION_SETS["epkarrow"])
     m_ok = check_spanning_M(StatisticId.Epk, n)
     return [
-        _row("thm0", n, f_ok and m_ok, "Epk",
+        _row("thm0", n, f_ok and m_ok, stat="Epk",
              details={"fundamental": f_ok, "monomial": m_ok}),
     ]
 
@@ -137,7 +133,7 @@ def _thm1_rows(which: str, n: int) -> list[dict]:
             disagreement = f"graph criterion ({spanning}) and rank comparison ({ranked})"
         elif which == "thm1b" and forest != independent:
             disagreement = f"forest criterion ({forest}) and independence ({independent})"
-        row = _row(which, n, disagreement is None, stat.value, rels=relname)
+        row = _row(which, n, disagreement is None, stat=stat.value, rels=relname)
         if disagreement:
             row["witness"] = f"{disagreement} disagree for {stat.value} at degree {n}"
         rows.append(row)
@@ -206,41 +202,29 @@ def _parse_degrees(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
-    if args.out is not None and args.out.seekable():  # a pipe or FIFO cannot be truncated
-        args.out.truncate(0)  # opened without truncating: a usage error keeps the old file
-    (args.out or sys.stdout).write(text)
-    args.emitted = True
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _report_json(check: str, rows: list[dict]) -> str:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "check": check,
-        "pass": all(row["pass"] for row in rows),
-        "rows": rows,
-    }
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.stat and args.check != "ideal":
         raise ValueError(f"--stat applies only to the ideal check, not {args.check}")
-    degrees = _parse_degrees(args.deg if args.deg else ("1..10" if args.deep else "1..8"))
+    degrees = _parse_degrees(args.deg or "1..8")
     if args.check == "ideal":
         stats = [parse_statistic(args.stat)] if args.stat else list(StatisticId)
-        rows = [_row("ideal", report["total_degree"], report["ideal"], report["stat"],
+        rows = [_row("ideal", report["total_degree"], report["ideal"], stat=report["stat"],
                      **({} if report["ideal"] else {"witness": report["violations"]}))
                 for report in ideal_reports(stats, max(degrees))]
     else:
         runner = PER_DEGREE_CHECKS[args.check]
         rows = [row for n in degrees for row in runner(n)]
-    _emit(_report_json(args.check, rows), args)
-    return 0 if all(row["pass"] for row in rows) else 1
+    passed = all(row["pass"] for row in rows)
+    report = {"schema_version": SCHEMA_VERSION, "check": args.check, "pass": passed, "rows": rows}
+    return _json(report), 0 if passed else 1
 
 
-def _cmd_dims(args: argparse.Namespace) -> int:
-    degrees = _parse_degrees(args.deg if args.deg else "1..8")
+def _cmd_dims(args: argparse.Namespace) -> tuple[str, int]:
+    degrees = _parse_degrees(args.deg or "1..8")
     stats = [parse_statistic(name) for name in args.stat] if args.stat else list(StatisticId)
     records = [
         {
@@ -253,38 +237,29 @@ def _cmd_dims(args: argparse.Namespace) -> int:
         for n in degrees
     ]
     if args.format == "json":
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    else:
-        sep = "\t" if args.format == "tsv" else ","
-        lines = [sep.join(("stat", "degree", "kernel_dim", "quotient_dim"))]
-        lines += [
-            sep.join((r["stat"], str(r["degree"]), str(r["kernel_dim"]), str(r["quotient_dim"])))
-            for r in records
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args)
-    return 0
+        return _json(records), 0
+    sep = "\t" if args.format == "tsv" else ","
+    fields = ("stat", "degree", "kernel_dim", "quotient_dim")
+    lines = [sep.join(fields)] + [sep.join(str(record[f]) for f in fields) for record in records]
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    degrees = _parse_degrees(args.deg if args.deg else "1..5")
+GRAPH_FORMATS = {
+    "dot": graphs_to_dot,
+    "json": lambda graphs: _json(graphs_to_json_dict(graphs)),
+    "csv": graphs_to_csv,
+}
+
+
+def _cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
+    degrees = _parse_degrees(args.deg or "1..5")
     graphs = [relation_edges(RELATION_SETS[args.rels], n) for n in degrees]
-    if args.format == "dot":
-        text = graphs_to_dot(graphs)
-    elif args.format == "json":
-        text = json.dumps(graphs_to_json_dict(graphs), indent=2, sort_keys=True) + "\n"
-    else:
-        text = graphs_to_csv(graphs)
-    _emit(text, args)
-    return 0
+    return GRAPH_FORMATS[args.format](graphs), 0
 
 
-def _cmd_shufflecheck(args: argparse.Namespace) -> int:
-    stat = parse_statistic(args.stat)
-    report = check_shuffle_compatible(stat, args.max_total_len)
-    payload = {"schema_version": SCHEMA_VERSION, **report.as_dict()}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
-    return 0 if report.compatible else 1
+def _cmd_shufflecheck(args: argparse.Namespace) -> tuple[str, int]:
+    report = check_shuffle_compatible(parse_statistic(args.stat), args.max_total_len)
+    return _json({"schema_version": SCHEMA_VERSION, **report.as_dict()}), 0 if report.compatible else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("check", choices=CHECK_NAMES)
     p_verify.add_argument("--deg", default=None,
                           help="degree range LO..HI (default 1..8); ideal checks every total degree up to HI")
-    p_verify.add_argument("--deep", action="store_true", help="default range becomes 1..10")
     p_verify.add_argument("--stat", default=None, help="restrict the ideal check to one statistic")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)
@@ -317,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", help="export a relation graph")
     p_graph.add_argument("--rels", choices=sorted(RELATION_SETS), required=True)
     p_graph.add_argument("--deg", default=None, help="degree or range (default 1..5)")
-    p_graph.add_argument("--format", choices=("dot", "json", "csv"), default="dot")
+    p_graph.add_argument("--format", choices=tuple(GRAPH_FORMATS), default="dot")
     p_graph.add_argument("--out", default=None)
     p_graph.set_defaults(func=_cmd_graph)
 
@@ -333,22 +307,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    restore, out, created = False, None, False
+    restore, out, created, written = False, None, False, False
     try:
         if args.max_degree is not None:
             previous, restore = config.set_max_degree(args.max_degree), True
         if args.out:
-            # opened before the run, so a bad path fails first; `_emit` truncates and marks it written
+            # opened before the run, so a bad path fails first; truncated only once there is a report
             created = not os.path.exists(args.out)
-            out = args.out = open(args.out, "a", encoding="utf-8")
-        return args.func(args)
+            out = open(args.out, "a", encoding="utf-8")
+        text, code = args.func(args)
+        if out is not None and out.seekable():  # a pipe or FIFO cannot be truncated
+            out.truncate(0)
+        (out or sys.stdout).write(text)
+        written = True
+        return code
     except (QsymkError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
     finally:
         if out is not None:
             out.close()
-            if created and not getattr(args, "emitted", False):
-                os.remove(out.name)
+            if created and not written:
+                os.remove(args.out)
         if restore:
             config.set_max_degree(previous)
 

@@ -79,10 +79,14 @@ def test_verify_vacuous_degree_zero(capsys):
     assert json.loads(out)["rows"][0]["degree"] == 0
 
 
-def test_verify_deep_raises_default_range(capsys):
-    code, out = run_cli(capsys, "verify", "thm33", "--deep")
+def test_verify_default_range_is_1_to_8(capsys):
+    code, out = run_cli(capsys, "verify", "thm33")
     assert code == 0
-    assert [row["degree"] for row in json.loads(out)["rows"]] == list(range(1, 11))
+    assert [row["degree"] for row in json.loads(out)["rows"]] == list(range(1, 9))
+    # --deg alone sets the range
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "thm33", "--deep"])
+    assert info.value.code == 2
 
 
 def test_verify_all_registry_checks_small(capsys):
@@ -272,6 +276,12 @@ def test_reports_match_golden_files(capsys, name, argv):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_every_golden_file_is_checked():
+    # the CI loop diffs every file in tests/golden; each must be diffed here too
+    checked = {name for name, _ in GOLDEN_REPORTS} | {"arrow123_deg3.dot"}
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(checked)
+
+
 def test_graph_single_vertex_degree_one(capsys):
     code, out = run_cli(capsys, "graph", "--rels", "arrow123", "--deg", "1")
     assert code == 0
@@ -289,6 +299,23 @@ def test_output_deterministic_and_file_writing(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    (("dims", "--deg", "1..4", "--format", "tsv"), 0),
+    *((("graph", "--rels", "tri12ctilde", "--deg", "0..3", "--format", fmt), 0)
+      for fmt in ("dot", "json", "csv")),
+    (("shufflecheck", "Pk", "5"), 0),
+    (("verify", "thm2a", "--deg", "1..4"), 1),
+], ids=["dims-tsv", "graph-dot", "graph-json", "graph-csv", "shufflecheck", "verify-failing"])
+def test_out_file_holds_the_stdout_report(tmp_path, capsys, monkeypatch, argv, want_code):
+    # planted, for the failing verify: the arrow1 splits alone span too little for Pk
+    monkeypatch.setitem(cli.RELATION_SETS, "arrow12", frozenset({RelationId.Arrow1}))
+    code, want = run_cli(capsys, *argv)
+    target = tmp_path / "report"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (code, "")
+    assert code == want_code
+    assert target.read_bytes() == want.encode()
 
 
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
