@@ -6,9 +6,11 @@ Subcommands:
   graph              export a relation graph (dot/json/csv)
   shufflecheck       shuffle-compatibility check, from F products
 
+Every number (a degree, LO..HI, MAXLEN, --max-degree) is ASCII digits 0-9.
 Exit codes: 0 all checks passed, 1 a check failed (report carries a
-witness), 2 usage error.  Reports are UTF-8 JSON with sorted keys, so
-output is byte-for-byte deterministic for identical flags.
+witness), 2 usage error, 141 (128 + SIGPIPE) the output pipe was closed.
+Reports are UTF-8 JSON with sorted keys, so output is byte-for-byte
+deterministic for identical flags.
 """
 
 from __future__ import annotations
@@ -76,25 +78,14 @@ def _row(check: str, degree: int, passed: bool, **extra) -> dict:
     return {"check": check, "degree": degree, "pass": passed, **extra}
 
 
-def _spanning_rows(check: str, stat: StatisticId, relname: str, n: int) -> list[dict]:
-    passed = check_spanning_F(stat, n, RELATION_SETS[relname])
+def _edge_rows(check: str, stat: StatisticId, relname: str, n: int, basis: bool = False) -> list[dict]:
+    rels = RELATION_SETS[relname]
+    passed = (check_basis_F if basis else check_spanning_F)(stat, n, rels)
     row = _row(check, n, passed, stat=stat.value, rels=relname)
     if not passed:
-        row["witness"] = {
-            "kernel_dim": kernel_space(stat, n).dim,
-            "edge_rank": relation_edges(RELATION_SETS[relname], n).edge_rank,
-        }
-    return [row]
-
-
-def _basis_rows(check: str, stat: StatisticId, relname: str, n: int) -> list[dict]:
-    passed = check_basis_F(stat, n, RELATION_SETS[relname])
-    row = _row(check, n, passed, stat=stat.value, rels=relname)
-    if not passed:
-        row["witness"] = {
-            "kernel_dim": kernel_space(stat, n).dim,
-            "edges": len(relation_edges(RELATION_SETS[relname], n).edges),
-        }
+        graph = relation_edges(rels, n)
+        edges = {"edges": len(graph.edges)} if basis else {"edge_rank": graph.edge_rank}
+        row["witness"] = {"kernel_dim": kernel_space(stat, n).dim, **edges}
     return [row]
 
 
@@ -123,8 +114,9 @@ def _thm1_rows(which: str, n: int) -> list[dict]:
     for stat, relname in THM1_SUITE:
         rels = RELATION_SETS[relname]
         graph = relation_edges(rels, n)
-        if relname not in edge_ranks:
-            edge_ranks[relname] = rank(edge_vectors(graph), n)
+        if relname not in edge_ranks:  # by larger index, descending: short pivot chains
+            edges = sorted(edge_vectors(graph), key=lambda v: max(v.entries, default=0), reverse=True)
+            edge_ranks[relname] = rank(edges, n)
         edge_rank = edge_ranks[relname]
         spanning, ranked = check_spanning_F(stat, n, rels), edge_rank == kernel_space(stat, n).dim
         forest, independent = is_forest(graph), edge_rank == len(graph.edges)
@@ -175,14 +167,14 @@ PER_DEGREE_CHECKS = {
     "thm0": _thm0_rows,
     "thm1a": lambda n: _thm1_rows("thm1a", n),
     "thm1b": lambda n: _thm1_rows("thm1b", n),
-    "thm2a": lambda n: _spanning_rows("thm2a", StatisticId.Pk, "arrow12", n),
-    "thm2b": lambda n: _spanning_rows("thm2b", StatisticId.pk, "arrow123", n),
-    "thm33": lambda n: _basis_rows("thm33", StatisticId.Pk, "pkbasis", n),
-    "thm35": lambda n: _basis_rows("thm35", StatisticId.pk, "pknumbasis", n),
+    "thm2a": lambda n: _edge_rows("thm2a", StatisticId.Pk, "arrow12", n),
+    "thm2b": lambda n: _edge_rows("thm2b", StatisticId.pk, "arrow123", n),
+    "thm33": lambda n: _edge_rows("thm33", StatisticId.Pk, "pkbasis", n, basis=True),
+    "thm35": lambda n: _edge_rows("thm35", StatisticId.pk, "pknumbasis", n, basis=True),
     "thm3a": lambda n: _monomial_rows("thm3a", StatisticId.Pk, n),
     "thm3b": lambda n: _monomial_rows("thm3b", StatisticId.pk, n),
-    "thm53a": lambda n: _spanning_rows("thm53a", StatisticId.Val, "val12", n),
-    "thm53b": lambda n: _spanning_rows("thm53b", StatisticId.val, "val123", n),
+    "thm53a": lambda n: _edge_rows("thm53a", StatisticId.Val, "val12", n),
+    "thm53b": lambda n: _edge_rows("thm53b", StatisticId.val, "val123", n),
     "props4": lambda n: _report_rows("props4", check_section4_props(n)),
     "lemma22": _lemma22_rows,
     "bridges": lambda n: _report_rows("bridges", check_symmetry_bridges(n)),
@@ -191,15 +183,17 @@ PER_DEGREE_CHECKS = {
 CHECK_NAMES = tuple(PER_DEGREE_CHECKS) + ("ideal",)
 
 
+def _natural(text: str, name: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} takes the ASCII digits 0-9, not {text!r}")
+    return int(text)
+
+
 def _parse_degrees(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
-    if lo < 0 or hi < lo:
+    bounds = [_natural(bound, "--deg") for bound in text.split("..")]
+    if len(bounds) > 2 or bounds[-1] < bounds[0]:
         raise ValueError(f"bad degree range {text!r}")
-    return list(range(lo, hi + 1))
+    return list(range(bounds[0], bounds[-1] + 1))
 
 
 def _json(obj) -> str:
@@ -209,7 +203,7 @@ def _json(obj) -> str:
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.stat and args.check != "ideal":
         raise ValueError(f"--stat applies only to the ideal check, not {args.check}")
-    degrees = _parse_degrees(args.deg or "1..8")
+    degrees = _parse_degrees(args.deg)
     if args.check == "ideal":
         stats = [parse_statistic(args.stat)] if args.stat else list(StatisticId)
         rows = [_row("ideal", report["total_degree"], report["ideal"], stat=report["stat"],
@@ -224,7 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_dims(args: argparse.Namespace) -> tuple[str, int]:
-    degrees = _parse_degrees(args.deg or "1..8")
+    degrees = _parse_degrees(args.deg)
     stats = [parse_statistic(name) for name in args.stat] if args.stat else list(StatisticId)
     records = [
         {
@@ -252,13 +246,13 @@ GRAPH_FORMATS = {
 
 
 def _cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
-    degrees = _parse_degrees(args.deg or "1..5")
+    degrees = _parse_degrees(args.deg)
     graphs = [relation_edges(RELATION_SETS[args.rels], n) for n in degrees]
     return GRAPH_FORMATS[args.format](graphs), 0
 
 
 def _cmd_shufflecheck(args: argparse.Namespace) -> tuple[str, int]:
-    report = check_shuffle_compatible(parse_statistic(args.stat), args.max_total_len)
+    report = check_shuffle_compatible(parse_statistic(args.stat), _natural(args.max_total_len, "MAXLEN"))
     return _json({"schema_version": SCHEMA_VERSION, **report.as_dict()}), 0 if report.compatible else 1
 
 
@@ -267,40 +261,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qsymk",
         description="Exact verification of kernel subspaces of descent statistics.",
     )
-    parser.add_argument("--max-degree", type=int, default=os.environ.get("QSYMK_MAX_DEGREE"),
+    parser.add_argument("--max-degree", default=os.environ.get("QSYMK_MAX_DEGREE"),
                         help="override the configured maximum degree "
                              "(default: $QSYMK_MAX_DEGREE, if set)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a named check over a degree range")
-    p_verify.add_argument("check", choices=CHECK_NAMES)
-    p_verify.add_argument("--deg", default=None,
-                          help="degree range LO..HI (default 1..8); ideal checks every total degree up to HI")
+    p_verify.add_argument("check", choices=CHECK_NAMES, help="the check to run; ideal checks every total degree up to HI")
     p_verify.add_argument("--stat", default=None, help="restrict the ideal check to one statistic")
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_dims = sub.add_parser("dims", help="kernel/quotient dimension table")
     p_dims.add_argument("--stat", action="append", default=None,
                         help="statistic name (repeatable; default all)")
-    p_dims.add_argument("--deg", default=None)
     p_dims.add_argument("--format", choices=("csv", "tsv", "json"), default="csv")
-    p_dims.add_argument("--out", default=None)
     p_dims.set_defaults(func=_cmd_dims)
 
     p_graph = sub.add_parser("graph", help="export a relation graph")
     p_graph.add_argument("--rels", choices=sorted(RELATION_SETS), required=True)
-    p_graph.add_argument("--deg", default=None, help="degree or range (default 1..5)")
     p_graph.add_argument("--format", choices=tuple(GRAPH_FORMATS), default="dot")
-    p_graph.add_argument("--out", default=None)
     p_graph.set_defaults(func=_cmd_graph)
 
     p_shuf = sub.add_parser("shufflecheck", help="shuffle-compatibility check, from F products")
     p_shuf.add_argument("stat")
-    p_shuf.add_argument("max_total_len", type=int)
-    p_shuf.add_argument("--out", default=None)
+    p_shuf.add_argument("max_total_len", metavar="MAXLEN")
     p_shuf.set_defaults(func=_cmd_shufflecheck)
 
+    for p_sub, deg in ((p_verify, "1..8"), (p_dims, "1..8"), (p_graph, "1..5")):
+        p_sub.add_argument("--deg", default=deg, help="degree N or range LO..HI (default %(default)s)")
+    for p_sub in sub.choices.values():
+        p_sub.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
     return parser
 
 
@@ -310,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     restore, out, created, written = False, None, False, False
     try:
         if args.max_degree is not None:
-            previous, restore = config.set_max_degree(args.max_degree), True
+            previous, restore = config.set_max_degree(_natural(args.max_degree, "--max-degree")), True
         if args.out:
             # opened before the run, so a bad path fails first; truncated only once there is a report
             created = not os.path.exists(args.out)
@@ -318,9 +308,12 @@ def main(argv: list[str] | None = None) -> int:
         text, code = args.func(args)
         if out is not None and out.seekable():  # a pipe or FIFO cannot be truncated
             out.truncate(0)
-        (out or sys.stdout).write(text)
+        print(text, end="", file=out or sys.stdout, flush=True)
         written = True
         return code
+    except BrokenPipeError:  # exit as SIGPIPE would; devnull takes the flushes at close and exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), (out or sys.stdout).fileno())
+        return 141
     except (QsymkError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
     finally:

@@ -852,44 +852,36 @@ def check_symmetry_bridges(n: int) -> dict:
 
 # -- graph export --------------------------------------------------------------
 
-def _names(graph: RelationGraph) -> list[str]:
-    """Composition text of each vertex, by index."""
-    return [str(comp) for comp in compositions_of(graph.n)]
+def _named(graphs: Sequence[RelationGraph]) -> Iterator[tuple[list[str], list[str], list[tuple[str, str, str]]]]:
+    """Per graph, named by composition text: its vertices by index, its ctilde marks, its edges."""
+    for graph in graphs:
+        names = [str(comp) for comp in compositions_of(graph.n)]
+        yield names, [names[c] for c in graph.marks], [(names[a], names[b], label) for a, b, label in graph.edges]
 
 
 def graphs_to_dot(graphs: Sequence[RelationGraph]) -> str:
     """DOT export: vertices labeled with composition text, edges labeled
     1/2/3, ctilde-marked vertices drawn with doubled borders."""
     lines = ["digraph relations {"]
-    for graph in graphs:
-        names, marked = _names(graph), set(graph.marks)
-        for c, name in enumerate(names):
-            attr = " [peripheries=2]" if c in marked else ""
-            lines.append(f'  "{name}"{attr};')
-        for a, b, label in graph.edges:
-            lines.append(f'  "{names[a]}" -> "{names[b]}" [label="{label}"];')
+    for names, marks, edges in _named(graphs):
+        marked = set(marks)
+        lines += [f'  "{name}"{" [peripheries=2]" if name in marked else ""};' for name in names]
+        lines += [f'  "{a}" -> "{b}" [label="{label}"];' for a, b, label in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graphs_to_json_dict(graphs: Sequence[RelationGraph]) -> dict:
-    named = [(g, _names(g)) for g in graphs]
+    named = list(_named(graphs))
     return {
         "degrees": [g.n for g in graphs],
-        "vertices": [name for _, names in named for name in names],
-        "ctilde": [names[c] for g, names in named for c in g.marks],
-        "edges": [
-            {"from": names[a], "to": names[b], "label": label}
-            for g, names in named
-            for a, b, label in g.edges
-        ],
+        "vertices": [name for names, _, _ in named for name in names],
+        "ctilde": [name for _, marks, _ in named for name in marks],
+        "edges": [{"from": a, "to": b, "label": label} for _, _, edges in named for a, b, label in edges],
     }
 
 
 def graphs_to_csv(graphs: Sequence[RelationGraph]) -> str:
     # composition text contains commas, so those fields are quoted
-    lines = ["from,to,label"]
-    for g in graphs:
-        names = _names(g)
-        lines += [f'"{names[a]}","{names[b]}",{label}' for a, b, label in g.edges]
-    return "\n".join(lines) + "\n"
+    rows = (f'"{a}","{b}",{label}' for _, _, edges in _named(graphs) for a, b, label in edges)
+    return "\n".join(["from,to,label", *rows]) + "\n"

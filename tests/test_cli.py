@@ -3,16 +3,19 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import random
 import re
+import subprocess
+import sys
 import threading
 
 import pytest
 
 import figure_data
-from qsymk import cli, config, kernel, qsym
+from qsymk import cli, config, kernel, linalg, qsym
 from qsymk.cli import CHECK_NAMES, main
 from qsymk.compositions import compositions_of
-from qsymk.kernel import RelationId
+from qsymk.kernel import RelationId, relation_edges
 from qsymk.qsym import QSymElement
 from qsymk.statistics import StatisticId
 
@@ -106,6 +109,29 @@ def test_verify_thm1_consistency_suite(capsys):
         assert {row["rels"] for row in report["rows"]} >= {"arrow12", "pkbasis", "val123"}
 
 
+def test_thm1_ranks_sorted_edges(monkeypatch):
+    # thm1a/thm1b eliminate the edge vectors by larger index, descending, which walks
+    # short pivot chains; the rank must still be the component count's
+    calls = []
+
+    def spy(vectors, n):
+        vectors = list(vectors)
+        calls.append((vectors, linalg_rank(vectors, n)))
+        return calls[-1][1]
+
+    linalg_rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", spy)
+    relnames = list(dict.fromkeys(relname for _, relname in cli.THM1_SUITE))
+    for n in (13, 14):
+        calls.clear()
+        assert all(row["pass"] for row in cli._thm1_rows("thm1a", n))
+        assert len(calls) == len(relnames)
+        for relname, (vectors, got) in zip(relnames, calls):
+            assert got == relation_edges(cli.RELATION_SETS[relname], n).edge_rank, (relname, n)
+            larger = [max(v.entries, default=0) for v in vectors]
+            assert larger == sorted(larger, reverse=True), (relname, n)
+
+
 def test_verify_ideal_single_stat(capsys):
     code, out = run_cli(capsys, "verify", "ideal", "--stat", "Pk", "--deg", "1..5")
     assert code == 0
@@ -141,6 +167,37 @@ def test_bad_degree_range_is_usage_error(capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "thm2a", "--deg", bad])
         assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "thm2a", "--deg", ""], "--deg"),
+    (["verify", "thm2a", "--deg", "1_0"], "--deg"),
+    (["verify", "thm2a", "--deg", "\u0663"], "--deg"),  # ARABIC-INDIC DIGIT THREE
+    (["dims", "--deg", "\uff13..4"], "--deg"),  # FULLWIDTH DIGIT THREE
+    (["graph", "--rels", "arrow1", "--deg", "+3"], "--deg"),
+    (["verify", "thm2a", "--deg", "1.."], "--deg"),
+    (["verify", "thm2a", "--deg", "1..2..3"], "degree range"),
+    (["shufflecheck", "Pk", "1_0"], "MAXLEN"),
+    (["shufflecheck", "Pk", " 3"], "MAXLEN"),
+    (["--max-degree", "\u0663", "dims"], "--max-degree"),
+    (["--max-degree", "", "dims"], "--max-degree"),
+])
+def test_numbers_are_ascii_digits_only(tmp_path, capsys, argv, name):
+    # int() takes "1_0", " 3" and other scripts' digits; the CLI takes [0-9]+ alone
+    target = tmp_path / "report"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(target)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and name in captured.err
+    assert not target.exists()
+
+
+def test_degree_defaults_live_in_the_parser():
+    parser = cli.build_parser()
+    for argv, default in ((["verify", "thm2a"], "1..8"), (["dims"], "1..8"), (["graph", "--rels", "arrow1"], "1..5")):
+        assert parser.parse_args(argv).deg == default
 
 
 def test_degree_above_limit_is_usage_error(capsys):
@@ -476,19 +533,124 @@ def test_shufflecheck_length_is_validated(capsys):
         assert captured.err.startswith("error: ")
 
 
-def test_console_script_subprocess():
-    import os
-    import subprocess
-    import sys
+# The input contract, fuzzed: an invocation is drawn as words and options whose
+# values are names, ints or (lo, hi) ranges, at degrees <= 4.  `_spell` writes it
+# canonically, or with a free choice of the grammar: leading zeros, N for N..N,
+# --flag=value, option order.  A corrupted draw swaps one value for a token the
+# grammar refuses.
+FUZZ_BAD_NUMBERS = ("", "1_0", "\u0663", "\uff13", "\u00b3", "+3", "-1", " 3", "3 ", "3.0", "0x3", "1e1")
+FUZZ_BAD_RANGES = ("1..", "..2", "..", "1..2..3", "4..1", "1...2", "1-3", "1. .2")
+FUZZ_BAD_NAMES = ("", "nope", "PK", "thm9", "Pk ", "arrow4")
 
+
+def _fuzz_draw(rng):
+    """(global options, words, options) of one valid invocation."""
+    lo = rng.randint(0, 4)
+    deg, stat = (lo, rng.randint(lo, 4)), rng.choice([s.value for s in StatisticId])
+    limit = {"--max-degree": rng.choice((5, 16))} if rng.random() < 0.3 else {}
+    command = rng.choice(("verify", "dims", "graph", "shufflecheck"))
+    if command == "verify":
+        check = rng.choice(CHECK_NAMES)
+        return limit, ["verify", check], {"--deg": deg, **({"--stat": stat} if check == "ideal" else {})}
+    if command == "dims":
+        return limit, ["dims"], {"--deg": deg, "--stat": stat, "--format": rng.choice(("csv", "tsv", "json"))}
+    if command == "graph":
+        rels, fmt = rng.choice(sorted(cli.RELATION_SETS)), rng.choice(tuple(cli.GRAPH_FORMATS))
+        return limit, ["graph"], {"--rels": rels, "--deg": deg, "--format": fmt}
+    return limit, ["shufflecheck", stat, deg[1]], {}
+
+
+def _spell(value, rng=None):
+    if isinstance(value, tuple):
+        lo, hi = (_spell(bound, rng) for bound in value)
+        return lo if rng and value[0] == value[1] and rng.random() < 0.5 else f"{lo}..{hi}"
+    if isinstance(value, int):
+        return (rng.choice(("", "0", "00")) if rng else "") + str(value)
+    return value
+
+
+def _spell_argv(words, options, rng=None):
+    argv, items = [_spell(word, rng) for word in words], list(options.items())
+    if rng:
+        rng.shuffle(items)
+    for flag, value in items:
+        text = _spell(value, rng)
+        argv += [f"{flag}={text}"] if rng and rng.random() < 0.5 else [flag, text]
+    return argv
+
+
+def _corrupt(value, rng):
+    if isinstance(value, tuple):
+        bound = rng.choice(FUZZ_BAD_NUMBERS)
+        return rng.choice((rng.choice(FUZZ_BAD_RANGES), f"{bound}..{value[1]}", f"{value[0]}..{bound}"))
+    return rng.choice(FUZZ_BAD_NUMBERS if isinstance(value, int) else FUZZ_BAD_NAMES)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fuzzed_argvs_keep_the_input_contract(tmp_path, capsys, seed):
+    rng, canonical = random.Random(seed), {}
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # anything else is a traceback, and fails the test
+            code = exc.code
+        return code, capsys.readouterr()
+
+    for i in range(200):
+        limit, words, options = _fuzz_draw(rng)
+        want_argv = tuple(_spell_argv([], limit) + _spell_argv(words, options))
+        corrupt = rng.random() < 0.4
+        if corrupt:
+            spots = [(words, k) for k in range(1, len(words))] + [(d, k) for d in (limit, options) for k in d]
+            place, key = rng.choice(spots)
+            place[key] = _corrupt(place[key], rng)
+        argv = _spell_argv([], limit, rng) + _spell_argv(words, options, rng)
+        target = tmp_path / f"report{i}" if rng.random() < 0.5 else None
+        code, captured = run(argv + (["--out", str(target)] if target else []))
+        assert code in (0, 1, 2), argv
+        assert (code == 2) == corrupt, (argv, captured.err)
+        if code == 2:
+            assert captured.out == "" and captured.err, argv
+            assert target is None or not target.exists(), argv
+            continue
+        if want_argv not in canonical:
+            canonical[want_argv] = run(list(want_argv))
+        want_code, want = canonical[want_argv]
+        assert want_code == code, argv
+        assert (target.read_text(encoding="utf-8") if target else captured.out) == want.out, argv
+        assert captured.err == want.err == "", argv
+        if target:
+            assert captured.out == "", argv
+
+
+def _child_env():
     # the child imports the package under test, wherever pytest found it
     src = str(pathlib.Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "/dev/stdout"]], ids=["stdout", "out-dev-stdout"])
+def test_closed_output_pipe_exits_141(out):
+    # the read end is closed before the spawn, so the first write fails, with no race
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qsymk.cli", "verify", "thm2a", "--deg", "1..3", *out],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_child_env())
+    finally:
+        os.close(write_end)
+    # 128 + SIGPIPE, as a shell reports a writer stopped by a closed pipe; no traceback
+    # and no "Exception ignored" line from the flush at exit
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_console_script_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "qsymk.cli", "verify", "thm33", "--deg", "1..4"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True

@@ -102,6 +102,53 @@ def test_quotient_dimension_examples():
         assert quotient_dimension(S.pk, n) == (n - 1) // 2 + 1
 
 
+def _fibonacci(k: int) -> int:
+    """F_k with F_1 = F_2 = 1."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+# The number of st-classes at degree n is the number of values st takes on the
+# descent sets D of [n - 1], counted from what each statistic is rather than from
+# the mask formulas of `statistics`:
+# - Des: every D occurs; des: 0..n-1 descents; maj: every sum 0..C(n, 2) of a D.
+# - Pk, Val: the sets of {2, ..., n - 1} with no two consecutive members, F_n of them.
+# - Lpk, Rpk: the same in {1, ..., n - 1} or {2, ..., n}, F_(n+1) each.
+# - Epk: the nonempty such sets of {1, ..., n}, F_(n+2) - 1 (an exterior peak always exists).
+# - pk, val: 0..floor((n-1)/2); epk: 1..floor((n+1)/2); lpk, rpk: 0..floor(n/2).
+CLASS_COUNTS = {
+    S.Des: lambda n: 2 ** (n - 1),
+    S.des: lambda n: n,
+    S.maj: lambda n: math.comb(n, 2) + 1,
+    S.Pk: _fibonacci,
+    S.Val: _fibonacci,
+    S.Lpk: lambda n: _fibonacci(n + 1),
+    S.Rpk: lambda n: _fibonacci(n + 1),
+    S.Epk: lambda n: _fibonacci(n + 2) - 1,
+    S.pk: lambda n: (n + 1) // 2,
+    S.epk: lambda n: (n + 1) // 2,
+    S.val: lambda n: (n + 1) // 2,
+    S.lpk: lambda n: n // 2 + 1,
+    S.rpk: lambda n: n // 2 + 1,
+}
+
+
+def test_class_counts_follow_closed_forms_past_the_goldens():
+    # the dims goldens stop at degree 11; these counts reach 18, above the default limit
+    assert set(CLASS_COUNTS) == set(StatisticId)
+    previous = config.set_max_degree(18)
+    try:
+        for n in range(1, 19):
+            for stat, count in CLASS_COUNTS.items():
+                assert quotient_dimension(stat, n) == count(n), (stat, n)
+                assert kernel_space(stat, n).dim == 2 ** (n - 1) - count(n), (stat, n)
+            kernel._kernel_space.cache_clear()  # one degree's spaces at a time: 2^17 labels each at 18
+    finally:
+        config.set_max_degree(previous)
+
+
 def test_kernel_rref_matches_per_class_construction():
     # the written-down basis equals the elimination of the class-difference
     # generators, row for row, for every statistic and a planted one

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import re
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from qsymk import qsym
 from qsymk.compositions import Composition, compositions_of, from_index, mask_to_set
 from qsymk.config import max_degree, set_max_degree
-from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError, InvalidSubsetError
+from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError, InvalidSubsetError, QsymkError
 from qsymk.kernel import RelationId, edge_vectors, monomial_span_vectors, relation_edges
 from qsymk.linalg import SparseVector, reduce
 from qsymk.qsym import (
@@ -432,6 +434,55 @@ def test_json_float_coefficients_read_as_their_decimal_text():
         assert list(elem.terms()) == [(C((1, 2)), want)], literal
         assert type(elem.coeffs[1]) is type(want), literal
         assert element_to_json_dict(elem)["terms"][0]["coeff"] == str(want), literal
+
+
+# Values a JSON reader can hand over: every JSON type, the non-finite floats json.loads
+# accepts, degrees past the limit, and composition and coefficient texts of both kinds.
+JSON_JUNK = (None, True, False, 0, -1, 3, 17, 10**30, 2.5, 1e308, float("inf"), float("nan"), "", "x", "3",
+             "(1,2)", [], [1, "a"], {}, {"composition": "(3)"}, {"composition": "(3)", "coeff": "1"})
+JSON_COMPOSITIONS = ("(1,2)", "(2,1)", "(3)", "(1,1,1)", "()", "(", "1,2", "(1,,2)", "(0,3)", "(-1,4)", "(a)",
+                     " (3) ", "(1,2,)", "(4)", "(1,1)")
+JSON_COEFFS = ("1", "-2", "1/2", "0", "0.5", "1/0", "0/0", "x", "", " 1", "1e3", "--1", "inf", "nan", 1, 0, 0.25)
+
+
+def _json_containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _json_containers(child)
+
+
+def test_fuzzed_json_elements_raise_only_typed_errors():
+    # seeded: a valid-looking element, then up to three edits anywhere in it (a field
+    # dropped or set to junk, a list entry replaced or appended); the reader returns an
+    # element or raises QsymkError or ValueError, never another exception
+    rng, outcomes = random.Random(5), Counter()
+    for _ in range(600):
+        data = {"degree": rng.choice((3, 3, 3, 0, 2)), "basis": rng.choice("FMF"), "terms": [
+            {"composition": rng.choice(JSON_COMPOSITIONS), "coeff": rng.choice(JSON_COEFFS)}
+            for _ in range(rng.randint(0, 3))]}
+        for _ in range(rng.randint(0, 3)):
+            place, junk = rng.choice(list(_json_containers(data))), copy.deepcopy(rng.choice(JSON_JUNK))
+            if isinstance(place, dict):
+                key = rng.choice([*place, "extra"])
+                if rng.random() < 0.3:
+                    place.pop(key, None)
+                else:
+                    place[key] = junk
+            elif place and rng.random() < 0.5:
+                place[rng.randrange(len(place))] = junk
+            else:
+                place.append(junk)
+        if rng.random() < 0.05:
+            data = copy.deepcopy(rng.choice(JSON_JUNK))
+        try:
+            elem = element_from_json_dict(data)
+        except (QsymkError, ValueError):
+            outcomes["refused"] += 1
+        else:
+            assert element_from_json_dict(element_to_json_dict(elem)) == elem
+            outcomes["read"] += 1
+    assert min(outcomes["read"], outcomes["refused"]) >= 30, outcomes  # both sides are exercised
 
 
 def test_json_and_basis_changes_enforce_the_degree_limit():
