@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import config
-from .compositions import mask_to_set
+from .compositions import mask_to_set, parse_natural
 from .errors import QsymkError
 from .kernel import (
     RelationId,
@@ -183,14 +183,8 @@ PER_DEGREE_CHECKS = {
 CHECK_NAMES = tuple(PER_DEGREE_CHECKS) + ("ideal",)
 
 
-def _natural(text: str, name: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{name} takes the ASCII digits 0-9, not {text!r}")
-    return int(text)
-
-
 def _parse_degrees(text: str) -> list[int]:
-    bounds = [_natural(bound, "--deg") for bound in text.split("..")]
+    bounds = [parse_natural(bound, "--deg") for bound in text.split("..")]
     if len(bounds) > 2 or bounds[-1] < bounds[0]:
         raise ValueError(f"bad degree range {text!r}")
     return list(range(bounds[0], bounds[-1] + 1))
@@ -252,7 +246,7 @@ def _cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_shufflecheck(args: argparse.Namespace) -> tuple[str, int]:
-    report = check_shuffle_compatible(parse_statistic(args.stat), _natural(args.max_total_len, "MAXLEN"))
+    report = check_shuffle_compatible(parse_statistic(args.stat), parse_natural(args.max_total_len, "MAXLEN"))
     return _json({"schema_version": SCHEMA_VERSION, **report.as_dict()}), 0 if report.compatible else 1
 
 
@@ -300,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     restore, out, created, written = False, None, False, False
     try:
         if args.max_degree is not None:
-            previous, restore = config.set_max_degree(_natural(args.max_degree, "--max-degree")), True
+            previous, restore = config.set_max_degree(parse_natural(args.max_degree, "--max-degree")), True
         if args.out:
             # opened before the run, so a bad path fails first; truncated only once there is a report
             created = not os.path.exists(args.out)

@@ -248,12 +248,20 @@ def inversions(comp: Composition) -> int:
     )
 
 
+def parse_natural(text: str, name: str) -> int:
+    """The number written in `text` in the ASCII digits 0-9 alone; anything else, a sign,
+    an underscore or another script's digits (which `int` reads), is a ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} takes the ASCII digits 0-9, not {text!r}")
+    return int(text)
+
+
 def parse_composition(text: str) -> Composition:
-    """Parse the text form `(3,1,2)`; the empty composition is `()`."""
+    """Parse the text form `(3,1,2)`, each part in ASCII digits; the empty composition is `()`."""
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"composition must look like (a,b,...), got {text!r}")
     inner = s[1:-1].strip()
     if not inner:
         return Composition(())
-    return Composition(tuple(int(p) for p in inner.split(",")))
+    return Composition(tuple(parse_natural(p.strip(), f"a part of composition {text!r}") for p in inner.split(",")))

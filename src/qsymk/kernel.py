@@ -51,7 +51,7 @@ import enum
 from array import array
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, islice
 from math import comb
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
@@ -322,11 +322,6 @@ class KernelSpace(Frozen):
         return RowBasis(self.n, [SparseVector(self.n, rows[c]) for c in pivots], pivots)
 
     @cached_property
-    def alone(self) -> frozenset[int]:
-        """The indices that are the only members of their classes: no basis row holds them."""
-        return frozenset(block[0] for block in self.classes if len(block) == 1)
-
-    @cached_property
     def labels(self) -> list[int]:
         """The class number of each composition index: the quotient map."""
         labels = [0] * (1 << max(self.n - 1, 0))
@@ -531,10 +526,6 @@ class OmegaSets(Frozen):
     def __init__(self, n: int, om1: OmegaRegion, om2: OmegaRegion, om3: OmegaRegion, om4: OmegaRegion) -> None:
         self._init_fields(n, om1, om2, om3, om4)
 
-    def omega(self) -> list[tuple[int, frozenset[int], int]]:
-        """Regions 1-3 flattened as (region, C, k), in region order."""
-        return [(r, c, k) for r, om in enumerate((self.om1, self.om2, self.om3), 1) for c, k in om]
-
 
 def _regions(n: int, c_mask: int) -> tuple[int, int, int, int]:
     """The k of each region for C inside [n-1] given by its mask, as four
@@ -680,10 +671,10 @@ def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dic
     for s in range(2, total_degree + 1):
         labels = kernel_space(stat, s).labels
         for a in range(1, s):
-            b = s - a
-            space, factors = kernel_space(stat, a), range(1 << (b - 1))
-            pairs = (((c, k), (space.classes[label][-1], k)) for c, label in enumerate(space.labels) for k in factors)
-            for (c, k), (top, _) in _product_mismatches(labels, a, b, pairs):
+            b, space, n = s - a, kernel_space(stat, a), 1 << (s - a - 1)
+            tops = (space.classes[label][-1] * n + k for label in space.labels for k in range(n))
+            for pair, ref in _product_mismatches(_fingerprints([labels], a, b)[0], enumerate(tops)):
+                (c, k), (top, _) = divmod(pair, n), divmod(ref, n)
                 row = {str(from_index(a, c)): "1", str(from_index(a, top)): "-1"}
                 yield {"row_degree": a, "factor": str(from_index(b, k)), "row": row}
 
@@ -714,55 +705,54 @@ def _interleavings(a: int, b: int) -> tuple[list[array], list[array]]:
 _PACKED_FINGERPRINT_BITS = 2048  # a sum costs the width of its ints
 
 
-def _packed_fingerprints(labelings: Sequence[Sequence[int]], a: int, b: int, tables=None, skip=((), ())):
-    """(prints, fields): prints[x 2^(b-1) + y] holds the class counts of F_x F_y, x of degree
-    a, through every labeling at once, read off `tables`, those of `_interleavings(a, b)`.
-    Labeling j counts class l in the slot of w bits at l w past the fields before its own,
-    fields[j], with w the bit length of C(a + b, a): no count exceeds the C(a + b, a) < 2^w
-    shuffles, so no slot carries.  Exact, and one sum per pair however many labelings; with
-    `skip` a pair of index sets, a pair with x in the first and y in the second reads 0."""
-    (xs, ys), width = tables or _interleavings(a, b), comb(a + b, a).bit_length()
-    sizes = [width * (max(labels) + 1) for labels in labelings]
-    offsets = list(accumulate(sizes, initial=0))
-    slots = [map([1 << offset + width * label for label in range(max(labels) + 1)].__getitem__, labels)
-             for labels, offset in zip(labelings, offsets)]  # each labeling's slot of each mask
+def _fingerprints(labelings: Sequence[Sequence[int]], a: int, b: int) -> list:
+    """One fingerprint per labeling, mapping a pair index p = x 2^(b-1) + y, x of degree a
+    and y of degree b, to the class counts through it of F_x F_y, read off the tables of
+    `_interleavings(a, b)`.  The labelings whose slots fit `_PACKED_FINGERPRINT_BITS`
+    count class l in the slot of w bits at l w past the fields of those before them, w the
+    bit length of C(a + b, a): no count exceeds the C(a + b, a) < 2^w shuffles, so no slot
+    carries.  They share one exact sum per pair, taken when first asked for, and each reads
+    its own field.  Past the budget (Epk from degree 11, Lpk, Rpk from 12, Pk, Val from 13)
+    a sum costs more than the classes, and a labeling counts a dict of them."""
+    (xs, ys), width = _interleavings(a, b), comb(a + b, a).bit_length()
+    n, sizes = len(ys), [width * (max(labels) + 1) for labels in labelings]
+    packed = [i for i, size in enumerate(sizes) if size <= _PACKED_FINGERPRINT_BITS]
+    offsets = dict(zip(packed, accumulate((sizes[i] for i in packed), initial=0)))
+    slots = (map([1 << offsets[i] + slot for slot in range(0, sizes[i], width)].__getitem__, labelings[i])
+             for i in packed)  # each packed labeling's slot of each mask
     weight = list(map(sum, zip(*slots)))
-    narrow = [() if y in skip[1] else column for y, column in enumerate(ys)]  # map(or_, x, ()) sums to 0
-    prints = [sum(map(weight.__getitem__, map(or_, row, column)))
-              for x, row in enumerate(xs) for column in (narrow if x in skip[0] else ys)]
-    return prints, [(1 << size) - 1 << offset for size, offset in zip(sizes, offsets)]
+    sums = lru_cache(maxsize=None)(lambda p: sum(map(weight.__getitem__, map(or_, xs[p // n], ys[p % n]))))
+    return [_masked(sums, (1 << size) - 1 << offsets[i]) if i in offsets else _counted(labels, xs, ys)
+            for i, (labels, size) in enumerate(zip(labelings, sizes))]
 
 
-def _fingerprints(labels: Sequence[int], a: int, b: int, tables=None):
-    """fingerprint(x, y), the class counts through `labels` of F_x F_y, x of degree a, read
-    off `tables`, those of `_interleavings(a, b)`, as a dict: unlike a packed fingerprint,
-    its cost does not grow with the classes (Epk from degree 11, Lpk, Rpk from 12, Pk, Val
-    from 13 pass `_PACKED_FINGERPRINT_BITS`)."""
-    xs, ys = tables or _interleavings(a, b)
-    label = labels.__getitem__
-    return lambda x, y: dict(Counter(map(label, map(or_, xs[x], ys[y]))))  # dict == runs in C, Counter == not
+def _masked(sums, field: int):  # a packed labeling's fingerprint: its field of the shared sums
+    return lambda p: field & sums(p)
 
 
-def _product_mismatches(labels: Sequence[int], a: int, b: int, pairs, tables=None) -> Iterator[tuple]:
-    """Each (pair, reference) of index pairs of degrees (a, b) whose F products differ
-    through `labels`, by `_fingerprints`, taken once for each reference."""
-    fingerprint, wants = _fingerprints(labels, a, b, tables), {}
+def _counted(labels: Sequence[int], xs, ys):  # a dict == runs in C, a Counter == does not
+    label, n = labels.__getitem__, len(ys)
+    return lambda p: dict(Counter(map(label, map(or_, xs[p // n], ys[p % n]))))
+
+
+def _product_mismatches(fingerprint, pairs) -> Iterator[tuple[int, int]]:
+    """Each (pair, reference) of pair indices whose F products differ by `fingerprint`, in
+    order.  A pair that is its own reference is skipped, and each reference is
+    fingerprinted once, when first compared."""
+    wants = {}
     for pair, ref in pairs:
-        if pair == ref:
-            continue
-        if ref not in wants:
-            wants[ref] = fingerprint(*ref)
-        if fingerprint(*pair) != wants[ref]:
-            yield pair, ref
+        if pair != ref:
+            if ref not in wants:
+                wants[ref] = fingerprint(ref)
+            if fingerprint(pair) != wants[ref]:
+                yield pair, ref
 
 
 def _first_mismatches(stats: Sequence[DescentStatistic], max_total_len: int) -> list[dict | None]:
     """Each statistic's first mismatch as a witness, or None, from one scan: each index
     pair (x, y) of degrees (a, s - a), 1 <= a <= s - a, against its two classes' least
     members, the first pair of its class pair, wherever the statistic has a class of two
-    at a or s - a (Des never has).  Those whose slots fit `_PACKED_FINGERPRINT_BITS` share
-    `_packed_fingerprints`, one sum for all of them per pair that one of them compares or
-    references, each reading its own field; each other keeps its own `_product_mismatches`."""
+    at a or s - a (Des never has).  One `_fingerprints` per bidegree serves all of them."""
     check_degree(max_total_len)
     witnesses, live = [None] * len(stats), dict.fromkeys(range(len(stats)))
     for s in range(max_total_len + 1):  # degree 0 checks the statistics
@@ -771,26 +761,16 @@ def _first_mismatches(stats: Sequence[DescentStatistic], max_total_len: int) -> 
             spaces = {i: (kernel_space(stats[i], a), kernel_space(stats[i], s - a)) for i in live}
             if not (scans := [i for i in live if spaces[i][0].dim or spaces[i][1].dim]):
                 continue
-            tables, width = _interleavings(a, s - a), comb(s, a).bit_length()
-            packed = [i for i in scans if width * (max(labels[i]) + 1) <= _PACKED_FINGERPRINT_BITS]
-            prints, fields = [], []
-            if packed:  # (x, y) is neither compared nor a reference iff x and y are alone for each
-                alone = [frozenset.intersection(*(spaces[i][side].alone for i in packed)) for side in (0, 1)]
-                prints, fields = _packed_fingerprints([labels[i] for i in packed], a, s - a, tables, alone)
-            fields = dict(zip(packed, fields))
-            for i in scans:
+            for i, fingerprint in zip(scans, _fingerprints([labels[i] for i in scans], a, s - a)):
                 left, right = ([space.classes[label][0] for label in space.labels] for space in spaces[i])
-                if i in fields:
-                    n, field = len(right), fields[i]
-                    refs = enumerate(x * n + y for x in left for y in right)
-                    mismatches = ((divmod(p, n), divmod(r, n)) for p, r in refs if (prints[p] ^ prints[r]) & field)
-                else:
-                    pairs = zip(product(range(len(left)), range(len(right))), product(left, right))
-                    mismatches = _product_mismatches(labels[i], a, s - a, pairs, tables)
-                for pair, ref in islice(mismatches, 1):
-                    names = [[str(from_index(a, x)), str(from_index(s - a, y))] for x, y in (ref, pair)]
+                n = len(right)
+                refs = (x * n + y for x in left for y in right)
+                for pair, ref in islice(_product_mismatches(fingerprint, enumerate(refs)), 1):
+                    names = [[str(from_index(a, x)), str(from_index(s - a, y))]
+                             for x, y in (divmod(ref, n), divmod(pair, n))]
                     witnesses[i] = {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
                     del live[i]
+            del fingerprint  # it holds the bidegree's sums, weights and tables
     return witnesses
 
 

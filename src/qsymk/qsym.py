@@ -27,6 +27,7 @@ coarsening sum (-1)^{n - l(L)} * sum of M_K over coarsenings K of L.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -385,10 +386,18 @@ def _json_field(data: object, key: str, kinds: tuple[type, ...]):
     return value
 
 
+# an integer, a/b, or a decimal with an exponent of at most 3 digits, in ASCII digits with
+# no `_`: a part of what `Fraction` reads, which builds 10^999999999 for "1e999999999"
+_EXACT_NUMBER = re.compile(r"\s*[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?0*(\d{1,3}))?)\s*", re.ASCII)
+_MAX_EXPONENT = 400  # each float's repr, 5e-324 to 1.7976931348623157e+308, lies within it
+
+
 def element_from_json_dict(data: dict) -> QSymElement:
     """Inverse of `element_to_json_dict`; each composition must have the
     stated degree and appear once, and a float coefficient is read by its
-    shortest decimal text (0.1 is 1/10).  A bad field raises a ValueError naming it."""
+    shortest decimal text (0.1 is 1/10).  A text coefficient is an integer, a/b or a
+    decimal in ASCII digits, with an exponent of at most `_MAX_EXPONENT`.  A bad field
+    raises a ValueError naming it."""
     n = _json_field(data, "degree", (int,))
     check_degree(n)
     coeffs = {}
@@ -400,8 +409,13 @@ def element_from_json_dict(data: dict) -> QSymElement:
         if mask in coeffs:
             raise ValueError(f"composition {comp} appears more than once")
         coeff = _json_field(term, "coeff", (str, int, float))
+        text = repr(coeff) if isinstance(coeff, float) else coeff
         try:
-            coeffs[mask] = Fraction(repr(coeff) if isinstance(coeff, float) else coeff)
+            if isinstance(text, str):
+                match = _EXACT_NUMBER.fullmatch(text)
+                if not match or int(match[1] or 0) > _MAX_EXPONENT:
+                    raise ValueError(f"{text!r} is no exact number in ASCII digits within the exponent bound")
+            coeffs[mask] = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"JSON element field 'coeff' must be an exact number, got {coeff!r}") from exc
     return QSymElement(n, _json_field(data, "basis", (str,)), coeffs)

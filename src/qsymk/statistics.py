@@ -31,7 +31,7 @@ from collections import Counter
 from itertools import combinations, product, repeat
 from typing import Callable, Hashable, Iterable, Union
 
-from .compositions import Composition, Frozen, compositions_of, full_mask, index_of, mask_to_set
+from .compositions import Composition, Frozen, compositions_of, full_mask, index_of, mask_to_set, parse_natural
 from .config import check_degree
 from .errors import DisjointnessError
 
@@ -62,11 +62,9 @@ class Permutation(Frozen):
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse `713649` (one-digit letters) or `10,2,7` (comma-separated)."""
-    s = text.strip()
-    if "," in s:
-        return Permutation(tuple(int(x) for x in s.split(",")))
-    return Permutation(tuple(int(ch) for ch in s))
+    """Parse `713649` (one-digit letters) or `10,2,7` (comma-separated), in ASCII digits."""
+    s, name = text.strip(), f"a letter of permutation {text!r}"
+    return Permutation(tuple(parse_natural(x.strip(), name) for x in (s.split(",") if "," in s else s)))
 
 
 class StatisticId(enum.Enum):

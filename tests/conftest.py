@@ -75,3 +75,30 @@ def projected(counts, stat) -> dict[int, int]:
         value = stat(mask)
         out[value] = out.get(value, 0) + count
     return out
+
+
+class LoggedRows(list):
+    """Interleaving-table rows that log the index of each row read."""
+
+    def __init__(self, rows, log):
+        super().__init__(rows)
+        self.log = log
+
+    def __getitem__(self, index):
+        self.log.append(index)
+        return super().__getitem__(index)
+
+
+def log_products(monkeypatch, kernel):
+    """Patch `kernel._interleavings` to log what each table serves: per table built, in
+    order, ((a, b), x_reads, y_reads).  A product, summed or counted, reads row x of xs and
+    then row y of ys, so zip(x_reads, y_reads) lists the (x, y) of each product taken."""
+    built, real = [], kernel._interleavings
+
+    def logged(a, b):
+        (xs, ys), x_reads, y_reads = real(a, b), [], []
+        built.append(((a, b), x_reads, y_reads))
+        return LoggedRows(xs, x_reads), LoggedRows(ys, y_reads)
+
+    monkeypatch.setattr(kernel, "_interleavings", logged)
+    return built

@@ -42,7 +42,7 @@ GOLDEN_REPORTS = [
     *((f"verify_{check}_deg1-{hi}.json", ("verify", check, "--deg", f"1..{hi}"))
       for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9), ("props4", 11),
                         ("thm2b", 12), ("thm35", 11), ("thm53b", 11), ("thm1a", 9), ("thm1b", 9),
-                        ("ideal", 9), ("ideal", 10), ("ideal", 11), ("bridges", 10))),
+                        ("ideal", 9), ("ideal", 10), ("ideal", 11), ("ideal", 12), ("bridges", 10))),
     *((f"dims_deg1-{hi}.csv", ("dims", "--deg", f"1..{hi}")) for hi in (8, 11)),
     *((f"shufflecheck_{stat}_{length}.json", ("shufflecheck", stat, str(length)))
       for stat, length in (("Pk", 9), ("Epk", 9), ("maj", 9), ("Des", 10), ("Pk", 11), ("Epk", 12))),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,15 @@ def test_text_form():
     assert parse_composition("()") == Composition(())
     with pytest.raises(ValueError):
         parse_composition("3,1,2")
+
+
+def test_parts_are_ascii_digits_only():
+    # int() reads a sign, `_` and other scripts' digits, so "(+1, 1_0)" was (1,10) and
+    # "(٣)" was (3); a part is ASCII digits alone, and the error quotes the text
+    for text in ("(+1, 1_0)", "(1_0)", "(٣)", "(1,-2)", "(1, ,2)", "(0x1)"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_composition(text)
+    assert parse_composition(" ( 1 , 02 ) ") == Composition((1, 2))  # spaces around a part are stripped
 
 
 @given(parts_strategy)

@@ -57,7 +57,7 @@ from qsymk.statistics import (
     stat_name,
 )
 
-from conftest import des_distribution, maj, maj_distribution, psi_vector, rho_vector
+from conftest import des_distribution, log_products, maj, maj_distribution, psi_vector, rho_vector
 
 C = Composition
 R = RelationId
@@ -743,7 +743,7 @@ def _honest_family(n: int) -> list[tuple[int, dict, dict]]:
     """(region, F terms, M terms) of every member, through the public
     `omega_sets`, `f_family` and `m_family`: regions 1-3, then region 4."""
     om = omega_sets(n)
-    indexed = [*om.omega(), *((4, c, k) for c, k in om.om4)]
+    indexed = [(r, c, k) for r, region in enumerate((om.om1, om.om2, om.om3, om.om4), 1) for c, k in region]
     return [(r, f_family(r, c, k, n).coeffs, m_family(r, c, k, n).coeffs) for r, c, k in indexed]
 
 
@@ -1008,36 +1008,38 @@ def test_interleaving_tables_match_the_product_dp():
                 assert masks == multiply_f_via_shuffles(from_index(a, x), from_index(s - a, y)).coeffs
 
 
-def _unpacked(prints, field, width):
-    """Each class's nonzero count in a packed fingerprint's field, class 0 at its lowest slot."""
-    offset, value = (field & -field).bit_length() - 1, prints & field
-    slots = (value >> offset + width * label & (1 << width) - 1
-             for label in range((field >> offset).bit_length() // width))
+def _unpacked(value, offset, width):
+    """Each class's nonzero count in a packed fingerprint whose field starts at bit
+    `offset`, class 0 in its lowest slot of `width` bits."""
+    value >>= offset
+    slots = (value >> width * label & (1 << width) - 1 for label in range(-(-value.bit_length() // width)))
     return {label: count for label, count in enumerate(slots) if count}
 
 
 def test_fingerprints_are_the_class_sums_of_the_dp():
-    # a packed fingerprint holds each labeling's class counts side by side, each count in
-    # its own w-bit slot of that labeling's field, with no carry into the next; the dict
-    # one counts the labels.  One class, a class per composition, and Pk's classes, packed
-    # alone and together
+    # a packed fingerprint holds its labeling's class counts in w-bit slots of its own
+    # field, the packed labelings' fields side by side from bit 0, and no count carries
+    # past its slot; a dict one, with no bit budget, counts the labels.  One class, a
+    # class per composition, and Pk's classes, packed alone and together
     dp = _f_basis_product.__wrapped__
     for s in range(2, 10):
         size = 1 << (s - 1)
         labelings = [[0] * size, list(range(size)), kernel_space(S.Pk, s).labels]
         for a in range(1, s):
-            width = math.comb(s, a).bit_length()
-            shared, fields = kernel._packed_fingerprints(labelings, a, s - a)
-            ends = [0, *(field.bit_length() for field in fields)]  # side by side, from bit 0
-            assert fields == [(1 << width * (max(labels) + 1)) - 1 << end for labels, end in zip(labelings, ends)]
-            for labels, field in zip(labelings, fields):
-                fingerprint = kernel._fingerprints(labels, a, s - a)
-                alone, (own,) = kernel._packed_fingerprints([labels], a, s - a)
+            width, grid = math.comb(s, a).bit_length(), range(1 << (s - 2))  # p = x 2^(s-a-1) + y
+            ends = list(itertools.accumulate((width * (max(labels) + 1) for labels in labelings), initial=0))
+            shared = [list(map(fingerprint, grid)) for fingerprint in kernel._fingerprints(labelings, a, s - a)]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
+                counted = [list(map(fingerprint, grid)) for fingerprint in kernel._fingerprints(labelings, a, s - a)]
+            for j, labels in enumerate(labelings):
+                (alone,) = (list(map(fingerprint, grid)) for fingerprint in kernel._fingerprints([labels], a, s - a))
                 for p, (x, y) in enumerate(itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1)))):
                     want = kernel._class_sums(labels, dp(a, x, s - a, y))
-                    assert fingerprint(x, y) == want, (labels[:4], a, x, y)
-                    assert alone[p] >> own.bit_length() == 0 and shared[p] >> fields[-1].bit_length() == 0
-                    assert _unpacked(alone[p], own, width) == _unpacked(shared[p], field, width) == want
+                    assert counted[j][p] == want, (labels[:4], a, x, y)
+                    assert shared[j][p] >> ends[j + 1] == 0 and shared[j][p] & (1 << ends[j]) - 1 == 0
+                    assert alone[p] >> ends[j + 1] - ends[j] == 0
+                    assert _unpacked(alone[p], 0, width) == _unpacked(shared[j][p], ends[j], width) == want
 
 
 def test_fingerprints_meet_the_des_and_maj_closed_forms():
@@ -1053,33 +1055,57 @@ def test_fingerprints_meet_the_des_and_maj_closed_forms():
         stats = ((int.bit_count, des_distribution), (maj, maj_distribution))
         labelings = [list(map(stat, range(1 << (s - 1)))) for stat, _ in stats]
         for a in degrees:
-            xs, ys = kernel._interleavings(a, s - a)
-            rows = [sorted(rng.sample(range(len(tables)), min(len(tables), 4))) if s > 10 else range(len(tables))
-                    for tables in (xs, ys)]
-            sampled = ([xs[x] for x in rows[0]], [ys[y] for y in rows[1]])
-            prints, fields = kernel._packed_fingerprints(labelings, a, s - a, sampled)
+            sizes = 1 << a - 1, 1 << s - a - 1
+            rows = [sorted(rng.sample(range(size), min(size, 4))) if s > 10 else range(size) for size in sizes]
+            pairs = list(itertools.product(*rows))
+            flat = [x * sizes[1] + y for x, y in pairs]
             width = math.comb(s, a).bit_length()
-            for p, (x, y) in enumerate(itertools.product(*rows)):
-                for labels, field, (stat, closed_form) in zip(labelings, fields, stats):
+            packed = kernel._fingerprints(labelings, a, s - a)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
+                counted = kernel._fingerprints(labelings, a, s - a)
+            offsets = [0, width * (max(labelings[0]) + 1)]  # des packed first, maj after it
+            for offset, shared, dicts, (stat, closed_form) in zip(offsets, packed, counted, stats):
+                for (x, y), value, classes in zip(pairs, map(shared, flat), map(dicts, flat), strict=True):
                     want = closed_form(a, x, s - a, y)
-                    assert kernel._fingerprints(labels, a, s - a, (xs, ys))(x, y) == want, (stat, a, x, y)
-                    assert _unpacked(prints[p], field, width) == want, (stat, a, x, y)
+                    assert classes == want, (stat, a, x, y)
+                    assert _unpacked(value, offset, width) == want, (stat, a, x, y)
 
 
 def test_the_scan_counts_only_statistics_past_the_bit_budget(monkeypatch):
     # a sum costs the width of its ints: pk's classes are packed at every bidegree,
     # and Epk's 232 classes at degree 11 pass the budget in 9-bit slots, at (4, 7)
     # and (5, 6), so only there are they counted in dicts
-    counted, real = [], kernel._product_mismatches
+    counted, real = [], kernel._counted
 
-    def counting(labels, a, b, pairs, tables=None):
-        counted.append((max(labels) + 1, a, b))
-        return real(labels, a, b, pairs, tables)
+    def counting(labels, xs, ys):
+        counted.append((max(labels) + 1, len(xs).bit_length(), len(ys).bit_length()))  # (classes, a, b)
+        return real(labels, xs, ys)
 
-    monkeypatch.setattr(kernel, "_product_mismatches", counting)
+    monkeypatch.setattr(kernel, "_counted", counting)
     assert kernel._first_mismatches([S.pk, S.Epk], 11) == [None, None]
     assert counted == [(232, 4, 7), (232, 5, 6)]
     assert 232 * math.comb(11, 3).bit_length() <= kernel._PACKED_FINGERPRINT_BITS < 232 * math.comb(11, 4).bit_length()
+
+
+def test_the_dict_route_counts_each_compared_pair_and_each_reference_once(monkeypatch):
+    # with no bit budget every product is a dict: one per compared pair, and one per
+    # distinct reference however many pairs it serves, none kept per pair, and none for
+    # a pair alone in its (class, class) group, which is its own reference
+    monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
+    tables = log_products(monkeypatch, kernel)
+    assert shuffle_compatibility_upto(S.Pk, 8).compatible
+    total = 0
+    for (a, b), x_reads, y_reads in tables:
+        left, right = kernel_space(S.Pk, a).labels, kernel_space(S.Pk, b).labels
+        grid, firsts = list(itertools.product(range(len(left)), range(len(right)))), {}
+        for x, y in grid:
+            firsts.setdefault((left[x], right[y]), (x, y))
+        compared = [(x, y) for x, y in grid if firsts[left[x], right[y]] != (x, y)]
+        references = {firsts[left[x], right[y]] for x, y in compared}
+        assert Counter(zip(x_reads, y_reads, strict=True)) == Counter(compared) + Counter(references), (a, b)
+        total += len(x_reads)
+    assert total == 421  # the pairs of groups of two or more, counted once each
 
 
 def test_a_scan_with_no_pair_to_compare_builds_no_table(monkeypatch):

@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+import time
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -434,6 +435,26 @@ def test_json_float_coefficients_read_as_their_decimal_text():
         assert list(elem.terms()) == [(C((1, 2)), want)], literal
         assert type(elem.coeffs[1]) is type(want), literal
         assert element_to_json_dict(elem)["terms"][0]["coeff"] == str(want), literal
+
+
+def test_json_coefficient_text_is_bounded():
+    # Fraction("1e999999999") builds the power of ten in full, about 22x slower per
+    # decade of exponent; the reader refuses an exponent past 400 first, and `_` and
+    # other scripts' digits, which Fraction also reads.  Every float's repr fits
+    def element(coeff):
+        return {"degree": 3, "basis": "F", "terms": [{"composition": "(1,2)", "coeff": coeff}]}
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="'coeff'"):
+        element_from_json_dict(element("1e999999999"))
+    assert time.perf_counter() - start < 0.1
+    for text in ("1_000", "1e401", "-1e-401", "1e0401x", "٣", "1/٣", "0x10", "1/-3"):
+        with pytest.raises(ValueError, match="'coeff'"):
+            element_from_json_dict(element(text))
+    for coeff, want in (("1/3", Fraction(1, 3)), ("0.1", Fraction(1, 10)), ("1e3", 1000), (" -2 ", -2),
+                        ("1e400", 10**400), ("1E-0400", Fraction(1, 10**400)), (1e300, 10**300),
+                        (5e-324, Fraction(5, 10**324)), (10**30, 10**30)):
+        assert element_from_json_dict(element(coeff)).coeffs == {1: want}, coeff
 
 
 # Values a JSON reader can hand over: every JSON type, the non-finite floats json.loads

@@ -3,11 +3,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from conftest import complement_permutation, reverse_permutation
+from conftest import complement_permutation, log_products, reverse_permutation
 from qsymk.compositions import Composition, compositions_of, from_index, index_of
 from qsymk.config import set_max_degree
 from qsymk import kernel, statistics
@@ -32,6 +33,16 @@ from qsymk.statistics import (
 )
 
 S = StatisticId
+
+
+def test_permutation_letters_are_ascii_digits_only():
+    # int() read "1_2,3" as 12,3 and "٣12" as 312; a letter is ASCII digits alone, and
+    # the error quotes the text
+    for text in ("1_2,3", "٣12", "+1,2", "1,,2", "1 2"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_permutation(text)
+    assert parse_permutation(" 10, 2,1 ") == Permutation((10, 2, 1))  # spaces around a letter are stripped
+    assert parse_permutation("312") == Permutation((3, 1, 2))
 
 
 def test_standardize_examples():
@@ -458,72 +469,71 @@ def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
 def test_shufflecheck_compares_the_pairs_of_half_the_bidegrees_from_a_1(monkeypatch):
     # F_α F_β = F_β F_α, so the scan visits the bidegrees (a, s - a) with a <= s - a
     # only, and F_∅ F_β = F_β, so it skips a = 0; (1, 1) has one pair, its own
-    # reference, and is skipped too.  Pk's classes fit the bit budget, so they are
-    # packed; with no budget, each pair goes to `_product_mismatches` with the first
-    # pair of its (class, class) group, and a pair alone in its group is compared with
-    # nothing
-    seen, packed = [], []
-    real, pack = kernel._product_mismatches, kernel._packed_fingerprints
+    # reference, and is skipped too.  Each pair x 2^(b-1) + y goes to the one
+    # `_product_mismatches` with the first pair of its (class, class) group, whether Pk's
+    # classes are packed, as they fit the bit budget, or counted in dicts with no budget,
+    # and a pair alone in its group is compared with nothing
+    seen, fingerprinted = [], []
+    real, prints = kernel._product_mismatches, kernel._fingerprints
 
-    def recording(labels, a, b, pairs, tables=None):
+    def recording(fingerprint, pairs):
         pairs = list(pairs)
-        seen.append(((a, b), pairs))
-        return real(labels, a, b, iter(pairs), tables)
+        seen.append(pairs)
+        return real(fingerprint, iter(pairs))
 
     monkeypatch.setattr(kernel, "_product_mismatches", recording)
-    monkeypatch.setattr(kernel, "_packed_fingerprints", lambda *args: packed.append(args[1:3]) or pack(*args))
+    monkeypatch.setattr(kernel, "_fingerprints", lambda labelings, a, b: fingerprinted.append((a, b))
+                        or prints(labelings, a, b))
     bidegrees = [(a, s - a) for s in range(3, 9) for a in range(1, s // 2 + 1)]
     assert shuffle_compatibility_upto(S.Pk, 8).compatible
-    assert (packed, seen) == (bidegrees, [])
+    packed = seen.copy()
+    seen.clear()
     monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
     assert shuffle_compatibility_upto(S.Pk, 8).compatible
-    assert packed == bidegrees and [bidegree for bidegree, _ in seen] == bidegrees
+    assert seen == packed and fingerprinted == bidegrees * 2
     compared, handed = 0, 0
-    for (a, b), pairs in seen:
+    for (a, b), pairs in zip(bidegrees, seen, strict=True):
         left, right = kernel_space(S.Pk, a).labels, kernel_space(S.Pk, b).labels
-        firsts = {}
-        for x, y in itertools.product(range(len(left)), range(len(right))):
-            firsts.setdefault((left[x], right[y]), (x, y))
-        assert pairs == [((x, y), firsts[left[x], right[y]])
-                         for x, y in itertools.product(range(len(left)), range(len(right)))]
-        groups = Counter((left[x], right[y]) for (x, y), _ in pairs)
-        compared += sum(groups[left[x], right[y]] > 1 for (x, y), _ in pairs)
+        grid, firsts = list(itertools.product(range(len(left)), range(len(right)))), {}
+        for x, y in grid:
+            firsts.setdefault((left[x], right[y]), x * len(right) + y)
+        assert pairs == [(x * len(right) + y, firsts[left[x], right[y]]) for x, y in grid]
+        groups = Counter((left[x], right[y]) for x, y in grid)
+        compared += sum(groups[left[x], right[y]] > 1 for x, y in grid)
         handed += len(pairs)
     assert (compared, handed) == (421, 426)  # 5 pairs are alone in their group
 
 
 def test_the_packed_scan_sums_only_the_pairs_it_compares(monkeypatch):
     # a pair is compared, or is the reference of one, exactly when x's class or y's has a
-    # second member; only those are summed, and a summed pair never reads 0
-    calls = []
-    real = kernel._packed_fingerprints
-
-    def counting(labelings, a, b, *tables_and_skip):
-        prints, fields = real(labelings, a, b, *tables_and_skip)
-        calls.append(((a, b), prints))
-        return prints, fields
-
-    monkeypatch.setattr(kernel, "_packed_fingerprints", counting)
+    # second member; only those are summed, each once, however often it is asked for
+    tables = log_products(monkeypatch, kernel)
     assert shuffle_compatibility_upto(S.Epk, 9).compatible
-    for (a, b), prints in calls:
+    summed, pairs = 0, 0
+    for (a, b), x_reads, y_reads in tables:
         shared = [{x for block in kernel_space(S.Epk, n).classes if len(block) > 1 for x in block} for n in (a, b)]
-        assert [bool(p) for p in prints] == [x in shared[0] or y in shared[1]
-                                             for x in range(1 << a - 1) for y in range(1 << b - 1)], (a, b)
-    assert (sum(bool(p) for _, prints in calls for p in prints), sum(len(prints) for _, prints in calls)) == (557, 904)
+        grid = list(itertools.product(range(1 << a - 1), range(1 << b - 1)))
+        assert sorted(zip(x_reads, y_reads, strict=True)) == [(x, y) for x, y in grid
+                                                              if x in shared[0] or y in shared[1]], (a, b)
+        summed, pairs = summed + len(x_reads), pairs + len(grid)
+    assert (summed, pairs) == (557, 904)
 
 
 def _first_mismatch(stat, max_total_len):
-    """The one-statistic route: each pair against the first pair of its class pair, through
-    `_product_mismatches`, as the witness of `shuffle_compatibility_upto`, or None."""
+    """The one-statistic route, a plain loop over the DP's products: each pair against the
+    first pair of its class pair, by their class sums, as the witness of
+    `shuffle_compatibility_upto`, or None."""
     for s in range(max_total_len + 1):
         labels = kernel_space(stat, s).labels
         for a in range(1, s // 2 + 1):
             left, right = ([space.classes[label][0] for label in space.labels]
                            for space in (kernel_space(stat, a), kernel_space(stat, s - a)))
-            pairs = (((x, y), (left[x], right[y])) for x, y in itertools.product(range(len(left)), range(len(right))))
-            for pair, first in kernel._product_mismatches(labels, a, s - a, pairs):
-                names = [[str(from_index(a, x)), str(from_index(s - a, y))] for x, y in (first, pair)]
-                return {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
+            for pair in itertools.product(range(len(left)), range(len(right))):
+                first = left[pair[0]], right[pair[1]]
+                sums = [kernel._class_sums(labels, _f_basis_product(a, x, s - a, y)) for x, y in (pair, first)]
+                if sums[0] != sums[1]:
+                    names = [[str(from_index(a, x)), str(from_index(s - a, y))] for x, y in (first, pair)]
+                    return {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
     return None
 
 
@@ -533,7 +543,7 @@ FAILS_FROM = {max_part: 5, parts_mod_3: 5, des_mod_2: 4, double_descents: 3}
 
 def test_the_shared_scan_meets_the_one_statistic_route():
     # each statistic alone, and all of them in one scan, at every length to 9: the
-    # same first mismatch, pair for pair, as `_product_mismatches` on its own
+    # same first mismatch, pair for pair, as a plain loop over the DP's products
     want = {stat: _first_mismatch(stat, 9) for stat in SCANNED}
     assert [stat for stat in SCANNED if want[stat]] == [max_part, parts_mod_3, des_mod_2, double_descents]
     for length in range(10):
@@ -541,7 +551,7 @@ def test_the_shared_scan_meets_the_one_statistic_route():
         assert kernel._first_mismatches(SCANNED, length) == expected, length
         for stat, witness in zip(SCANNED, expected):
             assert kernel._first_mismatches([stat], length) == [witness], (stat_name(stat), length)
-    # the fallback route, for statistics whose slots pass the budget, finds the same
+    # the dict route, for statistics whose slots pass the budget, finds the same
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
         assert kernel._first_mismatches(SCANNED, 9) == [want[stat] for stat in SCANNED]
@@ -563,18 +573,20 @@ def test_failing_statistics_between_passing_ones_keep_their_verdicts():
 
 
 def test_a_field_shifted_by_one_class_is_caught(monkeypatch):
-    # the mutant reads each statistic's field one slot too high.  Alone, no verdict
+    # the mutant reads each packed statistic's field one slot too high.  Alone, no verdict
     # moves: the class counts of F_x F_y sum to C(s, a), so two that differ do so in two
     # classes or more.  In a batch, a statistic also reads the first class of the one
     # packed after it: Pk fails on max_part's counts, and max_part's witness moves
-    real = kernel._packed_fingerprints
+    real, masked = kernel._fingerprints, kernel._masked
 
-    def shifted(labelings, a, b, *tables_and_skip):
-        prints, fields = real(labelings, a, b, *tables_and_skip)
-        return prints, [field << math.comb(a + b, a).bit_length() for field in fields]
+    def shifted(labelings, a, b):
+        width = math.comb(a + b, a).bit_length()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_masked", lambda sums, field: masked(sums, field << width))
+            return real(labelings, a, b)
 
     witness = _first_mismatch(max_part, 6)
-    monkeypatch.setattr(kernel, "_packed_fingerprints", shifted)
+    monkeypatch.setattr(kernel, "_fingerprints", shifted)
     assert [kernel._first_mismatches([stat], 6) for stat in (S.Pk, max_part)] == [[None], [witness]]
     assert kernel._first_mismatches([S.Pk, max_part], 6)[0] is not None
     assert kernel._first_mismatches([max_part, S.Pk], 6) != [witness, None]
