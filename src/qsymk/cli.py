@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import config
-from .compositions import mask_to_set, parse_natural
+from .compositions import full_mask, mask_to_set, parse_natural
 from .errors import QsymkError
 from .kernel import (
     RelationId,
@@ -138,7 +138,7 @@ def _report_rows(check: str, report: dict) -> list[dict]:
 
 def _lemma22_rows(n: int) -> list[dict]:
     from .qsym import QSymElement, f_to_m, lemma22b_combination, lemma22c_combination, m_to_f
-    size = 1 << max(n - 1, 0)
+    size = full_mask(n) + 1
     round_trip = True
     for mask in range(size):
         m_elem = QSymElement(n, "M", {mask: 1})

@@ -147,8 +147,8 @@ def index_of(comp: Composition) -> int:
 
 def from_index(n: int, mask: int) -> Composition:
     """The composition of n whose descent-set bitmask is `mask`."""
-    if not 0 <= mask <= full_mask(n):
-        raise InvalidSubsetError(f"index {mask} out of range for degree {n}")
+    if type(mask) is not int or not 0 <= mask <= full_mask(n):
+        raise InvalidSubsetError(f"index {mask!r} out of range for degree {n}")
     if n == 0:
         return Composition(())
     parts = []
@@ -210,7 +210,7 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
     composition) for n = 0.
     """
     check_degree(n)
-    return tuple(from_index(n, mask) for mask in range(1 << max(n - 1, 0)))
+    return tuple(from_index(n, mask) for mask in range(full_mask(n) + 1))
 
 
 def refines(j: Composition, k: Composition) -> bool:

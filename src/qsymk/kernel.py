@@ -184,8 +184,7 @@ def successors(rel: RelationId, comp: Composition) -> set[Composition]:
 
 def is_ctilde(comp: Composition) -> bool:
     """True for the compositions (1, ..., 1, 2), including (2) itself."""
-    parts = comp.parts
-    return len(parts) >= 1 and parts[-1] == 2 and all(p == 1 for p in parts[:-1])
+    return comp == ctilde_member(comp.n)
 
 
 def ctilde_member(n: int) -> Composition | None:
@@ -206,7 +205,7 @@ class RelationGraph(Frozen):
 
     def __init__(self, n: int, edges: tuple[tuple[int, int, str], ...], marks: tuple[int, ...] = ()) -> None:
         check_degree(n)
-        size = 1 << max(n - 1, 0)
+        size = full_mask(n) + 1
         ends = [*map(itemgetter(0), edges), *map(itemgetter(1), edges), *marks]
         if {*map(type, ends)} - {int} or ends and not 0 <= min(ends) <= max(ends) < size:
             bad = next(v for v in ends if type(v) is not int or not 0 <= v < size)
@@ -215,7 +214,7 @@ class RelationGraph(Frozen):
 
     @property
     def vertices(self) -> range:
-        return range(1 << max(self.n - 1, 0))
+        return range(full_mask(self.n) + 1)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -247,11 +246,11 @@ def relation_edges(rels: Iterable[RelationId], n: int) -> RelationGraph:
 
 @lru_cache(maxsize=128)
 def _relation_edges(rels: frozenset[RelationId], n: int) -> RelationGraph:
-    # (1, ..., 1, 2): every position but n - 1 is a descent
-    marks = ((1 << (n - 2)) - 1,) if RelationId.CTilde in rels and n >= 2 else ()
     rules = [rule for rel, rule in _RULES.items() if rel in rels]
     full = full_mask(n)
     top = full ^ full >> 1
+    # the index of ctilde_member(n), n >= 2 (no Composition built): all positions but n - 1 are descents
+    marks = (full >> 1,) if RelationId.CTilde in rels and n >= 2 else ()
     labels: dict[tuple[int, int], str] = {}
     for a in range(full + 1):
         for rule in rules:
@@ -270,13 +269,8 @@ def _union_find(size: int, edges: Iterable[Sequence]) -> list[int]:
             parent[x] = x = parent[up]  # path halving
         return x
 
-    for edge in edges:  # find(a) and find(b) inlined, as this loop is hot
-        a, b = edge[0], edge[1]
-        while (up := parent[a]) != a:
-            parent[a] = a = parent[up]
-        while (up := parent[b]) != b:
-            parent[b] = b = parent[up]
-        parent[b] = a
+    for edge in edges:
+        parent[find(edge[1])] = find(edge[0])
     return list(map(find, range(size)))
 
 
@@ -312,7 +306,7 @@ class KernelSpace(Frozen):
 
     @property
     def dim(self) -> int:
-        return (1 << max(self.n - 1, 0)) - len(self.classes)
+        return full_mask(self.n) + 1 - len(self.classes)
 
     @cached_property
     def basis(self) -> RowBasis:
@@ -324,7 +318,7 @@ class KernelSpace(Frozen):
     @cached_property
     def labels(self) -> list[int]:
         """The class number of each composition index: the quotient map."""
-        labels = [0] * (1 << max(self.n - 1, 0))
+        labels = [0] * (full_mask(self.n) + 1)
         for label, block in enumerate(self.classes):
             for c in block:
                 labels[c] = label
@@ -553,7 +547,7 @@ def _regions(n: int, c_mask: int) -> tuple[int, int, int, int]:
 
 def _omega(n: int) -> Iterator[tuple[int, int, int]]:
     """(region, C mask, k) for each (C, k) in a region: C by mask ascending, then region, then k."""
-    for c_mask in range(1 << max(n - 1, 0)):
+    for c_mask in range(full_mask(n) + 1):
         for region, ks in enumerate(_regions(n, c_mask), 1):
             for low in _lows(ks):
                 yield region, c_mask, low.bit_length()
@@ -589,8 +583,8 @@ def _members(region: int, c_mask: int, k: int, n: int) -> tuple[dict[int, int], 
 def _member_mask(region: int, c: frozenset[int], k: int, n: int) -> int:
     """The mask of C, once (C, k) is known to lie in the given region."""
     check_degree(n)
-    if region not in (1, 2, 3, 4):
-        raise ValueError(f"region must be 1..4, got {region}")
+    if type(region) is not int or not 1 <= region <= 4:
+        raise ValueError(f"region must be 1..4, got {region!r}")
     # positions first: set_to_mask takes only ints (no bools), and no 0
     inside = all(type(j) is int and 1 <= j <= n - 1 for j in (*c, k))
     if not (inside and _regions(n, set_to_mask(c))[region - 1] >> (k - 1) & 1):
@@ -628,7 +622,7 @@ def check_section4_props(n: int) -> dict:
          ("prop44_f_family_spans_Fpk", "prop45_m_family_spans_Mpk", "prop46_f_equals_m_on_theta")),
     ):
         members = [(f, m) for region, f, m in family if region <= last]
-        root = _union_find(1 << max(n - 1, 0), (tuple(f) for f, _ in members))
+        root = _union_find(full_mask(n) + 1, (tuple(f) for f, _ in members))
         results[f_key] = _blocks(root) == relation_edges(rels, n).components
         results[m_key] = _signed_spans_equal([m for _, m in members], monomial_span_terms(stat, n))
         results[fm_key] = _m_spans_kernel([m for _, m in members], root)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
+from .compositions import full_mask
 from .errors import DegreeMismatchError
 
 # Trigger a content reduction when coefficients pass this size; purely a
@@ -35,11 +36,11 @@ def exact_coefficients(n: int, coeffs: Mapping[int, object]) -> dict[int, int | 
     >>> exact_coefficients(3, {0: Fraction(6, 3), 1: "1/2", 2: 0.0, 3: True})
     {0: 2, 1: Fraction(1, 2), 3: 1}
     """
-    limit = 1 << max(n - 1, 0)
+    limit = full_mask(n) + 1
     clean: dict[int, int | Fraction] = {}
     for index, value in coeffs.items():
-        if not 0 <= index < limit:
-            raise ValueError(f"index {index} out of range for degree {n}")
+        if type(index) is not int or not 0 <= index < limit:
+            raise ValueError(f"index {index!r} out of range for degree {n}")
         if type(value) is not int:
             value = Fraction(value)
             if value.denominator == 1:

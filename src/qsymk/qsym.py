@@ -186,7 +186,7 @@ def _f_basis_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[
     reaches, at most the C(n, na) shuffles.  Up to degree 18, a product with
     2^(n-1) <= 8 C(n, na) + 512 is packed, where that was measured faster;
     lopsided ones, such as F_(1) F_(n-1) beyond degree 10, take the dict."""
-    n, size = na + nb, 1 << max(na + nb - 1, 0)
+    n, size = na + nb, full_mask(na + nb) + 1
     if n <= _PACKED_MAX_DEGREE and size <= 8 * math.comb(n, na) + 512:
         raw = _product_dp(na, mask_a, nb, mask_b, 1, 16).to_bytes(2 * size, sys.byteorder)
         counts = memoryview(raw).cast("H")

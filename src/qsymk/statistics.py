@@ -235,7 +235,7 @@ def equivalence_classes(stat: DescentStatistic, n: int) -> tuple[tuple[int, ...]
     check_degree(n)
     _check_statistic(stat)
     if isinstance(stat, StatisticId):
-        return _blocks(map(_COMP_EVAL[stat], repeat(n), range(1 << max(n - 1, 0))))
+        return _blocks(map(_COMP_EVAL[stat], repeat(n), range(full_mask(n) + 1)))
     return _blocks(map(stat, compositions_of(n)))
 
 

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 import figure_data
+from golden_argv import golden_argv
 from qsymk import cli, config, kernel, linalg, qsym
 from qsymk.cli import CHECK_NAMES, main
 from qsymk.compositions import compositions_of
@@ -21,8 +22,8 @@ from qsymk.statistics import StatisticId
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# CLI reports, each the stdout of `PYTHONPATH=src python -m qsymk.cli
-# ARGV...`: the verify and dims reports recorded before the spanning
+# CLI reports, each the stdout of the argv its file name spells (see
+# golden_argv.py): the verify and dims reports recorded before the spanning
 # checks moved to the quotient map, the tri12ctilde graph exports before
 # relation graphs moved to composition indices, the pkbasis and degree
 # 8..10 pknumbasis exports before the trimmed relations became their
@@ -37,25 +38,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # Epk, Lpk and Rpk in Counters, before the ideal check shared one scan.
 # A change to how the checks or graphs are computed must reproduce them
 # byte for byte.
-GOLDEN_REPORTS = [
-    *((f"verify_{check}_deg1-6.json", ("verify", check, "--deg", "1..6")) for check in CHECK_NAMES),
-    *((f"verify_{check}_deg1-{hi}.json", ("verify", check, "--deg", f"1..{hi}"))
-      for check, hi in (("thm3a", 11), ("thm3b", 11), ("thm0", 10), ("props4", 9), ("props4", 11),
-                        ("thm2b", 12), ("thm35", 11), ("thm53b", 11), ("thm1a", 9), ("thm1b", 9),
-                        ("ideal", 9), ("ideal", 10), ("ideal", 11), ("ideal", 12), ("bridges", 10))),
-    *((f"dims_deg1-{hi}.csv", ("dims", "--deg", f"1..{hi}")) for hi in (8, 11)),
-    *((f"shufflecheck_{stat}_{length}.json", ("shufflecheck", stat, str(length)))
-      for stat, length in (("Pk", 9), ("Epk", 9), ("maj", 9), ("Des", 10), ("Pk", 11), ("Epk", 12))),
-    ("graph_pknumbasis_deg1-7.json",
-     ("graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json")),
-    ("graph_pknumbasis_deg8-10.csv",
-     ("graph", "--rels", "pknumbasis", "--deg", "8..10", "--format", "csv")),
-    ("graph_pkbasis_deg0-10.csv",
-     ("graph", "--rels", "pkbasis", "--deg", "0..10", "--format", "csv")),
-    *((f"graph_tri12ctilde_deg0-7.{fmt}",
-       ("graph", "--rels", "tri12ctilde", "--deg", "0..7", "--format", fmt))
-      for fmt in ("dot", "json", "csv")),
-]
+GOLDEN_NAMES = sorted(path.name for path in GOLDEN.iterdir())
 
 
 def run_cli(capsys, *argv):
@@ -323,20 +306,27 @@ def test_graph_json_and_csv(capsys):
 
 def test_graph_dot_golden_file(capsys):
     code, out = run_cli(capsys, "graph", "--rels", "arrow123", "--deg", "3")
-    assert out == (GOLDEN / "arrow123_deg3.dot").read_text()
+    assert out == (GOLDEN / "graph_arrow123_deg3.dot").read_text()
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_REPORTS, ids=[name for name, _ in GOLDEN_REPORTS])
-def test_reports_match_golden_files(capsys, name, argv):
-    code, out = run_cli(capsys, *argv)
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_reports_match_golden_files(capsys, name):
+    code, out = run_cli(capsys, *golden_argv(name))
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-def test_every_golden_file_is_checked():
-    # the CI loop diffs every file in tests/golden; each must be diffed here too
-    checked = {name for name, _ in GOLDEN_REPORTS} | {"arrow123_deg3.dot"}
-    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(checked)
+def test_golden_names_follow_the_grammar():
+    assert golden_argv("graph_pknumbasis_deg1-7.json") == [
+        "graph", "--rels", "pknumbasis", "--deg", "1..7", "--format", "json"]
+    assert golden_argv("dims_deg1-8.csv") == ["dims", "--deg", "1..8", "--format", "csv"]
+    # a misnamed golden cannot be run, so its parametrized test fails by name
+    for name in ("arrow123_deg3.dot", "verify_thm2a_deg1..6.json", "verify_thm2a_deg6.json",
+                 "shufflecheck_Pk_9.csv", "graph_pkbasis_deg0-10", "dims_deg1-8.csv.orig"):
+        with pytest.raises(ValueError, match="not a golden file name"):
+            golden_argv(name)
+    # every check keeps its degree 1..6 report
+    assert {f"verify_{check}_deg1-6.json" for check in CHECK_NAMES} <= set(GOLDEN_NAMES)
 
 
 def test_graph_single_vertex_degree_one(capsys):

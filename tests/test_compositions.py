@@ -68,8 +68,9 @@ def test_composition_of_rejects_bad_positions():
 
 def test_from_index_rejects_out_of_range_masks():
     assert from_index(3, 3) == Composition((1, 1, 1))
-    for mask in (4, -1):
-        with pytest.raises(InvalidSubsetError, match=f"index {mask} out of range for degree 3"):
+    # an index is an int: True == 1 and 1.0 == 1 would otherwise pass the range check
+    for mask in (4, -1, True, 1.0):
+        with pytest.raises(InvalidSubsetError, match=f"index {mask!r} out of range for degree 3"):
             from_index(3, mask)
 
 

@@ -687,8 +687,11 @@ def test_family_examples():
         f_family(1, frozenset(), 3, 4)
     with pytest.raises(ValueError):
         m_family(2, frozenset(), 1, 2)
-    with pytest.raises(ValueError):
-        f_family(5, frozenset(), 1, 2)
+    # a region is an int in 1..4: not True (== 1), nor 3.0, nor 5
+    for region, c, k, n in ((5, frozenset(), 1, 2), (True, frozenset(), 2, 4), (3.0, frozenset({1, 2}), 3, 4)):
+        for family in (f_family, m_family):
+            with pytest.raises(ValueError, match="region must be 1..4"):
+                family(region, c, k, n)
     # positions of C and k that are not ints in [n-1] are in no region
     n = 4
     outside = ((frozenset({0}), 2), (frozenset({n}), 2), (frozenset(), 0), (frozenset(), n))

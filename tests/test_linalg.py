@@ -96,8 +96,10 @@ def test_sparse_vector_drops_zeros():
     v = SparseVector(3, {0: 0, 1: Fraction(1, 2)})
     assert v.entries == {1: Fraction(1, 2)}
     assert SparseVector(3, {}).is_zero()
-    with pytest.raises(ValueError):
-        SparseVector(2, {5: 1})
+    # an index is an int: True == 1 and 1.0 == 1 would otherwise pass the range check
+    for index in (5, True, 1.0):
+        with pytest.raises(ValueError, match=f"index {index!r} out of range for degree 3"):
+            SparseVector(3, {index: 1})
 
 
 def test_sparse_vector_hash_and_row_basis_repr():

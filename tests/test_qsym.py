@@ -84,8 +84,9 @@ def test_basis_tag_enforced():
 def test_element_index_validation_and_degree_limit():
     from qsymk.errors import DegreeLimitError
 
-    with pytest.raises(ValueError):
-        QSymElement(2, "F", {4: 1})
+    for index in (4, True, 1.0):
+        with pytest.raises(ValueError, match=f"index {index!r} out of range for degree 2"):
+            QSymElement(2, "F", {index: 1})
     with pytest.raises(DegreeLimitError):
         multiply_f(F(9), F(9))  # product degree 18 exceeds the default limit
 
