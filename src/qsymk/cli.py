@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     restore, out, created, written = False, None, False, False
     try:
         if args.max_degree is not None:
-            previous, restore = config.set_max_degree(parse_natural(args.max_degree, "--max-degree")), True
+            previous, restore = config.set_max_degree(parse_natural(args.max_degree, "--max-degree or QSYMK_MAX_DEGREE")), True
         if args.out:
             # opened before the run, so a bad path fails first; truncated only once there is a report
             created = not os.path.exists(args.out)

@@ -15,6 +15,7 @@ cross-multiplication.  Pivot divisions happen once, in `reduce`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -27,11 +28,32 @@ from .errors import DegreeMismatchError
 _GROWTH_LIMIT = 1 << 256
 
 
+# an integer, a/b, or a decimal with an exponent of at most 3 digits, in ASCII digits with
+# no `_`: a part of what `Fraction` reads, which builds 10^999999999 for "1e999999999"
+_EXACT_NUMBER = re.compile(r"\s*[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?0*(\d{1,3}))?)\s*", re.ASCII)
+_MAX_EXPONENT = 400  # each float's repr, 5e-324 to 1.7976931348623157e+308, lies within it
+
+
+def _exact_number(value: object) -> int | Fraction:
+    """`value` as an `int` when integral, else a `Fraction`; a ValueError if it has no exact reading."""
+    if type(value) is int:
+        return value
+    try:
+        if isinstance(value, str):
+            match = _EXACT_NUMBER.fullmatch(value)
+            if not match or int(match[1] or 0) > _MAX_EXPONENT:
+                raise ValueError("not an integer, a/b or decimal in ASCII digits within the exponent bound")
+        value = Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"coefficient {value!r} is no exact number: {exc}") from exc
+    return value.numerator if value.denominator == 1 else value
+
+
 def exact_coefficients(n: int, coeffs: Mapping[int, object]) -> dict[int, int | Fraction]:
     """The coefficient rule of `SparseVector` and `qsym.QSymElement`:
     indices must lie in [0, 2^(n-1)) and zeros are dropped; an `int` is
-    kept, and any other value becomes an exact `Fraction`, which is an
-    `int` again when its denominator is 1.
+    kept, and any other value becomes an exact `Fraction` (a text only when
+    it matches `_EXACT_NUMBER`), which is an `int` again when its denominator is 1.
 
     >>> exact_coefficients(3, {0: Fraction(6, 3), 1: "1/2", 2: 0.0, 3: True})
     {0: 2, 1: Fraction(1, 2), 3: 1}
@@ -41,10 +63,8 @@ def exact_coefficients(n: int, coeffs: Mapping[int, object]) -> dict[int, int | 
     for index, value in coeffs.items():
         if type(index) is not int or not 0 <= index < limit:
             raise ValueError(f"index {index!r} out of range for degree {n}")
-        if type(value) is not int:
-            value = Fraction(value)
-            if value.denominator == 1:
-                value = value.numerator
+        if type(value) is not int:  # nearly every value: skip the call
+            value = _exact_number(value)
         if value:
             clean[index] = value
     return clean

@@ -12,9 +12,8 @@ and the product of two fundamentals expands as a sum of fundamentals
 over the shuffles of any two disjoint words realizing the two index
 compositions; `_f_basis_product` counts their descent compositions by
 one DP over two count types, ints of packed mask counts where most masks
-occur and dicts where few do, cached once per unordered pair (QSym is
-commutative) for `multiply_f`; `multiply_f_via_shuffles` keeps the route
-through the words.
+occur and dicts where few do, for `multiply_f`; `multiply_f_via_shuffles`
+keeps the route through the words.
 Both are oracles of the tables `kernel._interleavings`, from which the
 ideal check and shuffle-compatibility read their projected products.
 
@@ -27,11 +26,9 @@ coarsening sum (-1)^{n - l(L)} * sum of M_K over coarsenings K of L.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from typing import Iterator, Mapping
 
@@ -47,7 +44,7 @@ from .compositions import (
 )
 from .config import check_degree
 from .errors import BasisTagError, DegreeMismatchError
-from .linalg import SparseVector, exact_coefficients
+from .linalg import SparseVector, _exact_number, exact_coefficients
 from .statistics import perm_descent_composition, realize_permutation, shuffles
 
 
@@ -107,7 +104,7 @@ class QSymElement:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "QSymElement":
-        scalar = Fraction(scalar)
+        scalar = _exact_number(scalar)
         return QSymElement(self.n, self.basis, {m: scalar * v for m, v in self.coeffs.items()})
 
     def __repr__(self) -> str:
@@ -174,12 +171,10 @@ def f_sparse(elem: QSymElement) -> SparseVector:
 _PACKED_MAX_DEGREE = 18
 
 
-@lru_cache(maxsize=4096)
 def _f_basis_product(na: int, mask_a: int, nb: int, mask_b: int) -> tuple[tuple[int, int], ...]:
     """Multiplicity of each descent composition over the shuffles of two
     disjoint words realizing the two index compositions, as ascending
-    (mask, count) pairs; cached for `multiply_f` only, in a cache of 4096
-    products, far above the distinct products of a typical stream of calls.
+    (mask, count) pairs.
 
     `_product_dp` counts them in packed ints, at a cost of about the 2^(n-1)
     masks of degree n = na + nb, or in `_MaskCounts`, at about the masks it
@@ -247,7 +242,7 @@ def _product_dp(na: int, mask_a: int, nb: int, mask_b: int, one, step: int):
 
 
 def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:
-    """Product of two F-basis elements, of degree deg(a) + deg(b), from cached basis products.
+    """Product of two F-basis elements, of degree deg(a) + deg(b), from the basis products.
 
     >>> multiply_f(fundamental(Composition((1,))), fundamental(Composition((1,))))
     1*F(2) + 1*F(1,1)
@@ -259,9 +254,8 @@ def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:
     out: dict[int, Fraction | int] = defaultdict(int)
     for mask_a, ca in a.coeffs.items():
         for mask_b, cb in b.coeffs.items():
-            c = ca * cb  # QSym is commutative: the cache holds one order of the factors
-            key = (b.n, mask_b, a.n, mask_a) if (a.n, mask_a) > (b.n, mask_b) else (a.n, mask_a, b.n, mask_b)
-            for mask, mult in _f_basis_product(*key):
+            c = ca * cb
+            for mask, mult in _f_basis_product(a.n, mask_a, b.n, mask_b):
                 out[mask] += c * mult
     return QSymElement(n, "F", out)
 
@@ -372,8 +366,8 @@ def element_to_json_dict(elem: QSymElement) -> dict:
 
 
 def _json_field(data: object, key: str, kinds: tuple[type, ...]):
-    """data[key] when data is an object holding a finite, non-bool value of
-    one of `kinds`; otherwise a ValueError that names the field."""
+    """data[key] when data is an object holding a non-bool value of one of
+    `kinds`; otherwise a ValueError that names the field."""
     if not isinstance(data, dict) or key not in data:
         raise ValueError(f"JSON element field {key!r} is missing")
     value = data[key]
@@ -381,23 +375,14 @@ def _json_field(data: object, key: str, kinds: tuple[type, ...]):
     if isinstance(value, bool) or not isinstance(value, kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise ValueError(f"JSON element field {key!r} must be {names}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"JSON element field {key!r} must be finite, got {value!r}")
     return value
-
-
-# an integer, a/b, or a decimal with an exponent of at most 3 digits, in ASCII digits with
-# no `_`: a part of what `Fraction` reads, which builds 10^999999999 for "1e999999999"
-_EXACT_NUMBER = re.compile(r"\s*[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?0*(\d{1,3}))?)\s*", re.ASCII)
-_MAX_EXPONENT = 400  # each float's repr, 5e-324 to 1.7976931348623157e+308, lies within it
 
 
 def element_from_json_dict(data: dict) -> QSymElement:
     """Inverse of `element_to_json_dict`; each composition must have the
-    stated degree and appear once, and a float coefficient is read by its
-    shortest decimal text (0.1 is 1/10).  A text coefficient is an integer, a/b or a
-    decimal in ASCII digits, with an exponent of at most `_MAX_EXPONENT`.  A bad field
-    raises a ValueError naming it."""
+    stated degree and appear once.  A coefficient is read by the rule of
+    `linalg.exact_coefficients`, a float by its shortest decimal text (0.1 is 1/10).
+    A bad field raises a ValueError naming it."""
     n = _json_field(data, "degree", (int,))
     check_degree(n)
     coeffs = {}
@@ -409,13 +394,8 @@ def element_from_json_dict(data: dict) -> QSymElement:
         if mask in coeffs:
             raise ValueError(f"composition {comp} appears more than once")
         coeff = _json_field(term, "coeff", (str, int, float))
-        text = repr(coeff) if isinstance(coeff, float) else coeff
         try:
-            if isinstance(text, str):
-                match = _EXACT_NUMBER.fullmatch(text)
-                if not match or int(match[1] or 0) > _MAX_EXPONENT:
-                    raise ValueError(f"{text!r} is no exact number in ASCII digits within the exponent bound")
-            coeffs[mask] = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
+            coeffs[mask] = _exact_number(repr(coeff) if isinstance(coeff, float) else coeff)
+        except ValueError as exc:
             raise ValueError(f"JSON element field 'coeff' must be an exact number, got {coeff!r}") from exc
     return QSymElement(n, _json_field(data, "basis", (str,)), coeffs)

@@ -203,28 +203,36 @@ def test_negative_max_degree_is_usage_error(capsys):
 
 
 def test_max_degree_defaults_to_the_environment(capsys, monkeypatch):
-    before = config.max_degree()
-    monkeypatch.setenv("QSYMK_MAX_DEGREE", "3")
-    with pytest.raises(SystemExit) as info:
-        main(["dims", "--deg", "4..4"])
-    assert info.value.code == 2
-    assert "exceeds the configured maximum 3" in capsys.readouterr().err
-    # the flag wins over the variable
-    code, out = run_cli(capsys, "--max-degree", "5", "dims", "--stat", "Pk", "--deg", "5..5")
-    assert code == 0
-    assert out.splitlines()[1].startswith("Pk,5,")
-    assert config.max_degree() == before
+    previous = config.set_max_degree(12)
+    try:
+        monkeypatch.setenv("QSYMK_MAX_DEGREE", "3")
+        with pytest.raises(SystemExit) as info:
+            main(["dims", "--deg", "4..4"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the configured maximum 3" in captured.err
+        # the flag wins over the variable, and either leaves the caller's limit in place
+        assert config.max_degree() == 12
+        code, out = run_cli(capsys, "--max-degree", "5", "dims", "--stat", "Pk", "--deg", "5..5")
+        assert code == 0
+        assert out.splitlines()[1].startswith("Pk,5,")
+        assert config.max_degree() == 12
+    finally:
+        config.set_max_degree(previous)
 
 
-@pytest.mark.parametrize("raw", ["not-a-number", "-1", ""])
+@pytest.mark.parametrize("raw", ["not-a-number", "-1", "", "x", "\u0663"])
 def test_bad_max_degree_variable_is_usage_error(capsys, monkeypatch, raw):
+    # the refusal names the variable as well as the flag it stands for
     previous = config.set_max_degree(12)
     try:
         monkeypatch.setenv("QSYMK_MAX_DEGREE", raw)
         with pytest.raises(SystemExit) as info:
             main(["dims", "--deg", "1..2"])
         assert info.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-degree or QSYMK_MAX_DEGREE takes the ASCII digits 0-9, not {raw!r}\n"
         assert config.max_degree() == 12
     finally:
         config.set_max_degree(previous)

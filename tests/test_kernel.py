@@ -952,7 +952,6 @@ def test_ideal_check_and_shufflecheck_take_no_dp_product(monkeypatch):
     def refuse(*_):
         raise AssertionError("the product DP was called")
 
-    refuse.__wrapped__ = refuse
     assert not hasattr(kernel, "_f_basis_product") and not hasattr(kernel, "_f_product")
     for name in ("_f_basis_product", "_product_dp"):
         monkeypatch.setattr(qsym, name, refuse)
@@ -996,7 +995,6 @@ def test_no_table_outlives_its_scan():
 def test_interleaving_tables_match_the_product_dp():
     # the shuffle along S of words with descent masks x and y descends at
     # xs[x][S] | ys[y][S]: the tables' masks are the DP's, with multiplicity
-    dp = _f_basis_product.__wrapped__
     rng = random.Random(25)
     sampled = [(s, rng.randrange(s + 1)) for s in (10, 11, 12) for _ in range(8)]
     for s, a in [(s, a) for s in range(10) for a in range(s + 1)] + sampled:
@@ -1006,7 +1004,7 @@ def test_interleaving_tables_match_the_product_dp():
         pairs = itertools.product(range(len(xs)), range(len(ys)))
         for x, y in pairs if s < 10 else [(rng.randrange(len(xs)), rng.randrange(len(ys))) for _ in range(6)]:
             masks = Counter(map(or_, xs[x], ys[y]))
-            assert masks == dict(dp(a, x, s - a, y)), (a, x, s - a, y)
+            assert masks == dict(_f_basis_product(a, x, s - a, y)), (a, x, s - a, y)
             if s <= 6:  # and the words themselves
                 assert masks == multiply_f_via_shuffles(from_index(a, x), from_index(s - a, y)).coeffs
 
@@ -1024,7 +1022,6 @@ def test_fingerprints_are_the_class_sums_of_the_dp():
     # field, the packed labelings' fields side by side from bit 0, and no count carries
     # past its slot; a dict one, with no bit budget, counts the labels.  One class, a
     # class per composition, and Pk's classes, packed alone and together
-    dp = _f_basis_product.__wrapped__
     for s in range(2, 10):
         size = 1 << (s - 1)
         labelings = [[0] * size, list(range(size)), kernel_space(S.Pk, s).labels]
@@ -1038,7 +1035,7 @@ def test_fingerprints_are_the_class_sums_of_the_dp():
             for j, labels in enumerate(labelings):
                 (alone,) = (list(map(fingerprint, grid)) for fingerprint in kernel._fingerprints([labels], a, s - a))
                 for p, (x, y) in enumerate(itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1)))):
-                    want = kernel._class_sums(labels, dp(a, x, s - a, y))
+                    want = kernel._class_sums(labels, _f_basis_product(a, x, s - a, y))
                     assert counted[j][p] == want, (labels[:4], a, x, y)
                     assert shared[j][p] >> ends[j + 1] == 0 and shared[j][p] & (1 << ends[j]) - 1 == 0
                     assert alone[p] >> ends[j + 1] - ends[j] == 0

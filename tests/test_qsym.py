@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -152,13 +154,12 @@ def test_both_count_types_of_the_product_dp_agree():
     # the C(a + b, a) shuffles: a 16-bit slot that overflowed would carry into
     # the next slot and break that sum.
     assert math.comb(qsym._PACKED_MAX_DEGREE, qsym._PACKED_MAX_DEGREE // 2) < 1 << 16
-    dp = _f_basis_product.__wrapped__
     rng = random.Random(23)
     sampled = [(a, rng.randrange(1 << (a - 1)), s - a, rng.randrange(1 << (s - a - 1)))
                for s in range(11, 19) for a in range(1, s)]
     for key in [*_index_pairs(10), *sampled]:
         packed = _dp_counts(key, packed=True)
-        assert packed == _dp_counts(key, packed=False) == dict(dp(*key)), key
+        assert packed == _dp_counts(key, packed=False) == dict(_f_basis_product(*key)), key
         assert sum(packed.values()) == math.comb(key[0] + key[2], key[0]), key
 
 
@@ -191,25 +192,10 @@ def test_product_dp_meets_the_des_and_maj_closed_forms():
 
 
 def test_product_dp_commutes():
-    # the cache holds one order of each pair of factors; that rests on this
-    dp = _f_basis_product.__wrapped__
+    # QSym is commutative: the DP counts the same masks in either order of the factors
     for a, x, b, y in _index_pairs(9):
         if (a, x) < (b, y):
-            assert dp(a, x, b, y) == dp(b, y, a, x), (a, x, b, y)
-
-
-def test_product_cache_is_bounded():
-    # only multiply_f fills the cache; a long run of distinct products evicts
-    # the oldest instead of growing without bound
-    bound = _f_basis_product.cache_info().maxsize
-    assert bound == 4096
-    _f_basis_product.cache_clear()
-    for n in (12, 13):
-        for mask in range(1 << (n - 1)):
-            assert _f_basis_product(0, 0, n, mask) == ((mask, 1),)
-            assert _f_basis_product.cache_info().currsize <= bound
-    assert _f_basis_product.cache_info().currsize == bound
-    _f_basis_product.cache_clear()
+            assert _f_basis_product(a, x, b, y) == _f_basis_product(b, y, a, x), (a, x, b, y)
 
 
 def test_products_take_the_count_type_their_density_picks(monkeypatch):
@@ -218,7 +204,6 @@ def test_products_take_the_count_type_their_density_picks(monkeypatch):
     # int would have 2^29 slots.  Denser products are packed up to degree 18.
     dp, kinds = qsym._product_dp, []
     monkeypatch.setattr(qsym, "_product_dp", lambda *key: kinds.append(type(key[4])) or dp(*key))
-    _f_basis_product.cache_clear()
     previous = set_max_degree(30)
     try:
         assert multiply_f(F(1), F(29)) == multiply_f_via_shuffles(C((1,)), C((29,)))
@@ -226,12 +211,31 @@ def test_products_take_the_count_type_their_density_picks(monkeypatch):
     finally:
         set_max_degree(previous)
     for key in ((1, 0, 10, 0b101), (2, 1, 11, 0b110), (9, 0, 10, 0b11)):
-        _f_basis_product.__wrapped__(*key)
+        _f_basis_product(*key)
     assert kinds == [qsym._MaskCounts] * 5
     kinds.clear()
     for key in ((1, 0, 9, 0b101), (3, 1, 9, 0b110), (4, 0b10, 10, 0), (9, 0b1, 9, 0b11)):
-        _f_basis_product.__wrapped__(*key)
+        _f_basis_product(*key)
     assert kinds == [int] * 4
+
+
+def test_multiply_f_holds_nothing_after_it_returns():
+    # a long-lived caller's memory stays bounded: 64 distinct degree-14 products,
+    # each with thousands of terms, leave no allocation behind once they are dropped
+    rng = random.Random(34)
+    factors = [(fundamental(from_index(7, x)), fundamental(from_index(7, y)))
+               for x, y in rng.sample(list(itertools.product(range(64), repeat=2)), 64)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for left, right in factors:
+            assert sum(multiply_f(left, right).coeffs.values()) == math.comb(14, 7)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
 
 
 def test_multiply_f_associative_commutative_sampled():
@@ -456,6 +460,25 @@ def test_json_coefficient_text_is_bounded():
                         ("1e400", 10**400), ("1E-0400", Fraction(1, 10**400)), (1e300, 10**300),
                         (5e-324, Fraction(5, 10**324)), (10**30, 10**30)):
         assert element_from_json_dict(element(coeff)).coeffs == {1: want}, coeff
+
+
+def test_every_coefficient_entry_point_takes_the_text_rule():
+    # elements, vectors and scalars read a coefficient by the JSON reader's rule, so no
+    # text builds a huge power of ten (about 40x slower per decade of exponent), and a
+    # value with no exact reading, text or not, is a ValueError that names it
+    entry_points = (lambda value: QSymElement(3, "F", {0: value}).coeffs,
+                    lambda value: SparseVector(3, {0: value}).entries,
+                    lambda value: (value * QSymElement(3, "F", {0: 1})).coeffs)
+    for bad in ("1e5000000", "1e999999999", "\u0663", "1_0", "1/0", "0x10", float("inf"), float("nan"), None, [1]):
+        for build in entry_points:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                build(bad)
+            assert time.perf_counter() - start < 0.1, bad
+    # an integral value, an int scalar too, is stored as an int
+    for good, want in (("1e400", 10**400), (" -1/2 ", Fraction(-1, 2)), (0.5, Fraction(1, 2)), (3, 3), (True, 1)):
+        for build in entry_points:
+            assert build(good) == {0: want} and type(build(good)[0]) is type(want), good
 
 
 # Values a JSON reader can hand over: every JSON type, the non-finite floats json.loads

@@ -459,11 +459,8 @@ def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
 
     monkeypatch.setattr(statistics, "shuffles", refuse)
     monkeypatch.setattr(Permutation, "__init__", counting)
-    cached = _f_basis_product.cache_info().currsize
     assert check_shuffle_compatible(S.Pk, 8).compatible
-    # no word at all, and no product left in the product cache
-    assert built == 0
-    assert _f_basis_product.cache_info().currsize == cached
+    assert built == 0  # no word at all
 
 
 def test_shufflecheck_compares_the_pairs_of_half_the_bidegrees_from_a_1(monkeypatch):
