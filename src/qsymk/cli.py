@@ -23,23 +23,9 @@ import sys
 from . import config
 from .compositions import full_mask, mask_to_set, parse_natural
 from .errors import QsymkError
-from .kernel import (
-    RelationId,
-    check_basis_F,
-    check_section4_props,
-    check_spanning_F,
-    check_spanning_M,
-    check_symmetry_bridges,
-    edge_vectors,
-    graphs_to_csv,
-    graphs_to_dot,
-    graphs_to_json_dict,
-    ideal_reports,
-    is_forest,
-    kernel_space,
-    quotient_dimension,
-    relation_edges,
-)
+# the F checks and the dimensions only; each runner imports the module of any other check it runs
+from .kernel import (RelationId, check_basis_F, check_spanning_F, edge_vectors, is_forest, kernel_space,
+                     quotient_dimension, relation_edges)
 from .statistics import StatisticId, check_shuffle_compatible, parse_statistic
 
 SCHEMA_VERSION = 1
@@ -90,6 +76,7 @@ def _edge_rows(check: str, stat: StatisticId, relname: str, n: int, basis: bool 
 
 
 def _monomial_rows(check: str, stat: StatisticId, n: int) -> list[dict]:
+    from .monomial_span import check_spanning_M
     passed = check_spanning_M(stat, n)
     row = _row(check, n, passed, stat=stat.value)
     if not passed:
@@ -98,6 +85,7 @@ def _monomial_rows(check: str, stat: StatisticId, n: int) -> list[dict]:
 
 
 def _thm0_rows(n: int) -> list[dict]:
+    from .monomial_span import check_spanning_M
     f_ok = check_spanning_F(StatisticId.Epk, n, RELATION_SETS["epkarrow"])
     m_ok = check_spanning_M(StatisticId.Epk, n)
     return [
@@ -130,6 +118,16 @@ def _thm1_rows(which: str, n: int) -> list[dict]:
             row["witness"] = f"{disagreement} disagree for {stat.value} at degree {n}"
         rows.append(row)
     return rows
+
+
+def _props4_rows(n: int) -> list[dict]:
+    from .monomial_span import check_section4_props
+    return _report_rows("props4", check_section4_props(n))
+
+
+def _bridges_rows(n: int) -> list[dict]:
+    from .bridges import check_symmetry_bridges
+    return _report_rows("bridges", check_symmetry_bridges(n))
 
 
 def _report_rows(check: str, report: dict) -> list[dict]:
@@ -175,9 +173,9 @@ PER_DEGREE_CHECKS = {
     "thm3b": lambda n: _monomial_rows("thm3b", StatisticId.pk, n),
     "thm53a": lambda n: _edge_rows("thm53a", StatisticId.Val, "val12", n),
     "thm53b": lambda n: _edge_rows("thm53b", StatisticId.val, "val123", n),
-    "props4": lambda n: _report_rows("props4", check_section4_props(n)),
+    "props4": _props4_rows,
     "lemma22": _lemma22_rows,
-    "bridges": lambda n: _report_rows("bridges", check_symmetry_bridges(n)),
+    "bridges": _bridges_rows,
 }
 
 CHECK_NAMES = tuple(PER_DEGREE_CHECKS) + ("ideal",)
@@ -199,6 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError(f"--stat applies only to the ideal check, not {args.check}")
     degrees = _parse_degrees(args.deg)
     if args.check == "ideal":
+        from .ideal import ideal_reports
         stats = [parse_statistic(args.stat)] if args.stat else list(StatisticId)
         rows = [_row("ideal", report["total_degree"], report["ideal"], stat=report["stat"],
                      **({} if report["ideal"] else {"witness": report["violations"]}))
@@ -214,6 +213,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_dims(args: argparse.Namespace) -> tuple[str, int]:
     degrees = _parse_degrees(args.deg)
     stats = [parse_statistic(name) for name in args.stat] if args.stat else list(StatisticId)
+    for i, stat in enumerate(stats):
+        if stat in stats[:i]:
+            raise ValueError(f"--stat {stat.value} is given more than once")
     records = [
         {
             "stat": stat.value,
@@ -232,17 +234,16 @@ def _cmd_dims(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-GRAPH_FORMATS = {
-    "dot": graphs_to_dot,
-    "json": lambda graphs: _json(graphs_to_json_dict(graphs)),
-    "csv": graphs_to_csv,
-}
+GRAPH_FORMATS = ("dot", "json", "csv")
 
 
 def _cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
+    from .bridges import graphs_to_csv, graphs_to_dot, graphs_to_json_dict
     degrees = _parse_degrees(args.deg)
     graphs = [relation_edges(RELATION_SETS[args.rels], n) for n in degrees]
-    return GRAPH_FORMATS[args.format](graphs), 0
+    if args.format == "json":
+        return _json(graphs_to_json_dict(graphs)), 0
+    return (graphs_to_dot if args.format == "dot" else graphs_to_csv)(graphs), 0
 
 
 def _cmd_shufflecheck(args: argparse.Namespace) -> tuple[str, int]:
@@ -267,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dims = sub.add_parser("dims", help="kernel/quotient dimension table")
     p_dims.add_argument("--stat", action="append", default=None,
-                        help="statistic name (repeatable; default all)")
+                        help="statistic name (repeatable, each once; default all)")
     p_dims.add_argument("--format", choices=("csv", "tsv", "json"), default="csv")
     p_dims.set_defaults(func=_cmd_dims)
 
     p_graph = sub.add_parser("graph", help="export a relation graph")
     p_graph.add_argument("--rels", choices=sorted(RELATION_SETS), required=True)
-    p_graph.add_argument("--format", choices=tuple(GRAPH_FORMATS), default="dot")
+    p_graph.add_argument("--format", choices=GRAPH_FORMATS, default="dot")
     p_graph.set_defaults(func=_cmd_graph)
 
     p_shuf = sub.add_parser("shufflecheck", help="shuffle-compatibility check, from F products")

@@ -1,4 +1,4 @@
-"""Rewrite relations on compositions, kernel subspaces, and their checks.
+"""Rewrite relations on compositions, kernel subspaces, and the F checks.
 
 For a descent statistic st, the degree-n kernel K^st_n is the kernel of
 the projection F_J -> [st-class of J]: a vector lies in it exactly when
@@ -8,14 +8,16 @@ with edge set S are the classes, and its differences are independent
 exactly when the graph is a forest (Theorem 1).  Neither fact depends
 on st: one graph per (rels, n) is built once, kept in a bounded cache,
 and carries its components, so the spanning and basis checks eliminate
-nothing; `verify thm1a/thm1b` checks both against `edge_vectors`.
-M-combinations span the kernel of a partition exactly when each has zero
-class sums and their rank is its dimension (the monomial spanning sets,
-and Section 4's F-vs-M propositions on their F family's components).
-Those combinations have one or two terms +-1: a signed graph, whose
-rank is read off its double cover (Zaslavsky).  One union-find finds
-the components of every graph here, relation graph or cover, and blocks
-take the class format of `equivalence_classes`.  `linalg` is the oracle.
+nothing; `verify thm1a/thm1b` checks both against `edge_vectors`.  One
+union-find finds the components of every graph, relation graph here or
+signed-graph cover in `monomial_span`, and blocks take the class format
+of `equivalence_classes`.  `linalg` is the oracle.
+
+The other checks live in modules of their own, so a cold job compiles
+only the one it runs: `monomial_span` (the monomial spanning sets and
+Section 4), `ideal` (the ideal property and shuffle-compatibility) and `bridges`
+(the symmetry bridges and graph export).  Their public names stay
+reachable here, each module imported on first use (PEP 562).
 
 Relation graphs are keyed by composition index, the same vertex format
 as the kernel classes: an edge is an (index, index, label) triple and a
@@ -48,30 +50,22 @@ The unary marker ctilde holds the compositions (1, ..., 1, 2).
 from __future__ import annotations
 
 import enum
-from array import array
-from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, islice
-from math import comb
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .compositions import (
-    Composition,
-    Frozen,
-    complement_mask,
-    compositions_of,
-    from_index,
-    full_mask,
-    index_of,
-    mask_to_set,
-    reverse_mask,
-    set_to_mask,
-)
+from . import _forward
+from .compositions import Composition, Frozen, from_index, full_mask, index_of
 from .config import check_degree
 from .errors import RelationUnsoundError
-from .statistics import (DescentStatistic, ShuffleCompatibilityReport, StatisticId, _blocks, _check_statistic,
-                         equivalence_classes, stat_name)
+from .statistics import DescentStatistic, _blocks, _check_statistic, equivalence_classes, stat_name
+
+__getattr__ = _forward(globals(), {
+    "monomial_span": "OmegaRegion OmegaSets check_section4_props check_spanning_M f_family m_family "
+                     "monomial_span_terms monomial_span_vectors omega_sets".split(),
+    "ideal": "ideal_reports is_ideal_upto shuffle_compatibility_upto".split(),
+    "bridges": "check_symmetry_bridges graphs_to_csv graphs_to_dot graphs_to_json_dict".split(),
+})
 
 
 class RelationId(enum.Enum):
@@ -386,476 +380,3 @@ def check_basis_F(stat: DescentStatistic, n: int, rels: Iterable[RelationId]) ->
     is a forest; a spanning forest has one edge per kernel dimension."""
     spanning, graph = _spanning_graph(stat, n, rels)
     return spanning and is_forest(graph)
-
-
-# -- monomial spanning sets ---------------------------------------------------
-
-def monomial_span_terms(stat: StatisticId, n: int) -> list[dict[int, int]]:
-    """The M-basis combinations whose span is claimed to be K^st_n, as
-    coefficient dicts keyed by M index.
-
-    Pk:  M_J + M_K over tri1/tri2 edges, plus M over the ctilde member.
-    pk:  the Pk set, plus M_J - M_K over arrow3 edges.
-    Epk: M_J + M_K over epktri edges.
-    """
-    if not isinstance(stat, StatisticId):
-        raise ValueError(f"a monomial spanning set needs a StatisticId, got {stat!r}")
-    if stat is StatisticId.Epk:
-        return [{a: 1, b: 1} for a, b, _ in relation_edges({RelationId.EpkTri}, n).edges]
-    if stat not in (StatisticId.Pk, StatisticId.pk):
-        raise ValueError(f"no monomial spanning set implemented for {stat_name(stat)}")
-    graph = relation_edges({RelationId.Tri1, RelationId.Tri2, RelationId.CTilde}, n)
-    terms = [{a: 1, b: 1} for a, b, _ in graph.edges] + [{c: 1} for c in graph.marks]
-    if stat is StatisticId.pk:
-        terms += [{a: 1, b: -1} for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges]
-    return terms
-
-
-def monomial_span_vectors(stat: StatisticId, n: int) -> list[SparseVector]:
-    """`monomial_span_terms` expressed in F coordinates."""
-    from .qsym import QSymElement, f_sparse
-    return [f_sparse(QSymElement(n, "M", terms)) for terms in monomial_span_terms(stat, n)]
-
-
-def _projected_m(labels: Sequence[int]) -> list[dict[int, int]]:
-    """The class sums of M_C for every index C under the quotient map
-    `labels`: m_to_f(M_C) is the sum over B containing C of
-    (-1)^|B - C| F_B, so P(M_C) is the superset Moebius transform of the
-    labels, one pass per position."""
-    proj = [{label: 1} for label in labels]
-    for bit in (1 << i for i in range(len(labels).bit_length() - 1)):
-        for c, low in enumerate(proj):
-            if not c & bit:
-                for label, value in proj[c | bit].items():
-                    rest = low.get(label, 0) - value
-                    if rest:
-                        low[label] = rest
-                    else:
-                        del low[label]
-    return proj
-
-
-def _double_cover(terms: Iterable[dict[int, int]]) -> tuple[set[int], list[int], int]:
-    """(touched, root, rank) of the M-combinations `terms` as a signed
-    graph lifted to its double cover, where index v has the sheets 2v (+)
-    and 2v + 1 (-): s M_a + t M_b joins each lift of a to the lift of b of
-    -s t times its sign, M_a joins 2a and 2a + 1, {} adds nothing, and
-    another shape raises ValueError.  A component is balanced exactly
-    when its sheets stay apart, that is when the mirror x ^ 1 of its root
-    x has another root.  On the indices up to the greatest touched one,
-    each untouched index a balanced component of its own, the rank is the
-    indices less the balanced components (Zaslavsky, Signed graphs, 1982)."""
-    touched: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for combination in terms:
-        if len(combination) > 2 or not {1, -1}.issuperset(combination.values()):
-            raise ValueError(f"not a signed-graph combination: {combination!r}")
-        touched.update(combination)
-        if len(combination) == 1:
-            (a,) = combination
-            pairs.append((2 * a, 2 * a + 1))
-        elif combination:
-            (a, s), (b, t) = combination.items()
-            lift = 2 * b + (s == t)  # the lift of b that 2a joins
-            pairs += (2 * a, lift), (2 * a + 1, lift ^ 1)
-    root = _union_find(2 * max(touched, default=-1) + 2, pairs)
-    return touched, root, len(root) // 2 - sum(root[r ^ 1] != r for r in set(root)) // 2
-
-
-def _signed_rank(terms: Iterable[dict[int, int]]) -> int:
-    """The rank of M-combinations of one or two terms +-1, by `_double_cover`."""
-    return _double_cover(terms)[2]
-
-
-def _signed_spans_equal(xs: Sequence[dict[int, int]], ys: Sequence[dict[int, int]]) -> bool:
-    """Do the M-combinations xs and ys span the same space?  Exactly when
-    each x, of any shape, lies in the span of the signed graph ys (on the
-    touched indices, its +x_v at 2v and -x_v at 2v + 1 cancel at each root
-    of the cover: a zero switched sum on each balanced component, and an
-    unbalanced one has a single root) and the ranks agree."""
-    touched, root, rank = _double_cover(ys)
-    for x in xs:
-        lifts = ((2 * v + sheet, -coeff if sheet else coeff) for v, coeff in x.items() for sheet in (0, 1))
-        if not x.keys() <= touched or any(_class_sums(root, lifts).values()):
-            return False
-    return _signed_rank(xs) == rank
-
-
-def _m_spans_kernel(terms: list[dict[int, int]], labels: Sequence[int]) -> bool:
-    """Do the M-combinations `terms` span the kernel of the quotient map
-    `labels` of the indices?  Exactly when every class sum of each
-    vanishes and their rank is the indices less the classes, both read in M
-    coordinates: a combination's class sums are those of its P(M_C), and
-    m_to_f is invertible, so the rank is unchanged.  Membership comes
-    first, so a combination of any shape outside the kernel gives False
-    before the signed rank is taken."""
-    proj = _projected_m(labels)
-    for combination in terms:
-        sums: dict[int, int] = {}
-        for c, coeff in combination.items():
-            for label, value in proj[c].items():
-                sums[label] = sums.get(label, 0) + coeff * value
-        if any(sums.values()):
-            return False
-    return _signed_rank(terms) == len(labels) - len(set(labels))
-
-
-def check_spanning_M(stat: StatisticId, n: int) -> bool:
-    """Do the combinations of `monomial_span_terms` span K^st_n, the kernel
-    of the projection onto the st-classes?"""
-    return _m_spans_kernel(monomial_span_terms(stat, n), kernel_space(stat, n).labels)
-
-
-# -- the indexed families over subsets ---------------------------------------
-
-OmegaRegion = tuple[tuple[frozenset[int], int], ...]
-
-
-class OmegaSets(Frozen):
-    """The four disjoint index regions inside 2^[n-1] x [n-1] together
-    indexing the subset-level spanning families."""
-
-    __slots__ = __match_args__ = ("n", "om1", "om2", "om3", "om4")
-
-    def __init__(self, n: int, om1: OmegaRegion, om2: OmegaRegion, om3: OmegaRegion, om4: OmegaRegion) -> None:
-        self._init_fields(n, om1, om2, om3, om4)
-
-
-def _regions(n: int, c_mask: int) -> tuple[int, int, int, int]:
-    """The k of each region for C inside [n-1] given by its mask, as four
-    masks with bit k-1 standing for k in [n-1]; the regions are disjoint.
-    With C0 = C u {0}, (C, k) lies in region
-
-      1  if C != [n-1]; k and k-1 outside C; k-2 in C0
-      2  if C inside [n-2], containing n-2, C != [n-2]; k outside C; k+1
-         in C; k-1 in C0
-      3  if C = [n-2] and k = n-1
-      4  if n-1 in C; k in C; k-1 in C0; k+1 outside C; k+2 in C; and
-         every member j != n-1 of C0 has j+1 or j+2 in C
-
-    Each condition on k is a shift of the mask: bit k-1 of c << 1 is set
-    when k-1 is in C, and c0 = c << 1 | 1 has bit j for each j in C0.  As k
-    is outside C in 1, C != [n-1] holds; as k+1 is in C too in 2, C != [n-2]."""
-    c, full = c_mask, full_mask(n)
-    top, c0 = full ^ full >> 1, c << 1 | 1  # top: position n-1
-    r1 = ~c & ~(c << 1) & (c << 2 | 2) & full
-    r2 = ~c & c >> 1 & c0 & full if not c & top and c & top >> 1 else 0
-    r3 = top if c == full >> 1 else 0
-    r4 = c & c0 & ~(c >> 1) & c >> 2 if c & top and not c0 & ~(top << 1) & ~(c | c >> 1) else 0
-    return r1, r2, r3, r4
-
-
-def _omega(n: int) -> Iterator[tuple[int, int, int]]:
-    """(region, C mask, k) for each (C, k) in a region: C by mask ascending, then region, then k."""
-    for c_mask in range(full_mask(n) + 1):
-        for region, ks in enumerate(_regions(n, c_mask), 1):
-            for low in _lows(ks):
-                yield region, c_mask, low.bit_length()
-
-
-def omega_sets(n: int) -> OmegaSets:
-    """The pairs (C, k) of each region, C by mask ascending, then k: the
-    pairs of `_omega`, which interleaves the regions, grouped by region.
-
-    >>> omega_sets(2).om3 == ((frozenset(), 1),)
-    True
-    """
-    check_degree(n)
-    regions: tuple[list, ...] = ([], [], [], [])
-    for region, c_mask, k in _omega(n):
-        regions[region - 1].append((mask_to_set(c_mask), k))
-    return OmegaSets(n, *map(tuple, regions))
-
-
-def _members(region: int, c_mask: int, k: int, n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(F terms, M terms) of the members indexed by (C, k) in the region:
-    F_C - F_C' and M_C - M_C' with C' = C - {k} u {k+1} in region 4, else
-    F_C - F_C' with C' = C u {k-1} (region 1) or C u {n-1} (regions 2, 3)
-    and M_C + M_(C u {k}) (regions 1, 2) or M_C (region 3)."""
-    if region == 4:
-        swap = {c_mask: 1, c_mask & ~(1 << (k - 1)) | 1 << k: -1}
-        return swap, dict(swap)
-    other = c_mask | 1 << (k - 2 if region == 1 else n - 2)
-    m_terms = {c_mask: 1} if region == 3 else {c_mask: 1, c_mask | 1 << (k - 1): 1}
-    return {c_mask: 1, other: -1}, m_terms
-
-
-def _member_mask(region: int, c: frozenset[int], k: int, n: int) -> int:
-    """The mask of C, once (C, k) is known to lie in the given region."""
-    check_degree(n)
-    if type(region) is not int or not 1 <= region <= 4:
-        raise ValueError(f"region must be 1..4, got {region!r}")
-    # positions first: set_to_mask takes only ints (no bools), and no 0
-    inside = all(type(j) is int and 1 <= j <= n - 1 for j in (*c, k))
-    if not (inside and _regions(n, set_to_mask(c))[region - 1] >> (k - 1) & 1):
-        raise ValueError(f"({set(c)}, {k}) is not in region {region} at degree {n}")
-    return set_to_mask(c)
-
-
-def f_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:
-    """The F-side family member indexed by (C, k) in the given region."""
-    from .qsym import QSymElement
-    return QSymElement(n, "F", _members(region, _member_mask(region, c, k, n), k, n)[0])
-
-
-def m_family(region: int, c: frozenset[int], k: int, n: int) -> QSymElement:
-    """The M-side family member indexed by (C, k) in the given region."""
-    from .qsym import QSymElement
-    return QSymElement(n, "M", _members(region, _member_mask(region, c, k, n), k, n)[1])
-
-
-def check_section4_props(n: int) -> dict:
-    """Verify the six span equalities linking the subset-indexed families to
-    the relation spanning sets, and the region-4 characterization of the arrow3
-    edges, on index masks with each C's regions read off by `_regions`: regions
-    1-3 against Pk's sets (Props 4.1-4.3), all four against pk's (Props 4.4-4.6),
-    in any order.  The F side compares components of graphs, the M side the spans
-    of two signed graphs in M coordinates, and F-vs-M is the monomial criterion
-    on the F-family graph's components; nothing is eliminated."""
-    check_degree(n)
-    family = [(region, *_members(region, c_mask, k, n)) for region, c_mask, k in _omega(n)]
-    results = {}
-    for last, rels, stat, (f_key, m_key, fm_key) in (
-        (3, (RelationId.Arrow1, RelationId.Arrow2), StatisticId.Pk,
-         ("prop41_f_family_spans_FPk", "prop42_m_family_spans_MPk", "prop43_f_equals_m_on_omega")),
-        (4, (RelationId.Arrow1, RelationId.Arrow2, RelationId.Arrow3), StatisticId.pk,
-         ("prop44_f_family_spans_Fpk", "prop45_m_family_spans_Mpk", "prop46_f_equals_m_on_theta")),
-    ):
-        members = [(f, m) for region, f, m in family if region <= last]
-        root = _union_find(full_mask(n) + 1, (tuple(f) for f, _ in members))
-        results[f_key] = _blocks(root) == relation_edges(rels, n).components
-        results[m_key] = _signed_spans_equal([m for _, m in members], monomial_span_terms(stat, n))
-        results[fm_key] = _m_spans_kernel([m for _, m in members], root)
-    arrow3 = {(a, b) for a, b, _ in relation_edges({RelationId.Arrow3}, n).edges}
-    results["lemma_om4_matches_arrow3"] = arrow3 == {tuple(f) for region, f, _ in family if region == 4}
-    return {"degree": n, "pass": all(results.values()), "results": results}
-
-
-# -- ideal property and shuffle-compatibility --------------------------------
-
-def is_ideal_upto(stat: DescentStatistic, total_degree: int, max_witnesses: int = 3) -> dict:
-    """Check that products of kernel basis rows with fundamental basis
-    elements stay inside the kernel, for all bidegrees (a, b) with
-    a + b <= total_degree: (F_c - F_top) F_b lies in K^st_s exactly when
-    F_c F_b and F_top F_b project to the same st-class counts.  At (a, b)
-    and (b, a) together that says F_x F_y projects to a function of the
-    class pair of (x, y), so the verdict is `shuffle_compatibility_upto`'s.
-    A failing statistic is scanned row by row for at most `max_witnesses`
-    witnesses, rows in pivot order, factors in index order.  `ideal_reports` of one."""
-    return ideal_reports([stat], total_degree, max_witnesses)[0]
-
-
-def ideal_reports(stats: Iterable[DescentStatistic], total_degree: int, max_witnesses: int = 3) -> list[dict]:
-    """The `is_ideal_upto` report of each statistic, in order, every verdict from one
-    `_first_mismatches` scan, which fingerprints each product once for all of them."""
-    check_degree(total_degree)
-    stats = list(stats)
-    if isinstance(max_witnesses, bool) or not isinstance(max_witnesses, int):
-        raise ValueError(f"max_witnesses must be an int, got {max_witnesses!r}")
-    if max_witnesses < 0:
-        raise ValueError(f"max_witnesses must be nonnegative, got {max_witnesses}")
-    return [{"stat": stat_name(stat), "total_degree": total_degree, "ideal": first is None,
-             "violations": [] if first is None else list(islice(_ideal_violations(stat, total_degree), max_witnesses))}
-            for stat, first in zip(stats, _first_mismatches(stats, total_degree))]
-
-
-def _ideal_violations(stat: DescentStatistic, total_degree: int) -> Iterator[dict]:
-    """`is_ideal_upto`'s violations in order, each row c against the greatest member of
-    its class by label (a top is its own, and skipped); a top is projected once per factor."""
-    for s in range(2, total_degree + 1):
-        labels = kernel_space(stat, s).labels
-        for a in range(1, s):
-            b, space, n = s - a, kernel_space(stat, a), 1 << (s - a - 1)
-            tops = (space.classes[label][-1] * n + k for label in space.labels for k in range(n))
-            for pair, ref in _product_mismatches(_fingerprints([labels], a, b)[0], enumerate(tops)):
-                (c, k), (top, _) = divmod(pair, n), divmod(ref, n)
-                row = {str(from_index(a, c)): "1", str(from_index(a, top)): "-1"}
-                yield {"row_degree": a, "factor": str(from_index(b, k)), "row": row}
-
-
-def _interleavings(a: int, b: int) -> tuple[list[array], list[array]]:
-    """Tables (xs, ys) over the C(a + b, a) interleavings S of a word u of a letters
-    with a word v of b larger letters: their shuffle along S has descent mask
-    xs[x][S] | ys[y][S] when Des(u) = x and Des(v) = y.  A letter of v before one of
-    u descends and the reverse never does, so xs holds those places and each descent
-    of u whose letters stay adjacent, and ys each descent of v at its first letter (a
-    letter of u between v's two is a place of xs).  C(a + b, a) (2^(a-1) + 2^(b-1))
-    masks in arrays, built for one scan of one bidegree and kept by none."""
-    s, code = a + b, "H" if a + b <= 17 else "Q"
-    base, u_adjacent, v_letters = [], [], []
-    for left in combinations(range(s), a):
-        u = sum(1 << p for p in left)
-        right = [p for p in range(s) if not u >> p & 1]
-        base.append(u >> 1 & ~u)
-        u_adjacent.append([1 << p if q == p + 1 else 0 for p, q in zip(left, left[1:])])
-        v_letters.append([1 << p for p in right[:-1]])
-    xs, ys = [array(code, base)], [array(code, [0]) * len(base)]
-    for rows, columns in ((xs, zip(*u_adjacent)), (ys, zip(*v_letters))):
-        for column in columns:  # row m ors the columns of m's bits into row 0
-            rows += [array(code, map(or_, row, column)) for row in rows]
-    return xs, ys
-
-
-_PACKED_FINGERPRINT_BITS = 2048  # a sum costs the width of its ints
-
-
-def _fingerprints(labelings: Sequence[Sequence[int]], a: int, b: int) -> list:
-    """One fingerprint per labeling, mapping a pair index p = x 2^(b-1) + y, x of degree a
-    and y of degree b, to the class counts through it of F_x F_y, read off the tables of
-    `_interleavings(a, b)`.  The labelings whose slots fit `_PACKED_FINGERPRINT_BITS`
-    count class l in the slot of w bits at l w past the fields of those before them, w the
-    bit length of C(a + b, a): no count exceeds the C(a + b, a) < 2^w shuffles, so no slot
-    carries.  They share one exact sum per pair, taken when first asked for, and each reads
-    its own field.  Past the budget (Epk from degree 11, Lpk, Rpk from 12, Pk, Val from 13)
-    a sum costs more than the classes, and a labeling counts a dict of them."""
-    (xs, ys), width = _interleavings(a, b), comb(a + b, a).bit_length()
-    n, sizes = len(ys), [width * (max(labels) + 1) for labels in labelings]
-    packed = [i for i, size in enumerate(sizes) if size <= _PACKED_FINGERPRINT_BITS]
-    offsets = dict(zip(packed, accumulate((sizes[i] for i in packed), initial=0)))
-    slots = (map([1 << offsets[i] + slot for slot in range(0, sizes[i], width)].__getitem__, labelings[i])
-             for i in packed)  # each packed labeling's slot of each mask
-    weight = list(map(sum, zip(*slots)))
-    sums = lru_cache(maxsize=None)(lambda p: sum(map(weight.__getitem__, map(or_, xs[p // n], ys[p % n]))))
-    return [_masked(sums, (1 << size) - 1 << offsets[i]) if i in offsets else _counted(labels, xs, ys)
-            for i, (labels, size) in enumerate(zip(labelings, sizes))]
-
-
-def _masked(sums, field: int):  # a packed labeling's fingerprint: its field of the shared sums
-    return lambda p: field & sums(p)
-
-
-def _counted(labels: Sequence[int], xs, ys):  # a dict == runs in C, a Counter == does not
-    label, n = labels.__getitem__, len(ys)
-    return lambda p: dict(Counter(map(label, map(or_, xs[p // n], ys[p % n]))))
-
-
-def _product_mismatches(fingerprint, pairs) -> Iterator[tuple[int, int]]:
-    """Each (pair, reference) of pair indices whose F products differ by `fingerprint`, in
-    order.  A pair that is its own reference is skipped, and each reference is
-    fingerprinted once, when first compared."""
-    wants = {}
-    for pair, ref in pairs:
-        if pair != ref:
-            if ref not in wants:
-                wants[ref] = fingerprint(ref)
-            if fingerprint(pair) != wants[ref]:
-                yield pair, ref
-
-
-def _first_mismatches(stats: Sequence[DescentStatistic], max_total_len: int) -> list[dict | None]:
-    """Each statistic's first mismatch as a witness, or None, from one scan: each index
-    pair (x, y) of degrees (a, s - a), 1 <= a <= s - a, against its two classes' least
-    members, the first pair of its class pair, wherever the statistic has a class of two
-    at a or s - a (Des never has).  One `_fingerprints` per bidegree serves all of them."""
-    check_degree(max_total_len)
-    witnesses, live = [None] * len(stats), dict.fromkeys(range(len(stats)))
-    for s in range(max_total_len + 1):  # degree 0 checks the statistics
-        labels = {i: kernel_space(stats[i], s).labels for i in live}
-        for a in range(1, s // 2 + 1):
-            spaces = {i: (kernel_space(stats[i], a), kernel_space(stats[i], s - a)) for i in live}
-            if not (scans := [i for i in live if spaces[i][0].dim or spaces[i][1].dim]):
-                continue
-            for i, fingerprint in zip(scans, _fingerprints([labels[i] for i in scans], a, s - a)):
-                left, right = ([space.classes[label][0] for label in space.labels] for space in spaces[i])
-                n = len(right)
-                refs = (x * n + y for x in left for y in right)
-                for pair, ref in islice(_product_mismatches(fingerprint, enumerate(refs)), 1):
-                    names = [[str(from_index(a, x)), str(from_index(s - a, y))]
-                             for x, y in (divmod(ref, n), divmod(pair, n))]
-                    witnesses[i] = {"kind": "distribution-mismatch", "pair1": names[0], "pair2": names[1]}
-                    del live[i]
-            del fingerprint  # it holds the bidegree's sums, weights and tables
-    return witnesses
-
-
-def shuffle_compatibility_upto(stat: DescentStatistic, max_total_len: int) -> ShuffleCompatibilityReport:
-    """Shuffle-compatibility from F products: the shuffles of words with descent
-    compositions α and β have the descent compositions of F_α F_β (Gessel and Zhuang).
-    `_first_mismatches` of one, in the order and with the witness of the oracle
-    `statistics.check_shuffle_compatible`, for 1 <= a <= s - a only: as F_α F_β = F_β F_α,
-    pairs that differ at (a, s - a) have mirrors that differ at (s - a, a), and at a = 0
-    each F_∅ F_β = F_β projects to β's own class."""
-    witness, = _first_mismatches([stat], max_total_len)
-    return ShuffleCompatibilityReport(stat_name(stat), max_total_len, witness is None, witness)
-
-
-# -- symmetry bridges ----------------------------------------------------------
-
-def _maps_onto(src: DescentStatistic, dst: DescentStatistic, relabel, n: int) -> bool:
-    """Does the F-index relabelling carry K^src_n onto K^dst_n?  It permutes
-    F coordinates, so it carries the kernel of the src-classes onto the
-    kernel of the relabelled classes, and two class partitions have the
-    same kernel exactly when they are equal.  Both relabellings
-    (`complement_mask`, `reverse_mask`) are involutions, so the image class
-    of m is the src-class of relabel(n, m), and `_blocks` orders them."""
-    labels = kernel_space(src, n).labels
-    return _blocks(labels[relabel(n, m)] for m in range(len(labels))) == kernel_space(dst, n).classes
-
-
-def check_symmetry_bridges(n: int) -> dict:
-    """Verify the complement/reverse symmetries at degree n:
-
-    1. the complement of every arrow1/arrow2 edge is a val1 or val2
-       edge, and the complement of every arrow3 edge is a val3 edge;
-    2. the epk and val kernels coincide: the two have the same classes;
-    3. psi carries K^Pk_n onto K^Val_n and K^pk_n onto K^val_n;
-    4. rho carries K^Lpk_n onto K^Rpk_n and K^lpk_n onto K^rpk_n.
-    """
-    check_degree(n)
-
-    def complements_into(src: set[RelationId], dst: set[RelationId]) -> bool:
-        pairs = {(a, b) for a, b, _ in relation_edges(dst, n).edges}
-        return all(
-            (complement_mask(n, a), complement_mask(n, b)) in pairs
-            for a, b, _ in relation_edges(src, n).edges
-        )
-
-    val12 = {RelationId.ValArrow1, RelationId.ValArrow2}
-    epk, val = kernel_space(StatisticId.epk, n), kernel_space(StatisticId.val, n)
-    results = {
-        "complement_of_pk_edges": complements_into({RelationId.Arrow1, RelationId.Arrow2}, val12),
-        "complement_of_swap_edges": complements_into({RelationId.Arrow3}, val12 | {RelationId.ValArrow3}),
-        "epk_kernel_equals_val_kernel": epk.classes == val.classes,
-        "psi_Pk_onto_Val": _maps_onto(StatisticId.Pk, StatisticId.Val, complement_mask, n),
-        "psi_pk_onto_val": _maps_onto(StatisticId.pk, StatisticId.val, complement_mask, n),
-        "rho_Lpk_onto_Rpk": _maps_onto(StatisticId.Lpk, StatisticId.Rpk, reverse_mask, n),
-        "rho_lpk_onto_rpk": _maps_onto(StatisticId.lpk, StatisticId.rpk, reverse_mask, n),
-    }
-    return {"degree": n, "pass": all(results.values()), "results": results}
-
-
-# -- graph export --------------------------------------------------------------
-
-def _named(graphs: Sequence[RelationGraph]) -> Iterator[tuple[list[str], list[str], list[tuple[str, str, str]]]]:
-    """Per graph, named by composition text: its vertices by index, its ctilde marks, its edges."""
-    for graph in graphs:
-        names = [str(comp) for comp in compositions_of(graph.n)]
-        yield names, [names[c] for c in graph.marks], [(names[a], names[b], label) for a, b, label in graph.edges]
-
-
-def graphs_to_dot(graphs: Sequence[RelationGraph]) -> str:
-    """DOT export: vertices labeled with composition text, edges labeled
-    1/2/3, ctilde-marked vertices drawn with doubled borders."""
-    lines = ["digraph relations {"]
-    for names, marks, edges in _named(graphs):
-        marked = set(marks)
-        lines += [f'  "{name}"{" [peripheries=2]" if name in marked else ""};' for name in names]
-        lines += [f'  "{a}" -> "{b}" [label="{label}"];' for a, b, label in edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graphs_to_json_dict(graphs: Sequence[RelationGraph]) -> dict:
-    named = list(_named(graphs))
-    return {
-        "degrees": [g.n for g in graphs],
-        "vertices": [name for names, _, _ in named for name in names],
-        "ctilde": [name for _, marks, _ in named for name in marks],
-        "edges": [{"from": a, "to": b, "label": label} for _, _, edges in named for a, b, label in edges],
-    }
-
-
-def graphs_to_csv(graphs: Sequence[RelationGraph]) -> str:
-    # composition text contains commas, so those fields are quoted
-    rows = (f'"{a}","{b}",{label}' for _, _, edges in _named(graphs) for a, b, label in edges)
-    return "\n".join(["from,to,label", *rows]) + "\n"

@@ -16,6 +16,7 @@ cross-multiplication.  Pivot divisions happen once, in `reduce`.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -35,15 +36,17 @@ _MAX_EXPONENT = 400  # each float's repr, 5e-324 to 1.7976931348623157e+308, lie
 
 
 def _exact_number(value: object) -> int | Fraction:
-    """`value` as an `int` when integral, else a `Fraction`; a ValueError if it has no exact reading."""
+    """`value` as an `int` when integral, else a `Fraction`; a ValueError if it has no exact reading.
+    A `Decimal` is read as its text, so the text's exponent bound holds for it too."""
     if type(value) is int:
         return value
     try:
-        if isinstance(value, str):
-            match = _EXACT_NUMBER.fullmatch(value)
+        text = str(value) if isinstance(value, Decimal) else value
+        if isinstance(text, str):
+            match = _EXACT_NUMBER.fullmatch(text)
             if not match or int(match[1] or 0) > _MAX_EXPONENT:
                 raise ValueError("not an integer, a/b or decimal in ASCII digits within the exponent bound")
-        value = Fraction(value)
+        value = Fraction(text)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"coefficient {value!r} is no exact number: {exc}") from exc
     return value.numerator if value.denominator == 1 else value
@@ -52,8 +55,9 @@ def _exact_number(value: object) -> int | Fraction:
 def exact_coefficients(n: int, coeffs: Mapping[int, object]) -> dict[int, int | Fraction]:
     """The coefficient rule of `SparseVector` and `qsym.QSymElement`:
     indices must lie in [0, 2^(n-1)) and zeros are dropped; an `int` is
-    kept, and any other value becomes an exact `Fraction` (a text only when
-    it matches `_EXACT_NUMBER`), which is an `int` again when its denominator is 1.
+    kept, and any other value becomes an exact `Fraction` (a text, or the text of a
+    `Decimal`, only when it matches `_EXACT_NUMBER`), which is an `int` again when its
+    denominator is 1.
 
     >>> exact_coefficients(3, {0: Fraction(6, 3), 1: "1/2", 2: 0.0, 3: True})
     {0: 2, 1: Fraction(1, 2), 3: 1}

@@ -14,7 +14,7 @@ compositions; `_f_basis_product` counts their descent compositions by
 one DP over two count types, ints of packed mask counts where most masks
 occur and dicts where few do, for `multiply_f`; `multiply_f_via_shuffles`
 keeps the route through the words.
-Both are oracles of the tables `kernel._interleavings`, from which the
+Both are oracles of the tables `ideal._interleavings`, from which the
 ideal check and shuffle-compatibility read their projected products.
 
 The involutions psi and rho relabel the fundamental basis by the
@@ -45,7 +45,6 @@ from .compositions import (
 from .config import check_degree
 from .errors import BasisTagError, DegreeMismatchError
 from .linalg import SparseVector, _exact_number, exact_coefficients
-from .statistics import perm_descent_composition, realize_permutation, shuffles
 
 
 class QSymElement:
@@ -267,6 +266,7 @@ def multiply_f_via_shuffles(
     and sum F over the descent compositions of their shuffles.  The
     offsets pick which letters realize each composition; the result must
     not depend on them."""
+    from .words import perm_descent_composition, realize_permutation, shuffles  # only this oracle loads words
     check_degree(a_comp.n + b_comp.n)  # before the C(a + b, a) words
     if offset_b is None:
         offset_b = offset_a + a_comp.n

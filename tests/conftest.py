@@ -89,16 +89,16 @@ class LoggedRows(list):
         return super().__getitem__(index)
 
 
-def log_products(monkeypatch, kernel):
-    """Patch `kernel._interleavings` to log what each table serves: per table built, in
+def log_products(monkeypatch, ideal):
+    """Patch `ideal._interleavings` to log what each table serves: per table built, in
     order, ((a, b), x_reads, y_reads).  A product, summed or counted, reads row x of xs and
     then row y of ys, so zip(x_reads, y_reads) lists the (x, y) of each product taken."""
-    built, real = [], kernel._interleavings
+    built, real = [], ideal._interleavings
 
     def logged(a, b):
         (xs, ys), x_reads, y_reads = real(a, b), [], []
         built.append(((a, b), x_reads, y_reads))
         return LoggedRows(xs, x_reads), LoggedRows(ys, y_reads)
 
-    monkeypatch.setattr(kernel, "_interleavings", logged)
+    monkeypatch.setattr(ideal, "_interleavings", logged)
     return built

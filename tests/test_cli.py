@@ -13,7 +13,7 @@ import pytest
 
 import figure_data
 from golden_argv import golden_argv
-from qsymk import cli, config, kernel, linalg, qsym
+from qsymk import cli, config, ideal, kernel, linalg, monomial_span, qsym
 from qsymk.cli import CHECK_NAMES, main
 from qsymk.compositions import compositions_of
 from qsymk.kernel import RelationId, relation_edges
@@ -388,7 +388,7 @@ def test_unwritable_out_path_fails_before_the_check(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the check ran before --out was opened")
 
-    monkeypatch.setattr(cli, "ideal_reports", refuse)
+    monkeypatch.setattr(ideal, "ideal_reports", refuse)
     target = tmp_path / "missing" / "x.json"
     with pytest.raises(SystemExit) as info:
         main(["verify", "ideal", "--deg", "1..3", "--out", str(target)])
@@ -418,15 +418,29 @@ def test_out_may_be_a_fifo(tmp_path, capsys):
             assert (got, captured.out, captured.err) == ([want.encode()], "", "")
 
 
+# usage errors, each with the text its message names: nothing is printed, and exit is 2
+USAGE_ERRORS = (
+    (["verify", "thm2a", "--deg", "5..3"], "5..3"),
+    (["verify", "thm2a", "--stat", "Nope"], "--stat"),
+    (["verify", "ideal", "--stat", "Nope"], "Nope"),
+    (["dims", "--stat", "Nope"], "Nope"),
+    (["dims", "--stat", "Pk", "--stat", "Pk", "--deg", "2..3"], "--stat Pk"),  # it printed each row twice
+)
+
+
+def _refused(capsys, argv: list[str], name: str) -> None:
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and name in captured.err, argv
+
+
 def test_usage_error_keeps_an_existing_out_file(tmp_path, capsys):
     target = tmp_path / "old.json"
     target.write_bytes(b"old report\n")
-    for argv in (["verify", "thm2a", "--deg", "5..3"], ["verify", "thm2a", "--stat", "Nope"],
-                 ["verify", "ideal", "--stat", "Nope"], ["dims", "--stat", "Nope"]):
-        with pytest.raises(SystemExit) as info:
-            main([*argv, "--out", str(target)])
-        assert info.value.code == 2, argv
-        assert capsys.readouterr().err.startswith("error: ")
+    for argv, name in USAGE_ERRORS:
+        _refused(capsys, [*argv, "--out", str(target)], name)
         assert target.read_bytes() == b"old report\n", argv
     # a run that completes replaces the old bytes entirely
     code, out = run_cli(capsys, "verify", "thm2a", "--deg", "1..2", "--out", str(target))
@@ -436,12 +450,9 @@ def test_usage_error_keeps_an_existing_out_file(tmp_path, capsys):
 
 def test_usage_error_creates_no_out_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "new.json"
-    for argv in (["verify", "thm2a", "--deg", "5..3"], ["verify", "thm2a", "--stat", "Nope"],
-                 ["verify", "ideal", "--stat", "Nope"], ["dims", "--stat", "Nope"]):
-        with pytest.raises(SystemExit) as info:
-            main([*argv, "--out", str(target)])
-        assert info.value.code == 2, argv
-        assert capsys.readouterr().err.startswith("error: ")
+    for argv, name in USAGE_ERRORS:
+        _refused(capsys, argv, name)
+        _refused(capsys, [*argv, "--out", str(target)], name)
         assert not target.exists(), argv
     # a failing check is no usage error: its report is written
     monkeypatch.setitem(cli.RELATION_SETS, "arrow12", frozenset({RelationId.Arrow1}))
@@ -468,7 +479,7 @@ def test_failing_checks_report_witnesses(capsys, monkeypatch):
             {"kernel_dim": dim, key: count} for dim, count in zip(dims, counts)
         ]
 
-    monkeypatch.setattr(cli, "check_spanning_M", lambda stat, n: False)
+    monkeypatch.setattr(monomial_span, "check_spanning_M", lambda stat, n: False)
     code, out = run_cli(capsys, "verify", "thm3a", "--deg", "1..3")
     assert code == 1
     assert [row["witness"] for row in json.loads(out)["rows"]] == [
@@ -482,7 +493,7 @@ def test_failing_checks_report_witnesses(capsys, monkeypatch):
 
     violations = kernel.is_ideal_upto(max_part, 5)["violations"]
     real = kernel.kernel_space
-    monkeypatch.setattr(kernel, "kernel_space", lambda stat, n: real(max_part if stat is StatisticId.Pk else stat, n))
+    monkeypatch.setattr(ideal, "kernel_space", lambda stat, n: real(max_part if stat is StatisticId.Pk else stat, n))
     code, out = run_cli(capsys, "verify", "ideal", "--deg", "1..5")
     assert code == 1
     assert violations == [{"row_degree": 4, "factor": "(1)", "row": {"(2,2)": "1", "(2,1,1)": "-1"}}]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsymk import cli, compositions, config, kernel, linalg, qsym, statistics
+from qsymk import bridges, cli, compositions, config, ideal, kernel, linalg, monomial_span, qsym, statistics
 from qsymk.compositions import (
     Composition,
     complement_mask,
@@ -314,7 +314,7 @@ def test_projected_m_is_the_class_sums_of_m_to_f():
     for stat in StatisticId:
         for n in range(0, 10):
             space = kernel_space(stat, n)
-            proj = kernel._projected_m(space.labels)
+            proj = monomial_span._projected_m(space.labels)
             assert len(proj) == 1 << max(n - 1, 0)
             for c, got in enumerate(proj):
                 image = m_to_f(QSymElement(n, "M", {c: 1})).coeffs
@@ -334,13 +334,13 @@ def test_check_spanning_M_agrees_with_the_F_route(monkeypatch):
         for n in range(0, 11):
             assert check_spanning_M(stat, n) and _check_spanning_M_via_F(stat, n)
     # both routes reject the planted families alike, including a sign flip
-    terms_of = kernel.monomial_span_terms
+    terms_of = monomial_span.monomial_span_terms
     n = 7
     for stat in (S.Pk, S.pk, S.Epk):
         honest = terms_of(stat, n)
         flipped = [{c: -v if i else v for i, (c, v) in enumerate(t.items())} for t in honest]
         for planted in (honest[1:], flipped, honest + [{0: 1}]):
-            monkeypatch.setattr(kernel, "monomial_span_terms", lambda st, deg, ts=planted: ts)
+            monkeypatch.setattr(monomial_span, "monomial_span_terms", lambda st, deg, ts=planted: ts)
             assert not check_spanning_M(stat, n)
             assert not _check_spanning_M_via_F(stat, n)
 
@@ -381,7 +381,7 @@ def test_check_spanning_M_matches_span_equality(monkeypatch):
     rows = kernel_space(S.Pk, n).basis.rows
     for terms in planted:
         vectors = [f_sparse(QSymElement(n, "M", t)) for t in terms]
-        monkeypatch.setattr(kernel, "monomial_span_terms", lambda stat, n, ts=terms: ts)
+        monkeypatch.setattr(monomial_span, "monomial_span_terms", lambda stat, n, ts=terms: ts)
         assert not spans_equal(vectors, rows, n)
         assert not check_spanning_M(S.Pk, n)
 
@@ -454,7 +454,7 @@ def _m_families(n: int) -> list[list[dict[int, int]]]:
 def test_signed_rank_matches_elimination():
     for n in range(0, 11):
         for terms in _m_families(n):
-            assert kernel._signed_rank(terms) == rank([SparseVector(n, t) for t in terms], n), n
+            assert monomial_span._signed_rank(terms) == rank([SparseVector(n, t) for t in terms], n), n
 
 
 @pytest.mark.parametrize("terms, want", [
@@ -470,7 +470,7 @@ def test_signed_rank_matches_elimination():
 ], ids=["odd-cycle", "even-cycle", "positive-cycle", "half-edge", "unbalanced-joins",
         "unbalanced-merged", "repeated", "empty-term", "no-terms"])
 def test_signed_rank_on_planted_graphs(terms, want):
-    assert kernel._signed_rank(terms) == rank([SparseVector(3, t) for t in terms], 3) == want
+    assert monomial_span._signed_rank(terms) == rank([SparseVector(3, t) for t in terms], 3) == want
 
 
 @pytest.mark.parametrize("terms", [
@@ -481,7 +481,7 @@ def test_signed_rank_on_planted_graphs(terms, want):
 ], ids=["three-terms", "coefficient-2", "coefficient-0", "half"])
 def test_signed_rank_refuses_other_shapes(terms):
     with pytest.raises(ValueError, match="not a signed-graph combination"):
-        kernel._signed_rank(terms)
+        monomial_span._signed_rank(terms)
 
 
 # one- and two-term +-1 combinations on the indices 0..6, repeats and {} included
@@ -503,16 +503,16 @@ _signed_terms = st.lists(
 @given(_signed_terms)
 @settings(max_examples=200, deadline=None)
 def test_signed_rank_matches_rank_on_random_signed_graphs(terms):
-    assert kernel._signed_rank(terms) == rank([SparseVector(4, t) for t in terms], 4)
+    assert monomial_span._signed_rank(terms) == rank([SparseVector(4, t) for t in terms], 4)
 
 
 @given(_signed_terms, _signed_terms)
 @settings(max_examples=200, deadline=None)
 def test_signed_span_equality_matches_spans_equal_on_random_signed_graphs(xs, ys):
     want = spans_equal([SparseVector(4, x) for x in xs], [SparseVector(4, y) for y in ys], 4)
-    assert kernel._signed_spans_equal(xs, ys) == want
+    assert monomial_span._signed_spans_equal(xs, ys) == want
     # a family spans what it spans, and its own members lie in it
-    assert kernel._signed_spans_equal(ys, ys)
+    assert monomial_span._signed_spans_equal(ys, ys)
 
 
 def _components_by_search(graph: RelationGraph) -> tuple[tuple[int, ...], ...]:
@@ -568,10 +568,10 @@ def test_signed_span_equality_matches_spans_equal():
     ]
     for xs, ys, want in pairs:
         spans = spans_equal([SparseVector(3, x) for x in xs], [SparseVector(3, y) for y in ys], 3)
-        assert kernel._signed_spans_equal(xs, ys) == spans == want, (xs, ys)
+        assert monomial_span._signed_spans_equal(xs, ys) == spans == want, (xs, ys)
     # a many-term x inside the span leaves xs no signed graph to rank
     with pytest.raises(ValueError, match="not a signed-graph combination"):
-        kernel._signed_spans_equal([{0: 1, 1: 1, 2: -2}], cycle)
+        monomial_span._signed_spans_equal([{0: 1, 1: 1, 2: -2}], cycle)
 
 
 # -- the subset-indexed regions ----------------------------------------------
@@ -630,7 +630,7 @@ def test_region_masks_against_brute_force():
     for n in range(0, 10):
         brute = _brute_regions(n)
         for c_mask in range(1 << max(n - 1, 0)):
-            masks = kernel._regions(n, c_mask)
+            masks = monomial_span._regions(n, c_mask)
             assert all(0 <= mask <= compositions.full_mask(n) for mask in masks), (n, c_mask)
             for k in range(1, n):
                 pair = (compositions.mask_to_set(c_mask), k)
@@ -716,7 +716,7 @@ def test_section4_props():
 
 def test_section4_props_planted_negatives(monkeypatch):
     n = 5
-    relation_edges_of = kernel.relation_edges
+    relation_edges_of = monomial_span.relation_edges
 
     def one_arrow3_edge_dropped(rels, degree):
         graph = relation_edges_of(rels, degree)
@@ -725,16 +725,16 @@ def test_section4_props_planted_negatives(monkeypatch):
         dropped = next(e for e in graph.edges if e[2] == "3")
         return RelationGraph(graph.n, tuple(e for e in graph.edges if e != dropped), graph.marks)
 
-    monkeypatch.setattr(kernel, "relation_edges", one_arrow3_edge_dropped)
+    monkeypatch.setattr(monomial_span, "relation_edges", one_arrow3_edge_dropped)
     results = check_section4_props(n)["results"]
     assert not results["lemma_om4_matches_arrow3"]
     assert not results["prop44_f_family_spans_Fpk"]
     monkeypatch.undo()
 
     ctilde = {index_of(C((1,) * (n - 2) + (2,))): 1}
-    span_terms_of = kernel.monomial_span_terms
+    span_terms_of = monomial_span.monomial_span_terms
     monkeypatch.setattr(
-        kernel, "monomial_span_terms",
+        monomial_span, "monomial_span_terms",
         lambda stat, degree: [t for t in span_terms_of(stat, degree) if t != ctilde],
     )
     report = check_section4_props(n)
@@ -781,15 +781,15 @@ def _section4_via_F(n: int, family) -> dict:
 
 def _plant(monkeypatch, family) -> None:
     """Make `check_section4_props` read exactly the given members."""
-    monkeypatch.setattr(kernel, "_omega", lambda n: ((r, i, 0) for i, (r, _, _) in enumerate(family)))
-    monkeypatch.setattr(kernel, "_members", lambda r, i, k, n: family[i][1:])
+    monkeypatch.setattr(monomial_span, "_omega", lambda n: ((r, i, 0) for i, (r, _, _) in enumerate(family)))
+    monkeypatch.setattr(monomial_span, "_members", lambda r, i, k, n: family[i][1:])
 
 
 def test_section4_props_match_the_spans_equal_route():
     for n in range(0, 9):
         family = _honest_family(n)
         # the check reads the same members, in the order of `_omega`
-        on_masks = [(r, *kernel._members(r, c, k, n)) for r, c, k in kernel._omega(n)]
+        on_masks = [(r, *monomial_span._members(r, c, k, n)) for r, c, k in monomial_span._omega(n)]
         assert sorted(map(repr, on_masks)) == sorted(map(repr, family)), n
         want = _section4_via_F(n, family)
         assert all(want.values()), n
@@ -865,8 +865,8 @@ def test_section4_props_eliminate_nothing(monkeypatch):
     for name in ("_echelon", "_remainder", "_row_basis"):
         monkeypatch.setattr(linalg, name, _refuse)
     spans = []
-    real = kernel._signed_spans_equal
-    monkeypatch.setattr(kernel, "_signed_spans_equal", lambda xs, ys: spans.append((xs, ys)) or real(xs, ys))
+    real = monomial_span._signed_spans_equal
+    monkeypatch.setattr(monomial_span, "_signed_spans_equal", lambda xs, ys: spans.append((xs, ys)) or real(xs, ys))
     for n in range(0, 9):
         spans.clear()
         assert check_section4_props(n)["pass"]
@@ -965,8 +965,8 @@ def test_verify_ideal_builds_each_table_once(monkeypatch, capsys):
     # bidegrees 1 <= a <= s - a of each total s <= 9, in order, and builds each of
     # their tables once; (1, 1) has one pair, its own reference, and needs no table
     keys = []
-    tables = kernel._interleavings
-    monkeypatch.setattr(kernel, "_interleavings", lambda a, b: keys.append((a, b)) or tables(a, b))
+    tables = ideal._interleavings
+    monkeypatch.setattr(ideal, "_interleavings", lambda a, b: keys.append((a, b)) or tables(a, b))
     assert cli.main(["verify", "ideal", "--deg", "1..9"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
     assert keys == [(a, s - a) for s in range(3, 10) for a in range(1, s // 2 + 1)]
@@ -977,7 +977,7 @@ def test_no_table_outlives_its_scan():
     # the tables are built for one bidegree of one scan; a scan to degree 16 once
     # left about 80 MB of them in a cache
     rows = []
-    tables = kernel._interleavings
+    tables = ideal._interleavings
 
     def keeping(a, b):
         xs, ys = tables(a, b)
@@ -985,7 +985,7 @@ def test_no_table_outlives_its_scan():
         return xs, ys
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernel, "_interleavings", keeping)
+        patch.setattr(ideal, "_interleavings", keeping)
         assert shuffle_compatibility_upto(S.Pk, 9).compatible
     assert len(rows) == 19
     gc.collect()
@@ -998,7 +998,7 @@ def test_interleaving_tables_match_the_product_dp():
     rng = random.Random(25)
     sampled = [(s, rng.randrange(s + 1)) for s in (10, 11, 12) for _ in range(8)]
     for s, a in [(s, a) for s in range(10) for a in range(s + 1)] + sampled:
-        xs, ys = kernel._interleavings(a, s - a)
+        xs, ys = ideal._interleavings(a, s - a)
         assert (len(xs), len(ys)) == (1 << max(a - 1, 0), 1 << max(s - a - 1, 0))
         assert {len(row) for row in (*xs, *ys)} == {math.comb(s, a)}
         pairs = itertools.product(range(len(xs)), range(len(ys)))
@@ -1028,12 +1028,12 @@ def test_fingerprints_are_the_class_sums_of_the_dp():
         for a in range(1, s):
             width, grid = math.comb(s, a).bit_length(), range(1 << (s - 2))  # p = x 2^(s-a-1) + y
             ends = list(itertools.accumulate((width * (max(labels) + 1) for labels in labelings), initial=0))
-            shared = [list(map(fingerprint, grid)) for fingerprint in kernel._fingerprints(labelings, a, s - a)]
+            shared = [list(map(fingerprint, grid)) for fingerprint in ideal._fingerprints(labelings, a, s - a)]
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
-                counted = [list(map(fingerprint, grid)) for fingerprint in kernel._fingerprints(labelings, a, s - a)]
+                patch.setattr(ideal, "_PACKED_FINGERPRINT_BITS", 0)
+                counted = [list(map(fingerprint, grid)) for fingerprint in ideal._fingerprints(labelings, a, s - a)]
             for j, labels in enumerate(labelings):
-                (alone,) = (list(map(fingerprint, grid)) for fingerprint in kernel._fingerprints([labels], a, s - a))
+                (alone,) = (list(map(fingerprint, grid)) for fingerprint in ideal._fingerprints([labels], a, s - a))
                 for p, (x, y) in enumerate(itertools.product(range(1 << (a - 1)), range(1 << (s - a - 1)))):
                     want = kernel._class_sums(labels, _f_basis_product(a, x, s - a, y))
                     assert counted[j][p] == want, (labels[:4], a, x, y)
@@ -1060,10 +1060,10 @@ def test_fingerprints_meet_the_des_and_maj_closed_forms():
             pairs = list(itertools.product(*rows))
             flat = [x * sizes[1] + y for x, y in pairs]
             width = math.comb(s, a).bit_length()
-            packed = kernel._fingerprints(labelings, a, s - a)
+            packed = ideal._fingerprints(labelings, a, s - a)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
-                counted = kernel._fingerprints(labelings, a, s - a)
+                patch.setattr(ideal, "_PACKED_FINGERPRINT_BITS", 0)
+                counted = ideal._fingerprints(labelings, a, s - a)
             offsets = [0, width * (max(labelings[0]) + 1)]  # des packed first, maj after it
             for offset, shared, dicts, (stat, closed_form) in zip(offsets, packed, counted, stats):
                 for (x, y), value, classes in zip(pairs, map(shared, flat), map(dicts, flat), strict=True):
@@ -1076,24 +1076,24 @@ def test_the_scan_counts_only_statistics_past_the_bit_budget(monkeypatch):
     # a sum costs the width of its ints: pk's classes are packed at every bidegree,
     # and Epk's 232 classes at degree 11 pass the budget in 9-bit slots, at (4, 7)
     # and (5, 6), so only there are they counted in dicts
-    counted, real = [], kernel._counted
+    counted, real = [], ideal._counted
 
     def counting(labels, xs, ys):
         counted.append((max(labels) + 1, len(xs).bit_length(), len(ys).bit_length()))  # (classes, a, b)
         return real(labels, xs, ys)
 
-    monkeypatch.setattr(kernel, "_counted", counting)
-    assert kernel._first_mismatches([S.pk, S.Epk], 11) == [None, None]
+    monkeypatch.setattr(ideal, "_counted", counting)
+    assert ideal._first_mismatches([S.pk, S.Epk], 11) == [None, None]
     assert counted == [(232, 4, 7), (232, 5, 6)]
-    assert 232 * math.comb(11, 3).bit_length() <= kernel._PACKED_FINGERPRINT_BITS < 232 * math.comb(11, 4).bit_length()
+    assert 232 * math.comb(11, 3).bit_length() <= ideal._PACKED_FINGERPRINT_BITS < 232 * math.comb(11, 4).bit_length()
 
 
 def test_the_dict_route_counts_each_compared_pair_and_each_reference_once(monkeypatch):
     # with no bit budget every product is a dict: one per compared pair, and one per
     # distinct reference however many pairs it serves, none kept per pair, and none for
     # a pair alone in its (class, class) group, which is its own reference
-    monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
-    tables = log_products(monkeypatch, kernel)
+    monkeypatch.setattr(ideal, "_PACKED_FINGERPRINT_BITS", 0)
+    tables = log_products(monkeypatch, ideal)
     assert shuffle_compatibility_upto(S.Pk, 8).compatible
     total = 0
     for (a, b), x_reads, y_reads in tables:
@@ -1111,7 +1111,7 @@ def test_the_dict_route_counts_each_compared_pair_and_each_reference_once(monkey
 def test_a_scan_with_no_pair_to_compare_builds_no_table(monkeypatch):
     # each pair of Des is alone in its class pair, and each class of Des is a
     # single composition, so neither check compares a product or builds a table
-    monkeypatch.setattr(kernel, "_interleavings", _refuse)
+    monkeypatch.setattr(ideal, "_interleavings", _refuse)
     assert shuffle_compatibility_upto(S.Des, 8).compatible
     assert is_ideal_upto(S.Des, 8)["ideal"]
 
@@ -1187,7 +1187,7 @@ def test_kernel_transport_matches_span_equality():
         for n in range(0, 10):
             image = [transform(row) for row in kernel_space(src, n).basis.rows]
             expected = spans_equal(image, kernel_space(dst, n).basis.rows, n)
-            assert kernel._maps_onto(src, dst, relabel, n) == expected, (src, dst, n)
+            assert bridges._maps_onto(src, dst, relabel, n) == expected, (src, dst, n)
             verdicts.append(expected)
         assert all(verdicts) == bridge, (src, dst, verdicts)
 

@@ -12,11 +12,12 @@ import time
 import tracemalloc
 from array import array
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from qsymk import qsym
+from qsymk import qsym, words
 from qsymk.compositions import Composition, compositions_of, from_index, mask_to_set
 from qsymk.config import max_degree, set_max_degree
 from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError, InvalidSubsetError, QsymkError
@@ -353,7 +354,7 @@ def test_a_degree_past_the_limit_is_refused_before_enumerating(monkeypatch):
         raise AssertionError("enumerated past the degree limit")
 
     monkeypatch.setattr(qsym, "_submasks", refuse)
-    monkeypatch.setattr(qsym, "shuffles", refuse)
+    monkeypatch.setattr(words, "shuffles", refuse)
     n = max_degree() + 1
     for call in (lambda: lemma22b_combination(n, set(), 3), lambda: lemma22c_combination(n, set(), 3),
                  lambda: multiply_f_via_shuffles(C((n // 2,)), C((n - n // 2,)))):
@@ -465,18 +466,21 @@ def test_json_coefficient_text_is_bounded():
 def test_every_coefficient_entry_point_takes_the_text_rule():
     # elements, vectors and scalars read a coefficient by the JSON reader's rule, so no
     # text builds a huge power of ten (about 40x slower per decade of exponent), and a
-    # value with no exact reading, text or not, is a ValueError that names it
+    # value with no exact reading, text or not, is a ValueError that names it; a Decimal
+    # is read as its text, so Decimal("1e1000000") is refused as fast as "1e1000000"
     entry_points = (lambda value: QSymElement(3, "F", {0: value}).coeffs,
                     lambda value: SparseVector(3, {0: value}).entries,
                     lambda value: (value * QSymElement(3, "F", {0: 1})).coeffs)
-    for bad in ("1e5000000", "1e999999999", "\u0663", "1_0", "1/0", "0x10", float("inf"), float("nan"), None, [1]):
+    for bad in ("1e5000000", "1e999999999", "\u0663", "1_0", "1/0", "0x10", float("inf"), float("nan"), None, [1],
+                Decimal("1e1000000"), Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity")):
         for build in entry_points:
             start = time.perf_counter()
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 build(bad)
             assert time.perf_counter() - start < 0.1, bad
     # an integral value, an int scalar too, is stored as an int
-    for good, want in (("1e400", 10**400), (" -1/2 ", Fraction(-1, 2)), (0.5, Fraction(1, 2)), (3, 3), (True, 1)):
+    for good, want in (("1e400", 10**400), (" -1/2 ", Fraction(-1, 2)), (0.5, Fraction(1, 2)), (3, 3), (True, 1),
+                       (Decimal("2.5"), Fraction(5, 2)), (Decimal("1E+2"), 100)):
         for build in entry_points:
             assert build(good) == {0: want} and type(build(good)[0]) is type(want), good
 

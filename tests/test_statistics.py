@@ -11,7 +11,7 @@ import pytest
 from conftest import complement_permutation, log_products, reverse_permutation
 from qsymk.compositions import Composition, compositions_of, from_index, index_of
 from qsymk.config import set_max_degree
-from qsymk import kernel, statistics
+from qsymk import ideal, kernel, words
 from qsymk.errors import DegreeLimitError, DisjointnessError
 from qsymk.kernel import is_ideal_upto, kernel_space, shuffle_compatibility_upto
 from qsymk.qsym import _f_basis_product, fundamental, multiply_f
@@ -457,7 +457,7 @@ def test_shufflecheck_builds_no_permutation_per_interleaving(monkeypatch):
         built += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(statistics, "shuffles", refuse)
+    monkeypatch.setattr(words, "shuffles", refuse)
     monkeypatch.setattr(Permutation, "__init__", counting)
     assert check_shuffle_compatible(S.Pk, 8).compatible
     assert built == 0  # no word at all
@@ -471,21 +471,21 @@ def test_shufflecheck_compares_the_pairs_of_half_the_bidegrees_from_a_1(monkeypa
     # classes are packed, as they fit the bit budget, or counted in dicts with no budget,
     # and a pair alone in its group is compared with nothing
     seen, fingerprinted = [], []
-    real, prints = kernel._product_mismatches, kernel._fingerprints
+    real, prints = ideal._product_mismatches, ideal._fingerprints
 
     def recording(fingerprint, pairs):
         pairs = list(pairs)
         seen.append(pairs)
         return real(fingerprint, iter(pairs))
 
-    monkeypatch.setattr(kernel, "_product_mismatches", recording)
-    monkeypatch.setattr(kernel, "_fingerprints", lambda labelings, a, b: fingerprinted.append((a, b))
+    monkeypatch.setattr(ideal, "_product_mismatches", recording)
+    monkeypatch.setattr(ideal, "_fingerprints", lambda labelings, a, b: fingerprinted.append((a, b))
                         or prints(labelings, a, b))
     bidegrees = [(a, s - a) for s in range(3, 9) for a in range(1, s // 2 + 1)]
     assert shuffle_compatibility_upto(S.Pk, 8).compatible
     packed = seen.copy()
     seen.clear()
-    monkeypatch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
+    monkeypatch.setattr(ideal, "_PACKED_FINGERPRINT_BITS", 0)
     assert shuffle_compatibility_upto(S.Pk, 8).compatible
     assert seen == packed and fingerprinted == bidegrees * 2
     compared, handed = 0, 0
@@ -504,7 +504,7 @@ def test_shufflecheck_compares_the_pairs_of_half_the_bidegrees_from_a_1(monkeypa
 def test_the_packed_scan_sums_only_the_pairs_it_compares(monkeypatch):
     # a pair is compared, or is the reference of one, exactly when x's class or y's has a
     # second member; only those are summed, each once, however often it is asked for
-    tables = log_products(monkeypatch, kernel)
+    tables = log_products(monkeypatch, ideal)
     assert shuffle_compatibility_upto(S.Epk, 9).compatible
     summed, pairs = 0, 0
     for (a, b), x_reads, y_reads in tables:
@@ -545,13 +545,13 @@ def test_the_shared_scan_meets_the_one_statistic_route():
     assert [stat for stat in SCANNED if want[stat]] == [max_part, parts_mod_3, des_mod_2, double_descents]
     for length in range(10):
         expected = [want[stat] if FAILS_FROM.get(stat, length + 1) <= length else None for stat in SCANNED]
-        assert kernel._first_mismatches(SCANNED, length) == expected, length
+        assert ideal._first_mismatches(SCANNED, length) == expected, length
         for stat, witness in zip(SCANNED, expected):
-            assert kernel._first_mismatches([stat], length) == [witness], (stat_name(stat), length)
+            assert ideal._first_mismatches([stat], length) == [witness], (stat_name(stat), length)
     # the dict route, for statistics whose slots pass the budget, finds the same
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernel, "_PACKED_FINGERPRINT_BITS", 0)
-        assert kernel._first_mismatches(SCANNED, 9) == [want[stat] for stat in SCANNED]
+        patch.setattr(ideal, "_PACKED_FINGERPRINT_BITS", 0)
+        assert ideal._first_mismatches(SCANNED, 9) == [want[stat] for stat in SCANNED]
 
 
 # failing planted statistics between passing ones, packed side by side
@@ -564,7 +564,7 @@ def test_failing_statistics_between_passing_ones_keep_their_verdicts():
         reports = kernel.ideal_reports(BATCH, length)
         assert reports == [is_ideal_upto(stat, length) for stat in BATCH], length
         assert [report["ideal"] for report in reports] == [FAILS_FROM.get(stat, length + 1) > length for stat in BATCH]
-        assert kernel._first_mismatches(BATCH, length) == [
+        assert ideal._first_mismatches(BATCH, length) == [
             shuffle_compatibility_upto(stat, length).witness for stat in BATCH], length
     assert kernel.ideal_reports(iter(BATCH), 5) == kernel.ideal_reports(BATCH, 5)  # any iterable
 
@@ -574,20 +574,20 @@ def test_a_field_shifted_by_one_class_is_caught(monkeypatch):
     # moves: the class counts of F_x F_y sum to C(s, a), so two that differ do so in two
     # classes or more.  In a batch, a statistic also reads the first class of the one
     # packed after it: Pk fails on max_part's counts, and max_part's witness moves
-    real, masked = kernel._fingerprints, kernel._masked
+    real, masked = ideal._fingerprints, ideal._masked
 
     def shifted(labelings, a, b):
         width = math.comb(a + b, a).bit_length()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernel, "_masked", lambda sums, field: masked(sums, field << width))
+            patch.setattr(ideal, "_masked", lambda sums, field: masked(sums, field << width))
             return real(labelings, a, b)
 
     witness = _first_mismatch(max_part, 6)
-    monkeypatch.setattr(kernel, "_fingerprints", shifted)
-    assert [kernel._first_mismatches([stat], 6) for stat in (S.Pk, max_part)] == [[None], [witness]]
-    assert kernel._first_mismatches([S.Pk, max_part], 6)[0] is not None
-    assert kernel._first_mismatches([max_part, S.Pk], 6) != [witness, None]
-    assert kernel._first_mismatches(BATCH, 7) != [shuffle_compatibility_upto(stat, 7).witness for stat in BATCH]
+    monkeypatch.setattr(ideal, "_fingerprints", shifted)
+    assert [ideal._first_mismatches([stat], 6) for stat in (S.Pk, max_part)] == [[None], [witness]]
+    assert ideal._first_mismatches([S.Pk, max_part], 6)[0] is not None
+    assert ideal._first_mismatches([max_part, S.Pk], 6) != [witness, None]
+    assert ideal._first_mismatches(BATCH, 7) != [shuffle_compatibility_upto(stat, 7).witness for stat in BATCH]
 
 
 def test_shuffle_compatibility_validates_length():
@@ -605,8 +605,13 @@ def test_shuffle_compatibility_validates_length():
 def test_parse_statistic_is_case_sensitive():
     assert parse_statistic("Pk") is S.Pk
     assert parse_statistic("pk") is S.pk
-    with pytest.raises(ValueError):
-        parse_statistic("PK")
+    assert [parse_statistic(stat.value) for stat in S] == list(S)
+    names = "Des, des, maj, Pk, pk, Epk, epk, Lpk, lpk, Rpk, rpk, Val, val"
+    # a name is looked up, not scanned for; a member itself, or any other non-str, is no name
+    for bad in ("PK", "", " Pk", S.Pk, None, 3, ["Pk"]):
+        with pytest.raises(ValueError) as info:
+            parse_statistic(bad)
+        assert str(info.value) == f"unknown statistic {bad!r}; expected one of {names}"
 
 
 def test_permutation_text_forms():

@@ -163,40 +163,48 @@ def test_cli_import_needs_no_dataclasses_or_inspect():
     assert done.stdout.strip() == "[]"
 
 
-# run under -S in one process: each argv line through `cli.main`, then the modules loaded
-_COLD_JOBS = """
+# one cold job under -S: its argv through `cli.main`, then its exit code, the qsymk
+# modules loaded, and those of the oracles' standard-library modules loaded
+_COLD_JOB = """
 import io, sys
 sys.path.insert(0, sys.argv[1])
 from qsymk import cli
-for line in sys.argv[2:]:
-    sys.stdout, out = io.StringIO(), sys.stdout
-    try:
-        code = cli.main(line.split())
-    finally:
-        sys.stdout = out
-    print(line, code)
-print(sorted({"qsymk.qsym", "qsymk.linalg", "fractions", "decimal", "random"} & set(sys.modules)))
+sys.stdout, out = io.StringIO(), sys.stdout
+try:
+    code = cli.main(sys.argv[2].split())
+finally:
+    sys.stdout = out
+print(sys.argv[2], code, sorted(m for m in sys.modules if m.startswith("qsymk.")),
+      sorted({"fractions", "decimal", "random"} & set(sys.modules)))
 """
+
+# what `import qsymk.cli` loads: the F checks, the dimensions and the graphs
+CLI_MODULES = ["qsymk.cli", "qsymk.compositions", "qsymk.config", "qsymk.errors", "qsymk.kernel", "qsymk.statistics"]
 
 
 def _cold_jobs(*argvs: str) -> list[str]:
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-S", "-c", _COLD_JOBS, str(src), *argvs],
-                          capture_output=True, text=True, timeout=120, check=True)
-    return done.stdout.splitlines()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return [subprocess.run([sys.executable, "-S", "-c", _COLD_JOB, src, argv], capture_output=True, text=True,
+                           timeout=120, check=True).stdout.strip() for argv in argvs]
 
 
 def test_cold_cli_jobs_load_neither_qsym_nor_linalg():
-    # every check reads classes and graphs, save the oracles of thm1a/thm1b (elimination)
-    # and lemma22 (the F/M maps); those alone load qsym, linalg and fractions
+    # a job loads the module of its own check family, if any, on top of the CLI's; the
+    # oracles of thm1a/thm1b (elimination) and lemma22 (the F/M maps) alone load linalg,
+    # qsym and fractions, and no job loads the word-level oracle `words`
     from qsymk.cli import CHECK_NAMES
-    argvs = [f"verify {check} --deg 1..5" for check in CHECK_NAMES if check not in ("thm1a", "thm1b", "lemma22")]
-    argvs += ["shufflecheck Epk 6", "dims --deg 1..6", "graph --rels arrow123 --deg 1..4"]
-    assert "verify ideal --deg 1..5" in argvs and "verify props4 --deg 1..5" in argvs
-    assert _cold_jobs(*argvs) == [f"{argv} 0" for argv in argvs] + ["[]"]
-    oracles = ["verify thm1a --deg 1..4", "verify lemma22 --deg 1..4"]
-    assert _cold_jobs(*oracles) == [f"{argv} 0" for argv in oracles] + [
-        "['decimal', 'fractions', 'qsymk.linalg', 'qsymk.qsym']"]
+    monomial, oracles = ["qsymk.monomial_span"], {"thm1a", "thm1b", "lemma22"}
+    family = {"thm0": monomial, "thm3a": monomial, "thm3b": monomial, "props4": monomial,
+              "ideal": ["qsymk.ideal"], "bridges": ["qsymk.bridges"], "thm1a": ["qsymk.linalg"],
+              "thm1b": ["qsymk.linalg"], "lemma22": ["qsymk.linalg", "qsymk.qsym"]}
+    jobs = {f"verify {check} --deg 1..{4 if check in oracles else 5}": family.get(check, []) for check in CHECK_NAMES}
+    jobs.update({"shufflecheck Epk 6": ["qsymk.ideal"], "dims --deg 1..6": [],
+                 "graph --rels arrow123 --deg 1..4": ["qsymk.bridges"]})
+    assert {"verify thm2b --deg 1..5", "verify thm35 --deg 1..5", "verify thm53b --deg 1..5"} <= {
+        argv for argv, modules in jobs.items() if not modules}
+    assert _cold_jobs(*jobs) == [
+        f"{argv} 0 {sorted(CLI_MODULES + modules)} {['decimal', 'fractions'] if 'qsymk.linalg' in modules else []}"
+        for argv, modules in jobs.items()]
 
 
 def test_the_package_namespace_loads_each_name_from_its_module(monkeypatch):
