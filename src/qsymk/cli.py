@@ -60,14 +60,10 @@ THM1_SUITE: tuple[tuple[StatisticId, str], ...] = (
 )
 
 
-def _row(check: str, degree: int, passed: bool, **extra) -> dict:
-    return {"check": check, "degree": degree, "pass": passed, **extra}
-
-
-def _edge_rows(check: str, stat: StatisticId, relname: str, n: int, basis: bool = False) -> list[dict]:
+def _edge_rows(stat: StatisticId, relname: str, n: int, basis: bool = False) -> list[dict]:
     rels = RELATION_SETS[relname]
     passed = (check_basis_F if basis else check_spanning_F)(stat, n, rels)
-    row = _row(check, n, passed, stat=stat.value, rels=relname)
+    row = {"pass": passed, "stat": stat.value, "rels": relname}
     if not passed:
         graph = relation_edges(rels, n)
         edges = {"edges": len(graph.edges)} if basis else {"edge_rank": graph.edge_rank}
@@ -75,23 +71,18 @@ def _edge_rows(check: str, stat: StatisticId, relname: str, n: int, basis: bool 
     return [row]
 
 
-def _monomial_rows(check: str, stat: StatisticId, n: int) -> list[dict]:
+def _monomial_rows(stat: StatisticId, n: int) -> list[dict]:
     from .monomial_span import check_spanning_M
     passed = check_spanning_M(stat, n)
-    row = _row(check, n, passed, stat=stat.value)
-    if not passed:
-        row["witness"] = {"kernel_dim": kernel_space(stat, n).dim}
-    return [row]
+    witness = {} if passed else {"witness": {"kernel_dim": kernel_space(stat, n).dim}}
+    return [{"pass": passed, "stat": stat.value, **witness}]
 
 
 def _thm0_rows(n: int) -> list[dict]:
     from .monomial_span import check_spanning_M
     f_ok = check_spanning_F(StatisticId.Epk, n, RELATION_SETS["epkarrow"])
     m_ok = check_spanning_M(StatisticId.Epk, n)
-    return [
-        _row("thm0", n, f_ok and m_ok, stat="Epk",
-             details={"fundamental": f_ok, "monomial": m_ok}),
-    ]
+    return [{"pass": f_ok and m_ok, "stat": "Epk", "details": {"fundamental": f_ok, "monomial": m_ok}}]
 
 
 def _thm1_rows(which: str, n: int) -> list[dict]:
@@ -113,66 +104,59 @@ def _thm1_rows(which: str, n: int) -> list[dict]:
             disagreement = f"graph criterion ({spanning}) and rank comparison ({ranked})"
         elif which == "thm1b" and forest != independent:
             disagreement = f"forest criterion ({forest}) and independence ({independent})"
-        row = _row(which, n, disagreement is None, stat=stat.value, rels=relname)
-        if disagreement:
-            row["witness"] = f"{disagreement} disagree for {stat.value} at degree {n}"
-        rows.append(row)
+        witness = {"witness": f"{disagreement} disagree for {stat.value} at degree {n}"} if disagreement else {}
+        rows.append({"pass": disagreement is None, "stat": stat.value, "rels": relname, **witness})
     return rows
 
 
 def _props4_rows(n: int) -> list[dict]:
     from .monomial_span import check_section4_props
-    return _report_rows("props4", check_section4_props(n))
+    return _report_rows(check_section4_props(n))
 
 
 def _bridges_rows(n: int) -> list[dict]:
     from .bridges import check_symmetry_bridges
-    return _report_rows("bridges", check_symmetry_bridges(n))
+    return _report_rows(check_symmetry_bridges(n))
 
 
-def _report_rows(check: str, report: dict) -> list[dict]:
-    return [_row(check, report["degree"], report["pass"], details=report["results"])]
+def _report_rows(report: dict) -> list[dict]:
+    return [{"pass": report["pass"], "details": report["results"]}]
 
 
 def _lemma22_rows(n: int) -> list[dict]:
     from .qsym import QSymElement, f_to_m, lemma22b_combination, lemma22c_combination, m_to_f
-    size = full_mask(n) + 1
-    round_trip = True
-    for mask in range(size):
-        m_elem = QSymElement(n, "M", {mask: 1})
-        f_elem = QSymElement(n, "F", {mask: 1})
-        if f_to_m(m_to_f(m_elem)) != m_elem or m_to_f(f_to_m(f_elem)) != f_elem:
+    masks = range(full_mask(n) + 1)
+    m_in_f = [m_to_f(QSymElement(n, "M", {mask: 1})) for mask in masks]  # each M_C once, for every part
+    round_trip = part_b = part_c = True
+    for mask in masks:
+        f_elem, c_set = QSymElement(n, "F", {mask: 1}), mask_to_set(mask)
+        if f_to_m(m_in_f[mask]) != QSymElement(n, "M", {mask: 1}) or m_to_f(f_to_m(f_elem)) != f_elem:
             round_trip = False
-    part_b = True
-    part_c = True
-    for mask in range(size):
-        c_set = mask_to_set(mask)
         for k in range(1, n):
             if (mask >> (k - 1)) & 1:
                 continue
-            pair = m_to_f(QSymElement(n, "M", {mask: 1, mask | (1 << (k - 1)): 1}))
+            pair = m_in_f[mask] + m_in_f[mask | (1 << (k - 1))]
             if lemma22b_combination(n, c_set, k) != pair:
                 part_b = False
-            if k >= 2 and not (mask >> (k - 2)) & 1:
-                if lemma22c_combination(n, c_set, k) != pair:
-                    part_c = False
-    passed = round_trip and part_b and part_c
-    return [_row("lemma22", n, passed,
-                 details={"round_trip": round_trip, "part_b": part_b, "part_c": part_c})]
+            if k >= 2 and not (mask >> (k - 2)) & 1 and lemma22c_combination(n, c_set, k) != pair:
+                part_c = False
+    details = {"round_trip": round_trip, "part_b": part_b, "part_c": part_c}
+    return [{"pass": all(details.values()), "details": details}]
 
 
+# each runner returns the degree's rows as {"pass": ..., **fields}; `_cmd_verify` adds check and degree
 PER_DEGREE_CHECKS = {
     "thm0": _thm0_rows,
     "thm1a": lambda n: _thm1_rows("thm1a", n),
     "thm1b": lambda n: _thm1_rows("thm1b", n),
-    "thm2a": lambda n: _edge_rows("thm2a", StatisticId.Pk, "arrow12", n),
-    "thm2b": lambda n: _edge_rows("thm2b", StatisticId.pk, "arrow123", n),
-    "thm33": lambda n: _edge_rows("thm33", StatisticId.Pk, "pkbasis", n, basis=True),
-    "thm35": lambda n: _edge_rows("thm35", StatisticId.pk, "pknumbasis", n, basis=True),
-    "thm3a": lambda n: _monomial_rows("thm3a", StatisticId.Pk, n),
-    "thm3b": lambda n: _monomial_rows("thm3b", StatisticId.pk, n),
-    "thm53a": lambda n: _edge_rows("thm53a", StatisticId.Val, "val12", n),
-    "thm53b": lambda n: _edge_rows("thm53b", StatisticId.val, "val123", n),
+    "thm2a": lambda n: _edge_rows(StatisticId.Pk, "arrow12", n),
+    "thm2b": lambda n: _edge_rows(StatisticId.pk, "arrow123", n),
+    "thm33": lambda n: _edge_rows(StatisticId.Pk, "pkbasis", n, basis=True),
+    "thm35": lambda n: _edge_rows(StatisticId.pk, "pknumbasis", n, basis=True),
+    "thm3a": lambda n: _monomial_rows(StatisticId.Pk, n),
+    "thm3b": lambda n: _monomial_rows(StatisticId.pk, n),
+    "thm53a": lambda n: _edge_rows(StatisticId.Val, "val12", n),
+    "thm53b": lambda n: _edge_rows(StatisticId.val, "val123", n),
     "props4": _props4_rows,
     "lemma22": _lemma22_rows,
     "bridges": _bridges_rows,
@@ -199,12 +183,12 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.check == "ideal":
         from .ideal import ideal_reports
         stats = [parse_statistic(args.stat)] if args.stat else list(StatisticId)
-        rows = [_row("ideal", report["total_degree"], report["ideal"], stat=report["stat"],
-                     **({} if report["ideal"] else {"witness": report["violations"]}))
-                for report in ideal_reports(stats, max(degrees))]
+        verdicts = [(report["total_degree"], {"pass": report["ideal"], "stat": report["stat"],
+                     **({} if report["ideal"] else {"witness": report["violations"]})})
+                    for report in ideal_reports(stats, max(degrees))]
     else:
-        runner = PER_DEGREE_CHECKS[args.check]
-        rows = [row for n in degrees for row in runner(n)]
+        verdicts = [(n, row) for n in degrees for row in PER_DEGREE_CHECKS[args.check](n)]
+    rows = [{"check": args.check, "degree": n, **row} for n, row in verdicts]
     passed = all(row["pass"] for row in rows)
     report = {"schema_version": SCHEMA_VERSION, "check": args.check, "pass": passed, "rows": rows}
     return _json(report), 0 if passed else 1

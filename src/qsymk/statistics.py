@@ -139,13 +139,17 @@ def _blocks(keys: Iterable[Hashable]) -> tuple[tuple[int, ...], ...]:
 def equivalence_classes(stat: DescentStatistic, n: int) -> tuple[tuple[int, ...], ...]:
     """Partition of the composition indices of n into blocks of equal
     statistic value.  A `StatisticId` is evaluated on the index, with no
-    `Composition` built; any other callable on the `Composition` (used
-    for planted control statistics); anything else raises ValueError."""
+    `Composition` built; any other callable on the `Composition` (planted
+    controls); anything else, or a callable on `Permutation`, raises ValueError."""
     check_degree(n)
     _check_statistic(stat)
     if isinstance(stat, StatisticId):
         return _blocks(map(_COMP_EVAL[stat], repeat(n), range(full_mask(n) + 1)))
-    return _blocks(map(stat, compositions_of(n)))
+    try:
+        return _blocks(map(stat, compositions_of(n)))
+    except AttributeError as exc:
+        raise ValueError(f"{stat_name(stat)} is given a Composition here; for a statistic on "
+                         "permutations use check_shuffle_compatible or shuffle_distribution") from exc
 
 
 class ShuffleCompatibilityReport(Frozen):

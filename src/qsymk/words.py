@@ -140,7 +140,7 @@ PermStatistic = Union[StatisticId, Callable[[Permutation], Hashable]]
 def shuffle_distribution(stat: PermStatistic, p: Permutation, q: Permutation) -> Counter:
     """Multiset of statistic values over `shuffles(p, q)`.  A `StatisticId`
     is evaluated on the letters; any other callable gets each `Permutation`
-    (a statistic on compositions belongs to `kernel.shuffle_compatibility_upto`)."""
+    (a statistic on compositions belongs to `ideal.shuffle_compatibility_upto`)."""
     words = shuffles(p, q)
     _check_statistic(stat)
     if isinstance(stat, StatisticId):
@@ -149,7 +149,7 @@ def shuffle_distribution(stat: PermStatistic, p: Permutation, q: Permutation) ->
         return Counter(map(stat, words))
     except AttributeError as exc:
         raise ValueError(f"{stat_name(stat)} is given a Permutation here; for a statistic on "
-                         "compositions use kernel.shuffle_compatibility_upto") from exc
+                         "compositions use ideal.shuffle_compatibility_upto") from exc
 
 
 def realize_permutation(comp: Composition, offset: int = 0) -> Permutation:

@@ -521,6 +521,26 @@ def test_lemma22_reports_the_part_that_fails(capsys, monkeypatch, name, broken, 
         assert row["details"] == {part: part != flag for part in ("round_trip", "part_b", "part_c")}
 
 
+def test_lemma22_expands_each_basis_element_once(capsys, monkeypatch):
+    # M_C is expanded once and read by the round trip and by parts (b)/(c): the 32 M_C
+    # and the 32 round-tripped F_C at degree 6, not a fresh pair for each of the 80 (C, k)
+    calls = []
+    real = qsym.m_to_f
+    monkeypatch.setattr(qsym, "m_to_f", lambda elem: calls.append(elem) or real(elem))
+    code, out = run_cli(capsys, "verify", "lemma22", "--deg", "6..6")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert len(calls) == 64
+
+
+def test_runners_return_verdicts_and_verify_adds_check_and_degree(capsys):
+    for check, runner in cli.PER_DEGREE_CHECKS.items():
+        rows = runner(3)
+        assert rows and all("check" not in row and "degree" not in row for row in rows), check
+        code, out = run_cli(capsys, "verify", check, "--deg", "3")
+        assert code == 0
+        assert json.loads(out)["rows"] == [{"check": check, "degree": 3, **row} for row in rows], check
+
+
 def test_shufflecheck(capsys):
     code, out = run_cli(capsys, "shufflecheck", "Des", "4")
     assert code == 0

@@ -13,7 +13,8 @@ from qsymk.compositions import Composition, compositions_of, from_index, index_o
 from qsymk.config import set_max_degree
 from qsymk import ideal, kernel, words
 from qsymk.errors import DegreeLimitError, DisjointnessError
-from qsymk.kernel import is_ideal_upto, kernel_space, shuffle_compatibility_upto
+from qsymk.kernel import (RelationId, check_spanning_F, is_ideal_upto, kernel_space, quotient_dimension,
+                          shuffle_compatibility_upto)
 from qsymk.qsym import _f_basis_product, fundamental, multiply_f
 from qsymk.statistics import (
     Permutation,
@@ -420,7 +421,22 @@ def test_a_statistic_on_compositions_is_refused_on_words():
     calls = [lambda: check_shuffle_compatible(max_part, 3),
              lambda: shuffle_distribution(max_part, Permutation((1,)), Permutation((2,)))]
     for call in calls:
-        with pytest.raises(ValueError, match="given a Permutation.*kernel.shuffle_compatibility_upto") as info:
+        with pytest.raises(ValueError, match="given a Permutation.*ideal.shuffle_compatibility_upto") as info:
+            call()
+        assert isinstance(info.value.__cause__, AttributeError)
+
+
+def test_a_statistic_on_permutations_is_refused_on_compositions():
+    # the mirror mistake: it used to fail with "'Composition' object has no attribute 'letters'"
+    def first_letter(p: Permutation) -> int:
+        return p.letters[0]
+
+    rels = [RelationId.Arrow1]
+    calls = [lambda: equivalence_classes(first_letter, 3), lambda: kernel_space(first_letter, 3),
+             lambda: quotient_dimension(first_letter, 3), lambda: check_spanning_F(first_letter, 3, rels),
+             lambda: is_ideal_upto(first_letter, 3), lambda: ideal.shuffle_compatibility_upto(first_letter, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="first_letter is given a Composition.*check_shuffle_compatible") as info:
             call()
         assert isinstance(info.value.__cause__, AttributeError)
 
