@@ -145,10 +145,15 @@ def index_of(comp: Composition) -> int:
     return mask
 
 
+def _checked_index(n: int, mask: int) -> int:
+    if type(mask) is not int or not 0 <= mask <= full_mask(n):  # a bool is no index either
+        raise InvalidSubsetError(f"index {mask!r} out of range for degree {n}")
+    return mask
+
+
 def from_index(n: int, mask: int) -> Composition:
     """The composition of n whose descent-set bitmask is `mask`."""
-    if type(mask) is not int or not 0 <= mask <= full_mask(n):
-        raise InvalidSubsetError(f"index {mask!r} out of range for degree {n}")
+    _checked_index(n, mask)
     if n == 0:
         return Composition(())
     parts = []
@@ -162,8 +167,9 @@ def from_index(n: int, mask: int) -> Composition:
 
 
 def complement_mask(n: int, mask: int) -> int:
-    """Descent-set mask of the complement composition: [n-1] minus the set."""
-    return mask ^ full_mask(n)
+    """Descent-set mask of the complement composition: [n-1] minus the set.
+    Like every mask helper, it refuses a mask that is no index of degree n."""
+    return _checked_index(n, mask) ^ full_mask(n)
 
 
 def reverse_mask(n: int, mask: int) -> int:
@@ -171,13 +177,9 @@ def reverse_mask(n: int, mask: int) -> int:
 
     Position p is a descent of the reverse exactly when n-p is not a
     descent of the original (reversing a word turns ascents into
-    descents and vice versa).
+    descents and vice versa): the n - 1 bits read backwards, complemented.
     """
-    rev = 0
-    for p in range(1, n):
-        if not (mask >> (n - p - 1)) & 1:
-            rev |= 1 << (p - 1)
-    return rev
+    return int(f"{_checked_index(n, mask):b}".zfill(n - 1)[::-1], 2) ^ full_mask(n)
 
 
 # -- spec operations --------------------------------------------------------

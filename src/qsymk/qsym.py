@@ -8,12 +8,13 @@ written in ("M" or "F"); integral coefficients are held as `int` (see
     F_{n,C} = sum over B with C <= B <= [n-1] of M_{n,B}
     M_{n,C} = sum over B with C <= B <= [n-1] of (-1)^{|B \\ C|} F_{n,B}
 
-and the product of two fundamentals expands as a sum of fundamentals
-over the shuffles of any two disjoint words realizing the two index
-compositions; `_f_basis_product` counts their descent compositions by
-one DP over two count types, ints of packed mask counts where most masks
-occur and dicts where few do, for `multiply_f`; `multiply_f_via_shuffles`
-keeps the route through the words.
+in one walk over each term's supersets, which psi on the M basis and the
+Lemma 2.2 combinations share.  The product of two fundamentals expands as a
+sum of fundamentals over the shuffles of any two disjoint words realizing the
+two index compositions; `_f_basis_product` counts their descent compositions
+by one DP over two count types, ints of packed mask counts where most masks
+occur and dicts where few do, and `multiply_f` of two one-term elements is
+those counts, scaled; `multiply_f_via_shuffles` keeps the route through the words.
 Both are oracles of the tables `ideal._interleavings`, from which the
 ideal check and shuffle-compatibility read their projected products.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator, Mapping
@@ -35,7 +36,6 @@ from typing import Iterator, Mapping
 from .compositions import (
     Composition,
     DescentSet,
-    complement_mask,
     from_index,
     full_mask,
     index_of,
@@ -121,13 +121,17 @@ def monomial(comp: Composition) -> QSymElement:
     return QSymElement(comp.n, "M", {index_of(comp): 1})
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    sub = mask
+def _add_submask_sums(out: dict, base: int, free: int, value, signed: bool) -> None:
+    """Add `value` to out[base | sub] for every submask sub of `free`, negated for odd
+    |sub| when `signed`: the one submask walk of the basis maps, psi and Lemma 2.2."""
+    by_parity = (value, -value if signed else value)
+    sub = free
     while True:
-        yield sub
-        if sub == 0:
+        key = base | sub
+        out[key] = out.get(key, 0) + by_parity[sub.bit_count() & 1]
+        if not sub:
             return
-        sub = (sub - 1) & mask
+        sub = (sub - 1) & free
 
 
 def _superset_sums(elem: QSymElement, basis: str, signed: bool) -> QSymElement:
@@ -135,10 +139,9 @@ def _superset_sums(elem: QSymElement, basis: str, signed: bool) -> QSymElement:
     sign (-1)^{|B - C|} when `signed`, written in `basis`."""
     check_degree(elem.n)
     full = full_mask(elem.n)
-    out: dict[int, Fraction | int] = defaultdict(int)
+    out: dict[int, Fraction | int] = {}
     for mask, value in elem.coeffs.items():
-        for extra in _submasks(full & ~mask):
-            out[mask | extra] += -value if signed and extra.bit_count() & 1 else value
+        _add_submask_sums(out, mask, full & ~mask, value, signed)
     return QSymElement(elem.n, basis, out)
 
 
@@ -250,12 +253,14 @@ def multiply_f(a: QSymElement, b: QSymElement) -> QSymElement:
         raise BasisTagError("multiply_f needs both factors in the F basis")
     n = a.n + b.n
     check_degree(n)
-    out: dict[int, Fraction | int] = defaultdict(int)
+    out: dict[int, Fraction | int] = {}
     for mask_a, ca in a.coeffs.items():
         for mask_b, cb in b.coeffs.items():
-            c = ca * cb
-            for mask, mult in _f_basis_product(a.n, mask_a, b.n, mask_b):
-                out[mask] += c * mult
+            c, counts = ca * cb, _f_basis_product(a.n, mask_a, b.n, mask_b)
+            if len(a.coeffs) == len(b.coeffs) == 1:  # one product: its counts are the coefficients
+                return QSymElement(n, "F", dict(counts) if c == 1 else {mask: c * mult for mask, mult in counts})
+            for mask, mult in counts:
+                out[mask] = out.get(mask, 0) + c * mult
     return QSymElement(n, "F", out)
 
 
@@ -288,27 +293,25 @@ def psi(elem: QSymElement) -> QSymElement:
     coarsening sum: the coarsenings of L are the submasks of its index,
     and L has popcount + 1 parts (none when n = 0).  It stays in the M
     basis."""
-    n = elem.n
+    n, full = elem.n, full_mask(elem.n)
     if elem.basis == "F":
-        return QSymElement(n, "F", {complement_mask(n, m): v for m, v in elem.coeffs.items()})
-    out: dict[int, Fraction | int] = defaultdict(int)
+        return QSymElement(n, "F", {m ^ full: v for m, v in elem.coeffs.items()})
+    out: dict[int, Fraction | int] = {}
     for mask, value in elem.coeffs.items():
         parts = mask.bit_count() + 1 if n else 0
-        signed = -value if (n - parts) & 1 else value
-        for sub in _submasks(mask):
-            out[sub] += signed
+        _add_submask_sums(out, 0, mask, -value if (n - parts) & 1 else value, signed=False)
     return QSymElement(n, "M", out)
 
 
 def rho(elem: QSymElement) -> QSymElement:
     """The reverse involution: relabels F indices by the reverse
-    composition.  It is psi after the position reversal C -> n - C, which
-    keeps the superset order and so sends M_C to M_{n-C}; M-basis input is
-    relabelled that way and passed to psi, staying in the M basis."""
+    composition.  It is psi after the position reversal C -> n - C (the
+    reverse's complement), which keeps the superset order and so sends M_C
+    to M_{n-C}; M-basis input is relabelled that way and passed to psi."""
     n = elem.n
     if elem.basis == "F":
         return QSymElement(n, "F", {reverse_mask(n, m): v for m, v in elem.coeffs.items()})
-    flipped = {complement_mask(n, reverse_mask(n, m)): v for m, v in elem.coeffs.items()}
+    flipped = {reverse_mask(n, m) ^ full_mask(n): v for m, v in elem.coeffs.items()}
     return psi(QSymElement(n, "M", flipped))
 
 
@@ -327,8 +330,8 @@ def lemma22b_combination(n: int, c: frozenset[int] | set[int], k: int) -> QSymEl
     """The F-combination equal to M_{n,C} + M_{n,C u {k}} for k not in C:
     sum over B with C <= B <= [n-1], k not in B, of (-1)^{|B \\ C|} F_{n,B}."""
     c_mask = _validate_ck(n, c, k)
-    free = full_mask(n) & ~c_mask & ~(1 << (k - 1))
-    out = {c_mask | extra: -1 if extra.bit_count() & 1 else 1 for extra in _submasks(free)}
+    out: dict[int, int] = {}
+    _add_submask_sums(out, c_mask, full_mask(n) & ~c_mask & ~(1 << (k - 1)), 1, signed=True)
     return QSymElement(n, "F", out)
 
 
@@ -343,12 +346,9 @@ def lemma22c_combination(n: int, c: frozenset[int] | set[int], k: int) -> QSymEl
     if (c_mask >> (k - 2)) & 1:
         raise ValueError(f"k - 1 = {k - 1} must not be in C")
     free = full_mask(n) & ~c_mask & ~(1 << (k - 1)) & ~(1 << (k - 2))
-    out: dict[int, Fraction | int] = defaultdict(int)
-    for extra in _submasks(free):
-        sign = -1 if extra.bit_count() & 1 else 1
-        b = c_mask | extra
-        out[b] += sign
-        out[b | (1 << (k - 2))] -= sign
+    out: dict[int, int] = {}
+    _add_submask_sums(out, c_mask, free, 1, signed=True)
+    _add_submask_sums(out, c_mask | 1 << (k - 2), free, -1, signed=True)
     return QSymElement(n, "F", out)
 
 

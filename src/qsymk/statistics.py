@@ -3,7 +3,8 @@
 Every statistic in `StatisticId` is a descent statistic: its value
 depends only on the descent composition.  The evaluators here are shift
 formulas on the descent mask (the composition's index), a set statistic
-returned as a mask; `words` evaluates them on permutations from letter
+returned as a mask, each run over all masks of a degree at once;
+`words` evaluates them on permutations from letter
 comparisons, an independent route the test suite checks them against
 exhaustively.  Equivalence classes are blocks of indices, the kernels'
 class format.
@@ -26,7 +27,6 @@ Position conventions (1-based, word of length n):
 from __future__ import annotations
 
 import enum
-from itertools import repeat
 from typing import Callable, Hashable, Iterable, Union
 
 from . import _forward
@@ -73,44 +73,52 @@ def parse_statistic(name: str) -> StatisticId:
 #
 # Every word with descent composition L has the descent mask D of L, so
 # each statistic is a function of D, and a set statistic is a mask too.
-# Position i peaks when i is in D and i - 1 is not: `_peak_mask`.  As
+# Position i peaks when i is in D and i - 1 is not: D & ~(D << 1).  As
 # `words._peaks_at` does on words, padding makes a boundary peak an ordinary
 # peak.  Position 0 is never a descent, so position 1 peaks when it is a
 # descent (a left peak), and `& ~1` drops it again.  Setting the bit of
 # position n, `1 << n >> 1` (0 at n = 0), makes n peak when n - 1 is an
-# ascent (a right peak).  Valleys are the peaks of the complement.
+# ascent (a right peak); no bit of D << 1 reaches past it.  Valleys are the
+# peaks of the complement.  Each formula runs over a range of masks at once:
+# all 2^(n-1) of a degree for `equivalence_classes`, one for `eval_on_composition`.
 
-def _peak_mask(d: int) -> int:
-    return d & ~(d << 1)
-
-
-_SET_EVAL: dict[StatisticId, Callable[[int, int], int]] = {
-    StatisticId.Des: lambda n, d: d,
-    StatisticId.Pk: lambda n, d: _peak_mask(d) & ~1,
-    StatisticId.Epk: lambda n, d: _peak_mask(d | 1 << n >> 1),
-    StatisticId.Lpk: lambda n, d: _peak_mask(d),
-    StatisticId.Rpk: lambda n, d: _peak_mask(d | 1 << n >> 1) & ~1,
-    StatisticId.Val: lambda n, d: _peak_mask(d ^ full_mask(n)) & ~1,
+_SET_KEYS: dict[StatisticId, Callable[[int, range], list[int]]] = {
+    StatisticId.Des: lambda n, ds: list(ds),
+    StatisticId.Pk: lambda n, ds: [d & ~(d << 1) & ~1 for d in ds],
+    StatisticId.Epk: lambda n, ds: [(d | 1 << n >> 1) & ~(d << 1) for d in ds],
+    StatisticId.Lpk: lambda n, ds: [d & ~(d << 1) for d in ds],
+    StatisticId.Rpk: lambda n, ds: [(d | 1 << n >> 1) & ~(d << 1) & ~1 for d in ds],
+    StatisticId.Val: lambda n, ds: [v & ~(v << 1) & ~1 for v in map(full_mask(n).__xor__, ds)],
 }
 
 
-def _size_of(evaluate: Callable[[int, int], int]) -> Callable[[int, int], int]:
-    return lambda n, d: evaluate(n, d).bit_count()
+def _maj_keys(ds: range) -> list[int]:
+    """maj(d) = maj(d & d - 1) + the position of d's lowest bit.  From mask 0 up,
+    each d & d - 1 < d is known; one below the range's start is found by the same rule."""
+    maj = {0: 0}
+    for d in ds:
+        rest = d & d - 1
+        if rest not in maj:
+            (maj[rest],) = _maj_keys(range(rest, rest + 1))
+        maj[d] = maj[rest] + (d & -d).bit_length()
+    return [maj[d] for d in ds]
 
 
-# each count statistic is the size of its set, and named in lower case
-_COMP_EVAL: dict[StatisticId, Callable[[int, int], int]] = {
-    **_SET_EVAL,
-    **{StatisticId(stat.value.lower()): _size_of(evaluate) for stat, evaluate in _SET_EVAL.items()},
-    StatisticId.maj: lambda n, d: sum(mask_to_set(d)),
-}
+def _keys(stat: StatisticId, n: int, ds: range) -> list:
+    """The values of `stat` on the masks of `ds`, a set statistic as a mask;
+    each count statistic, named in lower case, is the size of its set."""
+    if stat is StatisticId.maj:
+        return _maj_keys(ds)
+    if stat in _SET_KEYS:
+        return _SET_KEYS[stat](n, ds)
+    return list(map(int.bit_count, _SET_KEYS[StatisticId(stat.value.capitalize())](n, ds)))
 
 
 def eval_on_composition(stat: StatisticId, comp: Composition) -> StatValue:
     """Evaluate a statistic from the descent set alone; agrees with
     :func:`eval_on_permutation` on any word with that descent composition."""
-    value = _COMP_EVAL[stat](comp.n, index_of(comp))
-    return mask_to_set(value) if stat in _SET_EVAL else value
+    (value,) = _keys(stat, comp.n, range(d := index_of(comp), d + 1))
+    return mask_to_set(value) if stat in _SET_KEYS else value
 
 
 DescentStatistic = Union[StatisticId, Callable[[Composition], Hashable]]
@@ -144,7 +152,7 @@ def equivalence_classes(stat: DescentStatistic, n: int) -> tuple[tuple[int, ...]
     check_degree(n)
     _check_statistic(stat)
     if isinstance(stat, StatisticId):
-        return _blocks(map(_COMP_EVAL[stat], repeat(n), range(full_mask(n) + 1)))
+        return _blocks(_keys(stat, n, range(full_mask(n) + 1)))
     try:
         return _blocks(map(stat, compositions_of(n)))
     except AttributeError as exc:

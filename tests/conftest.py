@@ -32,6 +32,12 @@ def rho_vector(v: SparseVector) -> SparseVector:
     return SparseVector(v.n, {reverse_mask(v.n, m): c for m, c in v.entries.items()})
 
 
+def reverse_mask_by_positions(n: int, mask: int) -> int:
+    """The position loop `compositions.reverse_mask` replaced: p is a descent of the
+    reversed word exactly when n - p is none of the original."""
+    return sum(1 << (p - 1) for p in range(1, n) if not (mask >> (n - p - 1)) & 1)
+
+
 # Closed forms for the distribution of des and maj over the shuffles of a word
 # u of a letters with descent mask x and a word v of b letters with mask y,
 # letters disjoint.  They use none of the combinatorics of the product DP or

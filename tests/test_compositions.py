@@ -11,6 +11,7 @@ from qsymk.compositions import (
     Composition,
     DescentSet,
     complement,
+    complement_mask,
     composition_of,
     compositions_of,
     descent_set,
@@ -20,7 +21,9 @@ from qsymk.compositions import (
     parse_composition,
     refines,
     reverse,
+    reverse_mask,
 )
+from conftest import reverse_mask_by_positions
 from qsymk.config import check_degree, set_max_degree
 from qsymk.errors import DegreeLimitError, InvalidSubsetError
 from qsymk.statistics import perm_descent_composition, realize_permutation, Permutation
@@ -72,6 +75,26 @@ def test_from_index_rejects_out_of_range_masks():
     for mask in (4, -1, True, 1.0):
         with pytest.raises(InvalidSubsetError, match=f"index {mask!r} out of range for degree 3"):
             from_index(3, mask)
+
+
+def test_mask_helpers_refuse_stray_masks():
+    # complement_mask(3, 8) was 11, no index of degree 3; reverse_mask dropped the
+    # stray bit of 8 (giving 3) and read -1 as 0; complement_mask(3, True) was 2
+    for helper in (complement_mask, reverse_mask):
+        for mask in (8, 4, -1, True, False, 1.0, "1"):
+            with pytest.raises(InvalidSubsetError, match=f"^index {re.escape(repr(mask))} out of range for degree 3$"):
+                helper(3, mask)
+        with pytest.raises(InvalidSubsetError):
+            helper(0, 1)
+    assert [complement_mask(3, m) for m in range(4)] == [3, 2, 1, 0]
+    assert [reverse_mask(3, m) for m in range(4)] == [3, 1, 2, 0]
+    assert complement_mask(0, 0) == reverse_mask(0, 0) == complement_mask(1, 0) == reverse_mask(1, 0) == 0
+
+
+def test_reverse_mask_matches_the_position_loop():
+    for n in range(0, 12):
+        for mask in range(1 << n >> 1):
+            assert reverse_mask(n, mask) == reverse_mask_by_positions(n, mask), (n, mask)
 
 
 def test_descent_set_composition_of_inverse():

@@ -7,6 +7,7 @@ rather than only in a benchmark run."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import pathlib
@@ -40,3 +41,23 @@ def test_quick_batch_jobs_pass_the_job_gate(perfbench, capsys, workload):
     for job in workloads.batch_jobs(workload, quick=True):
         code = cli.main(list(job.argv))
         assert workloads.check_job(job, code, capsys.readouterr().out) is None, job.label
+
+
+# SHA-256 of the reply lines that `serve.py` writes for the seed-1 stream of 3000 requests,
+# recorded before the submask walk, the one-term products and the whole-degree st-keys
+# replaced the per-item routes; the benchmark's query-stream traffic must get the same bytes.
+SEED_1_STREAM_DIGEST = "c1e38bcb22edef019799745e7c09df0d756344c169b08d11e0a57a99dfe60d9e"
+
+
+def test_the_measured_stream_gets_the_same_replies(perfbench):
+    serve, workloads = perfbench
+    lines = hashlib.sha256()
+    for req in workloads.make_stream(1, 3000):
+        try:  # the reply exactly as `serve.main` writes it
+            reply = {"ok": True, "result": serve.handle(req)}
+        except Exception as exc:
+            reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        line = json.dumps(reply) + "\n"
+        assert workloads.check_reply(req, json.loads(line)) is None, req
+        lines.update(line.encode())
+    assert lines.hexdigest() == SEED_1_STREAM_DIGEST

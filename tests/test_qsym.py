@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import gc
 import itertools
 import json
@@ -18,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from qsymk import qsym, words
-from qsymk.compositions import Composition, compositions_of, from_index, mask_to_set
+from qsymk.compositions import Composition, compositions_of, from_index, index_of, mask_to_set
 from qsymk.config import max_degree, set_max_degree
 from qsymk.errors import BasisTagError, DegreeLimitError, DegreeMismatchError, InvalidSubsetError, QsymkError
 from qsymk.kernel import RelationId, edge_vectors, monomial_span_vectors, relation_edges
@@ -42,7 +43,7 @@ from qsymk.qsym import (
 )
 from qsymk.statistics import StatisticId
 
-from conftest import des_distribution, maj, maj_distribution, projected
+from conftest import des_distribution, maj, maj_distribution, projected, reverse_mask_by_positions
 
 C = Composition
 
@@ -353,7 +354,7 @@ def test_a_degree_past_the_limit_is_refused_before_enumerating(monkeypatch):
     def refuse(*_):
         raise AssertionError("enumerated past the degree limit")
 
-    monkeypatch.setattr(qsym, "_submasks", refuse)
+    monkeypatch.setattr(qsym, "_add_submask_sums", refuse)
     monkeypatch.setattr(words, "shuffles", refuse)
     n = max_degree() + 1
     for call in (lambda: lemma22b_combination(n, set(), 3), lambda: lemma22c_combination(n, set(), 3),
@@ -621,3 +622,128 @@ def test_coefficient_rule_keeps_integral_values_int():
 
     x = QSymElement(3, "F", {0: 3, 3: -7})
     assert 0.1 * x == Fraction(0.1) * x != Fraction(1, 10) * x
+
+
+# -- the submask walk and the one-term product against their definitions ------------------
+#
+# Each map is checked on every element of one or two terms at degrees <= 6, against its
+# defining sum taken over all masks of the degree (no submask walk): F_C = sum of M_B and
+# M_C = sum of (-1)^|B - C| F_B over B containing C, psi and rho relabel F_C, and on the M
+# basis they are those relabellings conjugated by the basis change.
+
+_ONE_TERM = (1, -2, Fraction(1, 2))
+# a pair that cancels where its supersets meet, Fractions that add up to an int there, and
+# Fractions that stay Fractions
+_TWO_TERMS = ((1, -1), (2, 3), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(-3, 2)))
+
+
+def _elements_of_one_or_two_terms(n: int, basis: str):
+    size = 1 << n >> 1
+    for mask in range(size):
+        for c in _ONE_TERM:
+            yield QSymElement(n, basis, {mask: c})
+    for first, second in itertools.combinations(range(size), 2):
+        for c, d in _TWO_TERMS:
+            yield QSymElement(n, basis, {first: c, second: d})
+
+
+def _by_definition(n: int, coeffs: dict, image) -> dict:
+    """sum of c * image(mask) over the terms, `image` giving {mask: coefficient}; each
+    integral value an int, as the coefficient rule stores it"""
+    out = Counter()
+    for mask, c in coeffs.items():
+        for target, k in image(n, mask).items():
+            out[target] += c * k
+    return {m: v.numerator if Fraction(v).denominator == 1 else v for m, v in out.items() if v}
+
+
+def _f_to_m_image(n, mask):
+    return {b: 1 for b in range(1 << n >> 1) if b & mask == mask}
+
+
+def _m_to_f_image(n, mask):
+    return {b: (-1) ** (b ^ mask).bit_count() for b in range(1 << n >> 1) if b & mask == mask}
+
+
+def _relabel_on_m(relabel):
+    def image(n, mask):  # to F, relabel, back to M
+        in_f = _by_definition(n, {mask: 1}, _m_to_f_image)
+        return _by_definition(n, _by_definition(n, in_f, relabel), _f_to_m_image)
+    return image
+
+
+_DEFINITIONS = {
+    ("f_to_m", "F"): _f_to_m_image,
+    ("m_to_f", "M"): _m_to_f_image,
+    ("psi", "F"): lambda n, mask: {mask ^ ((1 << n >> 1) - 1): 1},
+    ("rho", "F"): lambda n, mask: {reverse_mask_by_positions(n, mask): 1},
+}
+_DEFINITIONS[("psi", "M")] = _relabel_on_m(_DEFINITIONS[("psi", "F")])
+_DEFINITIONS[("rho", "M")] = _relabel_on_m(_DEFINITIONS[("rho", "F")])
+_DEFINITIONS = {key: functools.cache(image) for key, image in _DEFINITIONS.items()}  # each image read-only
+
+
+def _maps_off_their_definition(max_degree: int) -> set[tuple[str, str]]:
+    """The (map, basis) pairs whose image of some element differs from its defining sum,
+    in value or in stored type; each map is read off `qsym`, so a planted one is seen."""
+    off = set()
+    for (name, basis), image in _DEFINITIONS.items():
+        for n in range(max_degree + 1):
+            for elem in _elements_of_one_or_two_terms(n, basis):
+                got = getattr(qsym, name)(elem)
+                want = _by_definition(n, elem.coeffs, image)
+                want_basis = {"f_to_m": "M", "m_to_f": "F"}.get(name, basis)
+                if (got.basis, [(m, type(v), v) for m, v in sorted(got.coeffs.items())]) != (
+                        want_basis, [(m, type(v), v) for m, v in sorted(want.items())]):
+                    off.add((name, basis))
+                    break
+    return off
+
+
+def test_basis_maps_and_involutions_meet_their_defining_sums():
+    assert _maps_off_their_definition(6) == set()
+
+
+def test_a_sign_flip_on_odd_supersets_is_caught(monkeypatch):
+    # planted: the walk negates the terms of odd |B - C| where it should not, and keeps
+    # them where it should negate; every map that walks submasks must disagree
+    walk = qsym._add_submask_sums
+    monkeypatch.setattr(qsym, "_add_submask_sums",
+                        lambda out, base, free, value, signed: walk(out, base, free, value, not signed))
+    assert _maps_off_their_definition(3) == {("f_to_m", "F"), ("m_to_f", "M"), ("psi", "M"), ("rho", "M")}
+
+
+_SCALES = (1, 2, Fraction(1, 2))
+
+
+def _one_term_product_disagreement(multiply, max_total: int):
+    """The first (alpha, beta, a, b) where `multiply`(a F_alpha, b F_beta) differs, in value
+    or stored type, from a * b times the word route, or from the accumulation route's image
+    of a sum; None when there is none."""
+    for total in range(max_total + 1):
+        for na in range(total + 1):
+            for alpha, beta in itertools.product(compositions_of(na), compositions_of(total - na)):
+                by_words = multiply_f_via_shuffles(alpha, beta)
+                for a, b in itertools.product(_SCALES, repeat=2):
+                    left, right = a * fundamental(alpha), b * fundamental(beta)
+                    got = multiply(left, right)
+                    if got != (a * b) * by_words or not all(
+                            type(v) is int for v in got.coeffs.values() if Fraction(v).denominator == 1):
+                        return alpha, beta, a, b
+                    if na >= 2:  # a second composition of alpha's degree makes a sum of two terms
+                        other = fundamental(from_index(na, index_of(alpha) ^ 1))
+                        if multiply_f(left + other, right) != got + multiply(other, right):
+                            return alpha, beta, a, b
+    return None
+
+
+def test_one_term_products_meet_the_word_route_and_the_accumulation_route():
+    assert _one_term_product_disagreement(multiply_f, 7) is None
+
+
+def test_a_one_term_product_that_drops_its_scale_is_caught():
+    def dropped_scale(left, right):  # planted: the DP's counts, never scaled
+        ((mask_a, _),), ((mask_b, _),) = left.coeffs.items(), right.coeffs.items()
+        return QSymElement(left.n + right.n, "F", dict(_f_basis_product(left.n, mask_a, right.n, mask_b)))
+
+    assert _one_term_product_disagreement(dropped_scale, 2) is not None

@@ -11,7 +11,7 @@ import pytest
 from conftest import complement_permutation, log_products, reverse_permutation
 from qsymk.compositions import Composition, compositions_of, from_index, index_of
 from qsymk.config import set_max_degree
-from qsymk import ideal, kernel, words
+from qsymk import ideal, kernel, statistics, words
 from qsymk.errors import DegreeLimitError, DisjointnessError
 from qsymk.kernel import (RelationId, check_spanning_F, is_ideal_upto, kernel_space, quotient_dimension,
                           shuffle_compatibility_upto)
@@ -270,6 +270,57 @@ def test_equivalence_classes_match_position_loops():
     for n in range(0, 11):
         for stat in [*StatisticId, max_part]:
             assert equivalence_classes(stat, n) == _classes_via_positions(stat, n), (stat, n)
+
+
+# The per-mask formulas that the whole-degree keys replaced, one call per mask, kept as
+# their oracle up to degree 12; the word-level evaluators are the oracle to degree 8.
+
+def _peak_mask(d: int) -> int:
+    return d & ~(d << 1)
+
+
+_PER_MASK_SETS = {
+    S.Des: lambda n, d: d,
+    S.Pk: lambda n, d: _peak_mask(d) & ~1,
+    S.Epk: lambda n, d: _peak_mask(d | 1 << n >> 1),
+    S.Lpk: lambda n, d: _peak_mask(d),
+    S.Rpk: lambda n, d: _peak_mask(d | 1 << n >> 1) & ~1,
+    S.Val: lambda n, d: _peak_mask(d ^ ((1 << n >> 1) - 1)) & ~1,
+}
+_PER_MASK = {
+    **_PER_MASK_SETS,
+    **{S(stat.value.lower()): lambda n, d, f=f: f(n, d).bit_count() for stat, f in _PER_MASK_SETS.items()},
+    S.maj: lambda n, d: sum(_mask_positions(d)),
+}
+
+
+def _statistics_off_their_oracles(words_to: int, per_mask_to: int) -> set[StatisticId]:
+    """The statistics whose keys for a whole degree differ from the word-level value of
+    a word realizing each mask (degrees <= `words_to`) or from the per-mask formula
+    (degrees <= `per_mask_to`); a set statistic's key is its mask."""
+    off = set()
+    for stat in StatisticId:
+        for n in range(per_mask_to + 1):
+            masks = range(1 << n >> 1)
+            keys = statistics._keys(stat, n, masks)
+            if keys != [_PER_MASK[stat](n, d) for d in masks]:
+                off.add(stat)
+            if n <= words_to:
+                on_words = (eval_on_permutation(stat, realize_permutation(from_index(n, d))) for d in masks)
+                if keys != [sum(1 << (i - 1) for i in v) if isinstance(v, frozenset) else v for v in on_words]:
+                    off.add(stat)
+    return off
+
+
+def test_whole_degree_keys_meet_the_word_route_and_the_per_mask_formulas():
+    assert _statistics_off_their_oracles(8, 12) == set()
+
+
+def test_a_shifted_peak_mask_is_caught(monkeypatch):
+    # planted: Pk's peak mask shifted by one position, so a descent counts where the
+    # position after it ascends; Pk and pk, its size, must both disagree
+    monkeypatch.setitem(statistics._SET_KEYS, S.Pk, lambda n, ds: [d & ~(d >> 1) & ~1 for d in ds])
+    assert _statistics_off_their_oracles(4, 4) == {S.Pk, S.pk}
 
 
 def test_equivalence_classes_examples():
